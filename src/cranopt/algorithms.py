@@ -231,13 +231,12 @@ def _rates_and_powers(config, channels, vectors):
     return rates, powers
 
 
-def extract_rrh_clusters(beamformers: BeamformerSet, power_limits,
-                         threshold_factor: float = CLUSTER_THRESHOLD):
-    """Serving sets C_i = {j : ||v_ij||^2 > threshold * P_j}; small blocks zeroed."""
+def extract_rrh_clusters(beamformers: BeamformerSet, power_limits):
+    """Serving sets C_i = {j : ||v_ij||^2 > CLUSTER_THRESHOLD * P_j}; small blocks zeroed."""
     v = beamformers.vectors
     sq = np.sum(np.abs(v) ** 2, axis=-1)
     limits = np.asarray(power_limits, dtype=float)
-    keep = sq > threshold_factor * limits[None, :]
+    keep = sq > CLUSTER_THRESHOLD * limits[None, :]
     zeroed = np.where(keep[:, :, None], v, 0.0)
     clusters = tuple(frozenset(np.flatnonzero(keep[i]).tolist())
                      for i in range(v.shape[0]))
@@ -368,7 +367,7 @@ def ran_power_minimization(config: SystemConfig, tasks: list[Task],
                                powers, floors, trace, report.status, it, False,
                                f"conic step failed: {report.message or report.status}; "
                                f"floors={floors.tolist()}")
-        v = extract_beamformers(report, n, config.num_rrh, config.antennas_per_rrh)
+        v = extract_beamformers(report.x, support, config.antennas_per_rrh)
         support = _cull_support(v, support, config.rrh_power_limit)
         v = np.where(support[:, :, None], v, 0.0)
         rates, powers = _rates_and_powers(config, channels, v)
@@ -449,7 +448,7 @@ def _refit_on_support(config, channels, bf, clusters, floors, weights, support):
                 break
             target = np.maximum(floors, target * 0.9)
             continue
-        vec = extract_beamformers(report, n, l, config.antennas_per_rrh)
+        vec = extract_beamformers(report.x, mask, config.antennas_per_rrh)
         clusters, bf = extract_rrh_clusters(BeamformerSet(vec),
                                             config.rrh_power_limit)
         new_mask = np.zeros((n, l), dtype=bool)
@@ -570,7 +569,7 @@ def joint_energy_minimization(config: SystemConfig, tasks: list[Task],
                                  f"conic step failed: {report.message or report.status}")
             return JointSolution(ransol, np.zeros(n), None, energy_trace,
                                  surrogate_trace, report.status, it, False)
-        v_cand = extract_beamformers(report, n, l, config.antennas_per_rrh)
+        v_cand = extract_beamformers(report.x, support, config.antennas_per_rrh)
         # The conic step minimizes the tangent model of the cloud-energy
         # utility, which under-estimates it where tau is convex in the MSE;
         # a line search on the true surrogate keeps the descent honest.

@@ -15,7 +15,6 @@ from .scenario import Task
 __all__ = [
     "CloudAllocation",
     "CloudInfeasibleError",
-    "clone_exec_time",
     "clone_energy",
     "solve_cloud_allocation",
 ]
@@ -39,15 +38,6 @@ class CloudAllocation:
     clone_capacity: float  # cycles/s
     exec_time: float       # s
     exec_energy: float     # J
-
-
-def clone_exec_time(cycles: float, speed: float) -> float:
-    """Seconds to run `cycles` CPU cycles at `speed` cycles/s."""
-    if speed <= 0:
-        raise ValueError("clone speed must be > 0")
-    if cycles <= 0:
-        raise ValueError("cycle count must be > 0")
-    return cycles / speed
 
 
 def clone_energy(cycles: float, speed: float, kappa: float, exponent: float) -> float:

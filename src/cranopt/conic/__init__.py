@@ -1,26 +1,12 @@
 from .solver import ConicProblem, SolveReport, SolverError, solve
-from .build import (
-    ComplexProgram,
-    SocpBuilder,
-    build_power_min_socp,
-    build_wmmse_step_socp,
-    complex_to_real_stack,
-    embed_complex,
-    extract_beamformers,
-    real_stack_to_complex,
-)
+from .build import build_power_min_socp, build_wmmse_step_socp, extract_beamformers
 
 __all__ = [
     "ConicProblem",
     "SolveReport",
     "SolverError",
     "solve",
-    "ComplexProgram",
-    "SocpBuilder",
     "build_power_min_socp",
     "build_wmmse_step_socp",
-    "complex_to_real_stack",
-    "embed_complex",
     "extract_beamformers",
-    "real_stack_to_complex",
 ]

@@ -1,283 +1,34 @@
-"""Builders that translate beamforming subproblems into conic form.
+"""Builders that write beamforming subproblems straight into conic form.
 
-Complex decision vectors are embedded as real variables (real parts stacked
-over imaginary parts), under which squared norms, ``Re(h^H v)`` and
-``Im(h^H v)`` are exact linear/quadratic images.  All channel rows are
-normalized by the per-UE noise standard deviation before entering the
-matrices, which keeps coefficient magnitudes near unity.
+Each builder fills ``c, G, h, A, b`` and the cone list of a `ConicProblem`
+from the channel arrays.  The columns of x are, in order:
+
+* the beamformer block ``x[:2 * K * support.sum()]``: one complex K-vector
+  v[i, j] per supported (UE i, RRH j) pair, in row-major order of the
+  (N, L) `support` mask, each stored as its K real parts followed by its K
+  imaginary parts (`extract_beamformers` scatters the block back);
+* one epigraph t_i >= ||v_i||^2 per UE with a supported pair, in UE order;
+* in the WMMSE step only, one epigraph of the receive-MSE quadratic per
+  such UE whose MSE weight is nonzero, in UE order.
+
+Under this embedding squared norms, ``Re(h^H v)`` and ``Im(h^H v)`` are
+exact linear/quadratic images.  All channel rows are normalized by the
+per-UE noise standard deviation before entering the matrices, which keeps
+coefficient magnitudes near unity.  Every cone block is a second-order cone
+written first as its slack s = E x + f, then stored as G = -E, h = f.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .solver import ConicProblem
 
 __all__ = [
-    "LinExpr",
-    "SocpBuilder",
-    "ComplexProgram",
-    "complex_to_real_stack",
-    "real_stack_to_complex",
-    "embed_complex",
     "build_power_min_socp",
     "build_wmmse_step_socp",
+    "extract_beamformers",
 ]
-
-
-def complex_to_real_stack(v: np.ndarray) -> np.ndarray:
-    """C^k vector -> 2k reals, real parts first."""
-    v = np.asarray(v, dtype=complex)
-    return np.concatenate([v.real, v.imag])
-
-
-def real_stack_to_complex(x: np.ndarray) -> np.ndarray:
-    k = x.shape[0] // 2
-    return x[:k] + 1j * x[k:]
-
-
-class LinExpr:
-    """Sparse affine expression: sum of per-variable coefficient rows + const."""
-
-    __slots__ = ("terms", "const")
-
-    def __init__(self, terms: dict | None = None, const: float = 0.0):
-        self.terms = terms or {}
-        self.const = float(const)
-
-    def __add__(self, other):
-        if np.isscalar(other):
-            return LinExpr(dict(self.terms), self.const + other)
-        terms = dict(self.terms)
-        for name, coefs in other.terms.items():
-            terms[name] = terms.get(name, 0.0) + coefs
-        return LinExpr(terms, self.const + other.const)
-
-    __radd__ = __add__
-
-    def __mul__(self, scalar: float):
-        return LinExpr({k: v * scalar for k, v in self.terms.items()},
-                       self.const * scalar)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return self + (other * -1.0 if isinstance(other, LinExpr) else -other)
-
-    def __rsub__(self, other):
-        return (self * -1.0) + other
-
-    def __neg__(self):
-        return self * -1.0
-
-
-@dataclass
-class _Var:
-    offset: int
-    length: int
-    kind: str  # "real" | "complex"
-
-
-class SocpBuilder:
-    """Assemble a ConicProblem from named variables and affine expressions."""
-
-    def __init__(self):
-        self._vars: dict[str, _Var] = {}
-        self._n = 0
-        self._eq_rows: list[tuple[LinExpr, float]] = []
-        self._cone_rows: list[LinExpr] = []
-        self._cones: list[tuple[str, int]] = []
-        self._objective = LinExpr()
-        self._counts: dict[str, int] = {}
-        self.meta: dict = {}
-
-    # -- variables ---------------------------------------------------------
-
-    def add_real(self, name: str, dim: int = 1) -> str:
-        if name in self._vars:
-            raise ValueError(f"duplicate variable {name!r}")
-        self._vars[name] = _Var(self._n, dim, "real")
-        self._n += dim
-        return name
-
-    def add_complex(self, name: str, dim: int) -> str:
-        if name in self._vars:
-            raise ValueError(f"duplicate variable {name!r}")
-        self._vars[name] = _Var(self._n, 2 * dim, "complex")
-        self._n += 2 * dim
-        return name
-
-    # -- expressions -------------------------------------------------------
-
-    def lin(self, name: str, coefs) -> LinExpr:
-        coefs = np.asarray(coefs, dtype=float)
-        if coefs.shape != (self._vars[name].length,):
-            raise ValueError(f"coefficient length mismatch for {name!r}")
-        return LinExpr({name: coefs})
-
-    def scalar(self, name: str, index: int = 0) -> LinExpr:
-        coefs = np.zeros(self._vars[name].length)
-        coefs[index] = 1.0
-        return LinExpr({name: coefs})
-
-    def inner_re(self, h: np.ndarray, name: str) -> LinExpr:
-        """Re(h^H v) as a row over the real embedding of complex var `name`."""
-        h = np.asarray(h, dtype=complex)
-        return self.lin(name, np.concatenate([h.real, h.imag]))
-
-    def inner_im(self, h: np.ndarray, name: str) -> LinExpr:
-        """Im(h^H v)."""
-        h = np.asarray(h, dtype=complex)
-        return self.lin(name, np.concatenate([-h.imag, h.real]))
-
-    # -- constraints -------------------------------------------------------
-
-    def add_eq(self, expr: LinExpr, rhs: float = 0.0, kind: str | None = None):
-        self._eq_rows.append((expr, float(rhs)))
-        self._count(kind)
-
-    def add_nonneg(self, expr: LinExpr, kind: str | None = None):
-        """expr >= 0."""
-        self._cone_rows.append(expr)
-        self._cones.append(("nonneg", 1))
-        self._count(kind)
-
-    def add_soc(self, bound: LinExpr, entries: list[LinExpr], kind: str | None = None):
-        """|| entries || <= bound."""
-        self._cone_rows.append(bound)
-        self._cone_rows.extend(entries)
-        self._cones.append(("soc", 1 + len(entries)))
-        self._count(kind)
-
-    def add_quad_le(self, entries: list[LinExpr], bound: LinExpr,
-                    kind: str | None = None):
-        """sum of entry^2 <= bound, via ||(2*entries, bound-1)|| <= bound+1."""
-        self.add_soc(bound + 1.0, [e * 2.0 for e in entries] + [bound - 1.0],
-                     kind=kind)
-
-    def minimize(self, expr: LinExpr):
-        self._objective = expr
-
-    def _count(self, kind):
-        if kind:
-            self._counts[kind] = self._counts.get(kind, 0) + 1
-
-    # -- assembly ----------------------------------------------------------
-
-    def _row(self, expr: LinExpr) -> np.ndarray:
-        row = np.zeros(self._n)
-        for name, coefs in expr.terms.items():
-            var = self._vars[name]
-            row[var.offset:var.offset + var.length] += coefs
-        return row
-
-    def build(self) -> ConicProblem:
-        c = self._row(self._objective)
-        p, m = len(self._eq_rows), len(self._cone_rows)
-        eq_lhs = np.zeros((p, self._n))
-        eq_rhs = np.zeros(p)
-        for i, (expr, rhs) in enumerate(self._eq_rows):
-            eq_lhs[i] = self._row(expr)
-            eq_rhs[i] = rhs - expr.const
-        # Cone rows encode s = h - G x with s = expr(x), so G = -coefs, h = const.
-        cone_lhs = np.zeros((m, self._n))
-        cone_rhs = np.zeros(m)
-        for i, expr in enumerate(self._cone_rows):
-            cone_lhs[i] = -self._row(expr)
-            cone_rhs[i] = expr.const
-        meta = dict(self.meta)
-        meta["constraint_counts"] = dict(self._counts)
-        return ConicProblem(
-            c=c,
-            cone_lhs=cone_lhs, cone_rhs=cone_rhs,
-            eq_lhs=eq_lhs, eq_rhs=eq_rhs,
-            cones=tuple(self._cones),
-            var_index={name: (v.offset, v.length, v.kind)
-                       for name, v in self._vars.items()},
-            obj_const=self._objective.const,
-            meta=meta,
-        )
-
-
-# ---------------------------------------------------------------------------
-# Declarative complex program -> conic embedding.
-
-
-@dataclass
-class ComplexProgram:
-    """Small declarative front for complex-variable quadratic/SOC programs.
-
-    variables: name -> complex dimension.
-    objective: list of ("norm2", weight, name) and ("re", h, name) terms,
-        plus an additive constant.
-    constraints:
-        ("re_ge", h, name, rhs)        Re(h^H v) >= rhs
-        ("im_eq", h, name, rhs)        Im(h^H v) == rhs
-        ("norm_le", name, bound)       ||v|| <= bound (bound constant)
-    """
-
-    variables: dict[str, int]
-    objective: list = field(default_factory=list)
-    objective_const: float = 0.0
-    constraints: list = field(default_factory=list)
-
-
-def embed_complex(program: ComplexProgram) -> ConicProblem:
-    """Translate a ComplexProgram into real conic form (2k reals per C^k var)."""
-    bld = SocpBuilder()
-    for name, dim in program.variables.items():
-        bld.add_complex(name, dim)
-
-    objective = LinExpr(const=program.objective_const)
-    for term in program.objective:
-        tag = term[0]
-        if tag == "norm2":
-            _, weight, name = term
-            epi = bld.add_real(f"_epi_{name}")
-            dim = program.variables[name]
-            entries = [bld.lin(name, _unit(2 * dim, i)) for i in range(2 * dim)]
-            bld.add_quad_le(entries, bld.scalar(epi))
-            objective = objective + weight * bld.scalar(epi)
-        elif tag == "re":
-            _, h, name = term
-            objective = objective + bld.inner_re(h, name)
-        else:
-            raise ValueError(f"unsupported objective term {tag!r}")
-
-    for con in program.constraints:
-        tag = con[0]
-        if tag == "re_ge":
-            _, h, name, rhs = con
-            bld.add_nonneg(bld.inner_re(h, name) - rhs)
-        elif tag == "im_eq":
-            _, h, name, rhs = con
-            bld.add_eq(bld.inner_im(h, name), rhs)
-        elif tag == "norm_le":
-            _, name, bound = con
-            dim = program.variables[name]
-            entries = [bld.lin(name, _unit(2 * dim, i)) for i in range(2 * dim)]
-            bld.add_soc(LinExpr(const=float(bound)), entries)
-        else:
-            raise ValueError(f"unsupported constraint {tag!r}")
-
-    bld.minimize(objective)
-    return bld.build()
-
-
-def _unit(n, i):
-    u = np.zeros(n)
-    u[i] = 1.0
-    return u
-
-
-# ---------------------------------------------------------------------------
-# Beamforming subproblem builders.
-#
-# Variables: one complex K-vector "v_{i}_{j}" per active (UE i, RRH j) pair.
-# `support[i][j] == False` removes the pair entirely (used for cluster
-# refits and zero-payload UEs).
 
 
 def _active_pairs(num_ue, num_rrh, support):
@@ -286,106 +37,137 @@ def _active_pairs(num_ue, num_rrh, support):
     return np.asarray(support, dtype=bool)
 
 
-def _vname(i, j):
-    return f"v_{i}_{j}"
+def _pair_columns(support, k):
+    """First column of each supported pair's 2K reals; -1 off the support."""
+    cols = np.full(support.shape, -1)
+    cols[support] = 2 * k * np.arange(int(support.sum()))
+    return cols
 
 
-def _add_beamformers(bld, channels, support):
-    n, l, k = channels.gains.shape
-    n_reals = 0
-    for i in range(n):
-        for j in range(l):
-            if support[i, j]:
-                bld.add_complex(_vname(i, j), k)
-                n_reals += 2 * k
-    return n_reals
+def _block_columns(starts, k):
+    """Every column of the pairs whose blocks start at `starts`, in order."""
+    return (np.asarray(starts, dtype=int)[:, None] + np.arange(2 * k)).ravel()
 
 
-def _combined_rows(bld, channels, ue, stream, support):
-    """(Re, Im) LinExprs of sum_j h~[ue,j]^H v[stream,j], noise-normalized."""
+def _selector(nv, columns, values=1.0):
+    """One row per listed column, holding `values` in that column."""
+    rows = np.zeros((len(columns), nv))
+    rows[np.arange(len(columns)), columns] += values
+    return rows
+
+
+def _quad_le(entries, bound, bound_const=0.0):
+    """sum((entries x)^2) <= bound x + bound_const as one SOC block.
+
+    Uses ||(2 entries x, b - 1)|| <= b + 1 with b = bound x + bound_const;
+    returns the block's slack (E, f).
+    """
+    rows = np.vstack([bound, 2.0 * entries, bound])
+    consts = np.zeros(rows.shape[0])
+    consts[0] = bound_const + 1.0
+    consts[-1] = bound_const - 1.0
+    return rows, consts
+
+
+def _combined_rows(channels, ue, stream, cols, nv):
+    """Rows of Re and Im of sum_j h~[ue,j]^H v[stream,j], noise-normalized."""
+    k = channels.gains.shape[2]
     sigma = np.sqrt(channels.noise_power[ue])
-    re = LinExpr()
-    im = LinExpr()
-    for j in range(channels.num_rrh):
-        if support[stream, j]:
-            ht = channels.gains[ue, j] / sigma
-            re = re + bld.inner_re(ht, _vname(stream, j))
-            im = im + bld.inner_im(ht, _vname(stream, j))
+    re, im = np.zeros(nv), np.zeros(nv)
+    for j in np.flatnonzero(cols[stream] >= 0):
+        ht = channels.gains[ue, j] / sigma
+        col = cols[stream, j]
+        re[col:col + k] += ht.real
+        re[col + k:col + 2 * k] += ht.imag
+        im[col:col + k] -= ht.imag
+        im[col + k:col + 2 * k] += ht.real
     return re, im
 
 
-def _add_rrh_power(bld, channels, power_limits, support):
-    for j in range(channels.num_rrh):
-        entries = []
-        for i in range(channels.num_ue):
-            if support[i, j]:
-                dim = 2 * channels.gains.shape[2]
-                entries.extend(bld.lin(_vname(i, j), _unit(dim, t))
-                               for t in range(dim))
-        if entries:
-            bld.add_soc(LinExpr(const=float(np.sqrt(power_limits[j]))), entries,
-                        kind="power_soc")
+def _ue_power_epigraphs(nv, first, cols, support, k):
+    """t_i >= ||v_i||^2 per served UE, t_i in columns first, first + 1, ..."""
+    blocks = []
+    t = first
+    for i in range(support.shape[0]):
+        if support[i].any():
+            entries = _selector(nv, _block_columns(cols[i, support[i]], k))
+            blocks.append(_quad_le(entries, _selector(nv, [t])[0]))
+            t += 1
+    return blocks
 
 
-def _add_rate_socs(bld, channels, rate_floors, bandwidths, support):
-    """Per-UE QoS floor as sqrt(1 - 2^(-R/B)) ||(m_1..m_N, sigma)|| <= Re(m_ii)."""
+def _rrh_power(nv, cols, support, k, power_limits):
+    """||(v_1j, ..., v_Nj)|| <= sqrt(P_j) per RRH with a supported pair."""
+    blocks = []
+    for j in range(support.shape[1]):
+        if support[:, j].any():
+            entries = _selector(nv, _block_columns(cols[support[:, j], j], k))
+            consts = np.zeros(1 + entries.shape[0])
+            consts[0] = float(np.sqrt(power_limits[j]))
+            blocks.append((np.vstack([np.zeros(nv), entries]), consts))
+    return blocks
+
+
+def _rate_socs(channels, rate_floors, bandwidths, cols, support, nv):
+    """Per-UE QoS floor as sqrt(1 - 2^(-R/B)) ||(m_1..m_N, sigma)|| <= Re(m_ii).
+
+    Each floor also pins the phase with the equality row Im(m_ii) = 0.
+    Returns the cone blocks and the equality rows.
+    """
     n = channels.num_ue
+    blocks, eq_rows = [], []
     for i in range(n):
         floor = rate_floors[i]
         if floor is None or floor <= 0 or not support[i].any():
             continue
         gamma = 2.0 ** (floor / bandwidths[i]) - 1.0
         coef = float(np.sqrt(gamma / (1.0 + gamma)))
-        entries = []
-        re_own, im_own = None, None
-        for k in range(n):
-            re, im = _combined_rows(bld, channels, i, k, support)
-            if k == i:
-                re_own, im_own = re, im
-            entries.extend([re * coef, im * coef])
-        entries.append(LinExpr(const=coef))  # normalized noise term
-        bld.add_soc(re_own, entries, kind="rate_soc")
-        bld.add_eq(im_own, 0.0, kind="phase_eq")
+        rows = [_combined_rows(channels, i, stream, cols, nv) for stream in range(n)]
+        entries = [coef * row for pair in rows for row in pair]
+        # The last entry is the normalized noise term.
+        consts = np.zeros(2 * n + 2)
+        consts[-1] = coef
+        blocks.append((np.vstack([rows[i][0], *entries, np.zeros(nv)]), consts))
+        eq_rows.append(rows[i][1])
+    return blocks, eq_rows
 
 
-def _add_fronthaul(bld, channels, rho, frozen_rates, fronthaul_limits, support):
+def _fronthaul(nv, cols, support, k, rho, frozen_rates, fronthaul_limits):
     """sum_i rho_ij * r_i * ||v_ij||^2 <= C_j, one SOC per RRH with active rows.
 
     Rows are normalized by C_j so coefficients stay near unity regardless of
     the rate scale.
     """
     if rho is None:
-        return
-    n, l, k = channels.gains.shape
+        return []
+    n, l = support.shape
+    blocks = []
     for j in range(l):
-        entries = []
+        starts, roots = [], []
         for i in range(n):
             scale = rho[i, j] * frozen_rates[i] / fronthaul_limits[j]
             if support[i, j] and scale > 0:
-                root = float(np.sqrt(scale))
-                entries.extend(bld.lin(_vname(i, j), _unit(2 * k, t)) * root
-                               for t in range(2 * k))
-        if entries:
-            bld.add_quad_le(entries, LinExpr(const=1.0), kind="fronthaul")
+                starts.append(cols[i, j])
+                roots.append(float(np.sqrt(scale)))
+        if starts:
+            entries = _selector(nv, _block_columns(starts, k),
+                                np.repeat(roots, 2 * k))
+            blocks.append(_quad_le(entries, np.zeros(nv), 1.0))
+    return blocks
 
 
-def _add_ue_power_epigraphs(bld, channels, support):
-    """t_i >= ||v_i||^2 (power spent on UE i), returns epigraph names."""
-    n, l, k = channels.gains.shape
-    names = []
-    for i in range(n):
-        if not support[i].any():
-            names.append(None)
-            continue
-        name = bld.add_real(f"pwr_{i}")
-        entries = []
-        for j in range(l):
-            if support[i, j]:
-                entries.extend(bld.lin(_vname(i, j), _unit(2 * k, t))
-                               for t in range(2 * k))
-        bld.add_quad_le(entries, bld.scalar(name), kind="ue_power_epigraph")
-        names.append(name)
-    return names
+def _problem(c, blocks, eq_rows, obj_const) -> ConicProblem:
+    """Stack SOC blocks (E, f), slack s = E x + f, into a ConicProblem."""
+    empty = np.zeros((0, c.shape[0]))
+    return ConicProblem(
+        c=c,
+        cone_lhs=-np.vstack([empty, *(rows for rows, _ in blocks)]),
+        cone_rhs=np.concatenate([np.zeros(0), *(consts for _, consts in blocks)]),
+        eq_lhs=np.vstack([empty, *eq_rows]),
+        eq_rhs=np.zeros(len(eq_rows)),
+        cones=tuple(("soc", rows.shape[0]) for rows, _ in blocks),
+        obj_const=obj_const,
+    )
 
 
 def build_power_min_socp(channels, rate_floors, bandwidths, power_limits,
@@ -397,25 +179,24 @@ def build_power_min_socp(channels, rate_floors, bandwidths, power_limits,
     and (when `rho` is given) the reweighted fronthaul surrogate at frozen
     rates.  `objective_weights` defaults to 1 (pure transmit power).
     """
-    n, l, _ = channels.gains.shape
+    n, l, k = channels.gains.shape
     support = _active_pairs(n, l, support)
     bandwidths = np.asarray(bandwidths, dtype=float)
-    bld = SocpBuilder()
-    n_reals = _add_beamformers(bld, channels, support)
-    bld.meta["n_decision_reals"] = n_reals
-
     w = np.ones(n) if objective_weights is None else np.asarray(objective_weights, float)
-    epi = _add_ue_power_epigraphs(bld, channels, support)
-    objective = LinExpr()
-    for i in range(n):
-        if epi[i] is not None:
-            objective = objective + w[i] * bld.scalar(epi[i])
-    bld.minimize(objective)
+    served = support.any(axis=1)
+    nb = 2 * k * int(support.sum())
+    nv = nb + int(served.sum())
+    cols = _pair_columns(support, k)
 
-    _add_rrh_power(bld, channels, power_limits, support)
-    _add_rate_socs(bld, channels, rate_floors, bandwidths, support)
-    _add_fronthaul(bld, channels, rho, frozen_rates, fronthaul_limits, support)
-    return bld.build()
+    c = np.zeros(nv)
+    c[nb:] += w[served]
+    blocks = _ue_power_epigraphs(nv, nb, cols, support, k)
+    blocks += _rrh_power(nv, cols, support, k, power_limits)
+    rate_blocks, eq_rows = _rate_socs(channels, rate_floors, bandwidths, cols,
+                                      support, nv)
+    blocks += rate_blocks
+    blocks += _fronthaul(nv, cols, support, k, rho, frozen_rates, fronthaul_limits)
+    return _problem(c, blocks, eq_rows, 0.0)
 
 
 def build_wmmse_step_socp(channels, mse_weights, receivers, objective_weights,
@@ -429,60 +210,61 @@ def build_wmmse_step_socp(channels, mse_weights, receivers, objective_weights,
     quadratic in v; constraints are the same power/fronthaul set plus the
     deadline-derived rate floors.
     """
-    n, l, _ = channels.gains.shape
+    n, l, k = channels.gains.shape
     support = _active_pairs(n, l, support)
     phi = np.asarray(mse_weights, dtype=float)
     u = np.asarray(receivers, dtype=complex)
     w = np.asarray(objective_weights, dtype=float)
+    served = support.any(axis=1)
+    active = served & (phi != 0.0)
+    nb = 2 * k * int(support.sum())
+    first_mse = nb + int(served.sum())
+    nv = first_mse + int(active.sum())
+    cols = _pair_columns(support, k)
 
-    bld = SocpBuilder()
-    n_reals = _add_beamformers(bld, channels, support)
-    bld.meta["n_decision_reals"] = n_reals
-
-    epi = _add_ue_power_epigraphs(bld, channels, support)
-    objective = LinExpr()
+    c = np.zeros(nv)
+    c[nb:first_mse] += w[served]
+    blocks = _ue_power_epigraphs(nv, nb, cols, support, k)
     const = 0.0
     sigma = np.sqrt(np.asarray(channels.noise_power, dtype=float))
+    t = first_mse
     for i in range(n):
-        if epi[i] is not None:
-            objective = objective + w[i] * bld.scalar(epi[i])
-        if not support[i].any() or phi[i] == 0.0:
+        if not active[i]:
             if phi[i] > 0.0:
                 const += phi[i]  # e_i = 1 with no transmission
             continue
         # e_i = |u~|^2 (sum_k |m~_ik|^2 + 1) - 2 Re(u~* m~_ii) + 1, u~ = sigma u.
         ut = sigma[i] * u[i]
-        tname = bld.add_real(f"mse_{i}")
-        entries = []
-        re_own = im_own = None
-        for k in range(n):
-            re, im = _combined_rows(bld, channels, i, k, support)
-            if k == i:
-                re_own, im_own = re, im
-            entries.extend([re, im])
-        bld.add_quad_le(entries, bld.scalar(tname), kind="mse_epigraph")
-        quad = phi[i] * abs(ut) ** 2
-        objective = objective + quad * bld.scalar(tname)
-        objective = objective - (2.0 * phi[i]) * (ut.real * re_own + ut.imag * im_own)
+        rows = [_combined_rows(channels, i, stream, cols, nv) for stream in range(n)]
+        entries = np.vstack([row for pair in rows for row in pair])
+        blocks.append(_quad_le(entries, _selector(nv, [t])[0]))
+        re_own, im_own = rows[i]
+        c[t] += phi[i] * abs(ut) ** 2
+        c -= (2.0 * phi[i]) * (ut.real * re_own + ut.imag * im_own)
         const += phi[i] * (abs(ut) ** 2 + 1.0)
-    objective = objective + const
-    bld.minimize(objective)
+        t += 1
 
-    _add_rrh_power(bld, channels, power_limits, support)
+    blocks += _rrh_power(nv, cols, support, k, power_limits)
+    eq_rows = []
     if rate_floors is not None:
         if bandwidths is None:
             raise ValueError("rate floors require per-UE bandwidths")
-        _add_rate_socs(bld, channels, rate_floors,
-                       np.asarray(bandwidths, dtype=float), support)
-    _add_fronthaul(bld, channels, rho, frozen_rates, fronthaul_limits, support)
-    return bld.build()
+        rate_blocks, eq_rows = _rate_socs(channels, rate_floors,
+                                          np.asarray(bandwidths, dtype=float),
+                                          cols, support, nv)
+        blocks += rate_blocks
+    blocks += _fronthaul(nv, cols, support, k, rho, frozen_rates, fronthaul_limits)
+    return _problem(c, blocks, eq_rows, float(const))
 
 
-def extract_beamformers(report, num_ue, num_rrh, antennas) -> np.ndarray:
-    """Assemble the (N, L, K) complex array from a solved report."""
-    v = np.zeros((num_ue, num_rrh, antennas), dtype=complex)
-    for name, value in report.primal_vars.items():
-        if name.startswith("v_"):
-            _, i, j = name.split("_")
-            v[int(i), int(j)] = value
+def extract_beamformers(x, support, antennas) -> np.ndarray:
+    """Scatter the beamformer block of a solution x into an (N, L, K) array.
+
+    `support` is the (N, L) mask the problem was built with; pairs off it
+    come back as exact zeros.
+    """
+    support = np.asarray(support, dtype=bool)
+    block = x[:2 * antennas * int(support.sum())].reshape(-1, 2, antennas)
+    v = np.zeros(support.shape + (antennas,), dtype=complex)
+    v[support] = block[:, 0] + 1j * block[:, 1]
     return v

@@ -11,6 +11,10 @@ cone blocks partitioning the slack vector s.  The solver runs Nesterov-Todd
 scaled predictor-corrector steps on the homogeneous self-dual embedding, so
 primal/dual infeasibility is certified rather than inferred from stalling.
 
+The solver knows variables only by position: a `ConicProblem` holds the
+arrays above and no names, and `SolveReport.x` comes back in the caller's
+column order.
+
 Data is Ruiz-equilibrated before solving; all reported residuals and the
 duality gap refer to the normalized problem, while objective values are
 translated back to the caller's units.
@@ -18,7 +22,6 @@ translated back to the caller's units.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,12 +46,12 @@ class SolverError(ValueError):
 
 @dataclass(frozen=True)
 class ConicProblem:
-    """Conic program data plus the variable map used for extraction.
+    """Conic program data: the arrays of the form above and the cone list.
 
     ``cones`` lists ("nonneg", dim) and ("soc", dim) blocks in row order;
-    their dims must sum to the number of cone rows.  ``var_index`` maps a
-    variable name to (offset, length, kind) with kind "real" or "complex"
-    (complex vectors are stored as real parts then imaginary parts).
+    their dims must sum to the number of cone rows.  Columns carry no
+    names: whoever builds a problem defines what they mean
+    (`cranopt.conic.build` documents the beamforming layout).
     """
 
     c: np.ndarray
@@ -57,9 +60,7 @@ class ConicProblem:
     eq_lhs: np.ndarray     # A, (p, n)
     eq_rhs: np.ndarray     # b, (p,)
     cones: tuple[tuple[str, int], ...]
-    var_index: dict = field(default_factory=dict)
     obj_const: float = 0.0
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         n = self.c.shape[0]
@@ -80,52 +81,6 @@ class ConicProblem:
     def num_vars(self) -> int:
         return self.c.shape[0]
 
-    def extract(self, x: np.ndarray, name: str):
-        off, length, kind = self.var_index[name]
-        chunk = x[off:off + length]
-        if kind == "complex":
-            k = length // 2
-            return chunk[:k] + 1j * chunk[k:]
-        return chunk.copy()
-
-    def to_text(self) -> str:
-        """Plain-text interchange dump (JSON of objective, triplets, cones)."""
-        def triplets(mat):
-            r, cidx = np.nonzero(mat)
-            return [[int(i), int(j), float(mat[i, j])] for i, j in zip(r, cidx)]
-        doc = {
-            "n": self.num_vars,
-            "c": self.c.tolist(),
-            "obj_const": self.obj_const,
-            "eq": {"rows": int(self.eq_lhs.shape[0]),
-                   "triplets": triplets(self.eq_lhs), "rhs": self.eq_rhs.tolist()},
-            "cone": {"rows": int(self.cone_lhs.shape[0]),
-                     "triplets": triplets(self.cone_lhs), "rhs": self.cone_rhs.tolist()},
-            "cones": [[kind, int(d)] for kind, d in self.cones],
-        }
-        return json.dumps(doc)
-
-    @staticmethod
-    def from_text(text: str) -> "ConicProblem":
-        doc = json.loads(text)
-        n = doc["n"]
-
-        def dense(block):
-            mat = np.zeros((block["rows"], n))
-            for i, j, v in block["triplets"]:
-                mat[i, j] = v
-            return mat
-
-        return ConicProblem(
-            c=np.asarray(doc["c"], dtype=float),
-            cone_lhs=dense(doc["cone"]),
-            cone_rhs=np.asarray(doc["cone"]["rhs"], dtype=float),
-            eq_lhs=dense(doc["eq"]),
-            eq_rhs=np.asarray(doc["eq"]["rhs"], dtype=float),
-            cones=tuple((k, d) for k, d in doc["cones"]),
-            obj_const=doc.get("obj_const", 0.0),
-        )
-
 
 @dataclass
 class SolveReport:
@@ -142,7 +97,6 @@ class SolveReport:
     iterations: int
     message: str = ""
     trace: list = field(default_factory=list)
-    primal_vars: dict = field(default_factory=dict)
 
     @property
     def optimal(self) -> bool:
@@ -247,7 +201,6 @@ class _Scaling:
     """Nesterov-Todd scaling W per cone block: W z = W^{-1} s = lambda."""
 
     def __init__(self, s, z, cones, identity=False):
-        self.cones = cones
         self.blocks = []
         for kind, sl in _cone_slices(cones):
             if identity:
@@ -391,10 +344,9 @@ def _presolve_equalities(A, b):
 class _KktSolver:
     """Factor [[0 A' G'], [A 0 0], [G 0 -W^2]] with static regularization."""
 
-    def __init__(self, A, G, cones):
+    def __init__(self, A, G):
         self.A = sp.csr_matrix(A)
         self.G = sp.csr_matrix(G)
-        self.cones = cones
         self.n = A.shape[1]
         self.p = A.shape[0]
         self.m = G.shape[0]
@@ -453,7 +405,7 @@ def _solve_impl(problem: ConicProblem, gap_tol: float, feas_tol: float,
 
     A0, b0, dropped, inconsistent = _presolve_equalities(A0, b0)
     if inconsistent:
-        return _report(problem, STATUS_INFEASIBLE, None,
+        return _report(problem, STATUS_INFEASIBLE,
                        message="equality system inconsistent at presolve tolerance",
                        iterations=0)
 
@@ -466,7 +418,7 @@ def _solve_impl(problem: ConicProblem, gap_tol: float, feas_tol: float,
     norm_h = max(1.0, np.linalg.norm(h))
     norm_c = max(1.0, np.linalg.norm(c))
 
-    kkt = _KktSolver(A, G, cones)
+    kkt = _KktSolver(A, G)
 
     # Initial point: least-squares style starts shifted into the cone.
     kkt.factor(_Scaling(None, None, cones, identity=True))
@@ -636,18 +588,16 @@ def _solve_impl(problem: ConicProblem, gap_tol: float, feas_tol: float,
     )
     if dropped:
         report.message = (report.message + f" (presolve dropped rows {dropped})").strip()
-    report.primal_vars = {name: problem.extract(x_orig, name)
-                          for name in problem.var_index}
     return report
 
 
-def _report(problem, status, x, message, iterations):
+def _report(problem, status, message, iterations):
     n = problem.num_vars
     m = problem.cone_lhs.shape[0]
     p = problem.eq_lhs.shape[0]
     return SolveReport(
         status=status,
-        x=np.zeros(n) if x is None else x,
+        x=np.zeros(n),
         y=np.zeros(p), z=np.zeros(m), s=np.zeros(m),
         primal_objective=np.nan, dual_objective=np.nan,
         duality_gap=np.nan, primal_residual=np.nan, dual_residual=np.nan,

@@ -56,6 +56,8 @@ class SweepSpec:
             raise ValidationError("param", f"must be one of {SWEEP_PARAMS}")
         if not self.grid or any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ValidationError("grid", "must be nonempty and strictly increasing")
+        if self.param == "N" and not all(float(v).is_integer() for v in self.grid):
+            raise ValidationError("grid", "user counts N must be whole numbers")
         if len(set(self.seeds)) != len(self.seeds) or not self.seeds:
             raise ValidationError("seeds", "must be nonempty and distinct")
         for method in self.methods:
@@ -207,12 +209,12 @@ def aggregate_records(records) -> list[dict]:
     return out
 
 
-def emit_records(records, out_dir, formats=("csv", "json"),
-                 stable_timing: bool = False) -> list[Path]:
-    """Write records (and the plot-ready aggregate) to files; returns paths.
+def emit_records(records, out_dir, stable_timing: bool = False) -> list[Path]:
+    """Write records.csv, records.json and the plot-ready summary.csv.
 
-    `stable_timing` zeroes the wall-clock column so fixed-seed sweeps emit
-    byte-identical files (used by the reproducibility regression).
+    Returns the three paths in that order.  `stable_timing` zeroes the
+    wall-clock column so fixed-seed sweeps emit byte-identical files (used
+    by the reproducibility regression).
     """
     records = list(records)
     if not records:
@@ -221,21 +223,16 @@ def emit_records(records, out_dir, formats=("csv", "json"),
     out_dir.mkdir(parents=True, exist_ok=True)
     if stable_timing:
         records = [SolutionRecord(**{**asdict(r), "wall_ms": 0}) for r in records]
-    written = []
-    if "csv" in formats:
-        path = out_dir / "records.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(CSV_HEADER)
-            for rec in records:
-                writer.writerow(rec.csv_row())
-        written.append(path)
-    if "json" in formats:
-        path = out_dir / "records.json"
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump([asdict(r) for r in records], fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        written.append(path)
+    csv_path = out_dir / "records.csv"
+    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        for rec in records:
+            writer.writerow(rec.csv_row())
+    json_path = out_dir / "records.json"
+    with open(json_path, "w", encoding="utf-8") as fh:
+        json.dump([asdict(r) for r in records], fh, indent=1, sort_keys=True)
+        fh.write("\n")
     agg_path = out_dir / "summary.csv"
     with open(agg_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -247,10 +244,5 @@ def emit_records(records, out_dir, formats=("csv", "json"),
                              "" if row["energy_mean_j"] is None
                              else f"{row['energy_mean_j']:.12g}",
                              f"{row['energy_std_j']:.12g}"])
-    written.append(agg_path)
-    return written
+    return [csv_path, json_path, agg_path]
 
-
-def load_records_json(path) -> list[SolutionRecord]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return [SolutionRecord(**entry) for entry in json.load(fh)]

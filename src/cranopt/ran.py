@@ -16,18 +16,13 @@ __all__ = [
     "BeamformerSet",
     "EnergyBreakdown",
     "RateInfeasibleError",
-    "effective_scalar",
     "sinr",
     "rate",
-    "transmit_cost",
     "rrh_power",
     "fronthaul_weights",
     "fronthaul_load",
-    "min_rate_requirement",
     "total_energy",
 ]
-
-FULL_SET = None  # sentinel: serve from every RRH
 
 
 class RateInfeasibleError(ValueError):
@@ -87,53 +82,25 @@ class EnergyBreakdown:
         )
 
 
-def _serving(vectors: np.ndarray, serving_set) -> np.ndarray:
-    """Restrict (L, ...) or (N, L, K) arrays to the serving RRH subset."""
-    if serving_set is FULL_SET:
-        return vectors
-    idx = sorted(serving_set)
-    if not idx:
-        raise ValueError("serving set must be nonempty")
-    return vectors[..., idx, :]
+def sinr(ue: int, channels: ChannelState, beamformers: BeamformerSet) -> float:
+    """Receiver-side SINR: both desired and interfering streams ride UE `ue`'s channel.
 
-
-def effective_scalar(channels: ChannelState, beamformers: BeamformerSet,
-                     ue: int, stream: int, serving_set=FULL_SET) -> complex:
-    """Combined channel-beamformer product sum_j h[ue,j]^H v[stream,j]."""
-    h = _serving(channels.gains[ue][None, :, :], serving_set)[0]
-    v = _serving(beamformers.vectors[stream][None, :, :], serving_set)[0]
-    return complex(np.sum(np.conj(h) * v))
-
-
-def sinr(ue: int, channels: ChannelState, beamformers: BeamformerSet,
-         serving_set=FULL_SET) -> float:
-    """Receiver-side SINR: both desired and interfering streams ride UE `ue`'s channel."""
-    n = channels.num_ue
-    amps = np.array([effective_scalar(channels, beamformers, ue, k, serving_set)
-                     for k in range(n)])
+    Stream k reaches UE `ue` with amplitude sum_j h[ue,j]^H v[k,j].
+    """
+    h = channels.gains[ue]
+    amps = np.array([complex(np.sum(np.conj(h) * beamformers.vectors[k]))
+                     for k in range(channels.num_ue)])
     signal = abs(amps[ue]) ** 2
     interference = float(np.sum(np.abs(amps) ** 2) - signal)
     return signal / (interference + float(channels.noise_power[ue]))
 
 
 def rate(ue: int, channels: ChannelState, beamformers: BeamformerSet,
-         serving_set=FULL_SET, bandwidth: float | None = None) -> float:
+         bandwidth: float) -> float:
     """Achievable rate B * log2(1 + SINR) in bit/s."""
-    if bandwidth is None:
-        raise ValueError("bandwidth is required")
     if bandwidth <= 0:
         raise ValueError("bandwidth must be > 0")
-    return bandwidth * np.log2(1.0 + sinr(ue, channels, beamformers, serving_set))
-
-
-def transmit_cost(result_bits: float, rate_bps: float, power_w: float) -> tuple[float, float]:
-    """(seconds, joules) to push `result_bits` at `rate_bps` with `power_w`."""
-    if result_bits == 0:
-        return 0.0, 0.0
-    if rate_bps <= 0:
-        raise ValueError("rate must be > 0 when there are bits to send")
-    t = result_bits / rate_bps
-    return t, power_w * t
+    return bandwidth * np.log2(1.0 + sinr(ue, channels, beamformers))
 
 
 def rrh_power(rrh: int, beamformers: BeamformerSet) -> float:
@@ -142,10 +109,9 @@ def rrh_power(rrh: int, beamformers: BeamformerSet) -> float:
     return float(np.sum(np.abs(v) ** 2))
 
 
-def ue_power(ue: int, beamformers: BeamformerSet, serving_set=FULL_SET) -> float:
-    """Power spent on UE `ue` across its serving RRHs."""
-    v = _serving(beamformers.vectors[ue][None, :, :], serving_set)[0]
-    return float(np.sum(np.abs(v) ** 2))
+def ue_power(ue: int, beamformers: BeamformerSet) -> float:
+    """Power spent on UE `ue` across all RRHs."""
+    return float(np.sum(np.abs(beamformers.vectors[ue]) ** 2))
 
 
 def fronthaul_weights(beamformers: BeamformerSet, epsilon: float) -> np.ndarray:
@@ -179,44 +145,19 @@ def fronthaul_load(rrh: int, beamformers: BeamformerSet, rates,
     raise ValueError(f"unknown fronthaul mode {mode!r}")
 
 
-def min_rate_requirement(result_bits: float, transmit_budget: float | None = None,
-                         deadline: float | None = None, cpu_cycles: float | None = None,
-                         capacity_limit: float | None = None, ue: int = 0) -> float:
-    """Rate floor in bit/s.
-
-    With a transmission-only budget the floor is D / T_budget.  With a full
-    deadline it is D / (T_max - F / f_max): the transmission must fit in
-    whatever the fastest feasible clone leaves over.
-    """
-    if transmit_budget is not None:
-        if transmit_budget <= 0:
-            raise ValueError("transmit budget must be > 0")
-        return result_bits / transmit_budget
-    if deadline is None or cpu_cycles is None or capacity_limit is None:
-        raise ValueError("need either transmit_budget or (deadline, cpu_cycles, capacity_limit)")
-    slack = deadline - cpu_cycles / capacity_limit
-    if slack <= 0:
-        raise RateInfeasibleError(
-            ue, f"cloud execution needs {cpu_cycles / capacity_limit:.6g} s "
-                f"of a {deadline:.6g} s deadline")
-    return result_bits / slack
-
-
 def total_energy(config: SystemConfig, tasks: list[Task], cloud_energies,
-                 beamformers: BeamformerSet, rates,
-                 serving_sets=None) -> EnergyBreakdown:
+                 beamformers: BeamformerSet, rates) -> EnergyBreakdown:
     """Weighted system energy: E_i = E_i^cloud + eta_i * p_i * D_i / r_i."""
     n = config.num_ue
     cloud = np.asarray(cloud_energies, dtype=float)
     rates = np.asarray(rates, dtype=float)
     transmit = np.zeros(n)
     for i in range(n):
-        serving = FULL_SET if serving_sets is None else serving_sets[i]
         d = tasks[i].result_bits
         if d == 0:
             continue
         if rates[i] <= 0:
             raise RateInfeasibleError(i, "zero rate with bits pending")
-        p = ue_power(i, beamformers, serving)
+        p = ue_power(i, beamformers)
         transmit[i] = p * d / rates[i]
     return EnergyBreakdown.combine(cloud, transmit, config.tradeoff)

@@ -9,6 +9,7 @@ from cranopt.conic import (
     extract_beamformers,
     solve,
 )
+from cranopt.ran import BeamformerSet, ue_power
 from cranopt.scenario import ChannelState
 
 
@@ -24,11 +25,11 @@ class TestPowerMinStructure:
             ch, rate_floors=[2e4], bandwidths=[1e7], power_limits=[1.0],
             rho=np.array([[1.0]]), frozen_rates=np.array([1.0]),
             fronthaul_limits=[1e7])
-        counts = problem.meta["constraint_counts"]
-        assert problem.meta["n_decision_reals"] == 2
-        assert counts["power_soc"] == 1
-        assert counts["rate_soc"] == 1
-        assert counts["fronthaul"] == 1
+        # 2 beamformer reals and the power epigraph; SOC blocks: power
+        # epigraph, RRH power, rate floor, fronthaul; one phase equality.
+        assert problem.num_vars == 3
+        assert problem.cones == (("soc", 4), ("soc", 3), ("soc", 4), ("soc", 4))
+        assert problem.eq_lhs.shape == (1, 3)
 
     def test_decision_reals_scale_with_dims(self):
         rng = np.random.default_rng(0)
@@ -38,7 +39,40 @@ class TestPowerMinStructure:
         problem = build_power_min_socp(ch, rate_floors=[1e4] * n,
                                        bandwidths=[1e7] * n,
                                        power_limits=[1.0] * l)
-        assert problem.meta["n_decision_reals"] == 2 * n * l * k
+        assert problem.num_vars == 2 * n * l * k + n
+        assert problem.cones == ((("soc", 2 + 2 * l * k),) * n
+                                 + (("soc", 1 + 2 * n * k),) * l
+                                 + (("soc", 2 + 2 * n),) * n)
+
+
+class TestBeamformerLayout:
+    def test_extract_inverts_the_column_layout(self):
+        # UE 1 has no RRH, UE 2 only RRH 0: blocks sit in row-major support
+        # order, K real parts then K imaginary parts per pair.
+        rng = np.random.default_rng(4)
+        n, l, k = 3, 2, 2
+        support = np.array([[True, True], [False, False], [True, False]])
+        gains = rng.standard_normal((n, l, k)) + 1j * rng.standard_normal((n, l, k))
+        ch = ChannelState(gains=1e-4 * gains, noise_power=np.full(n, 1e-6))
+        problem = build_power_min_socp(ch, rate_floors=[1e4] * n,
+                                       bandwidths=[1e7] * n,
+                                       power_limits=[1.0] * l, support=support)
+        v = rng.standard_normal((n, l, k)) + 1j * rng.standard_normal((n, l, k))
+        x = np.zeros(problem.num_vars)
+        for p, (i, j) in enumerate(np.argwhere(support)):
+            x[2 * k * p:2 * k * p + k] = v[i, j].real
+            x[2 * k * p + k:2 * k * (p + 1)] = v[i, j].imag
+        got = extract_beamformers(x, support, k)
+        assert np.array_equal(got, np.where(support[:, :, None], v, 0.0))
+        # The builder reads the same layout: the body of UE i's power
+        # epigraph block is 2 * (Re v_i, Im v_i), one block per served UE.
+        slack = problem.cone_rhs - problem.cone_lhs @ x
+        start = 0
+        for i, (_, dim) in zip((0, 2), problem.cones):
+            body = slack[start + 1:start + dim - 1]
+            assert np.sum((body / 2.0) ** 2) == pytest.approx(
+                ue_power(i, BeamformerSet(got)), rel=1e-12)
+            start += dim
 
 
 class TestPowerMinSingleUser:
@@ -50,7 +84,7 @@ class TestPowerMinSingleUser:
                                            bandwidths=[1e7], power_limits=[limit])
             report = solve(problem, gap_tol=1e-10, feas_tol=1e-10)
             assert report.optimal
-            v = extract_beamformers(report, 1, 1, 1)
+            v = extract_beamformers(report.x, np.ones((1, 1), bool), 1)
             power = float(np.sum(np.abs(v) ** 2))
             expect = (2 ** (2e4 / 1e7) - 1.0) * 1e-6 / gain
             assert power == pytest.approx(expect, rel=1e-6)
@@ -74,7 +108,11 @@ class TestWmmseStep:
         ch = ChannelState(gains=1e-4 * gains, noise_power=np.full(n, 1e-6))
         problem = build_wmmse_step_socp(ch, [1.0, 1.0], [0.1 + 0j, 0.1 + 0j],
                                         [1.0, 1.0], power_limits=[1.0] * l)
-        assert problem.meta["n_decision_reals"] == 2 * n * l * k
+        # Beamformer reals, then one power and one MSE epigraph per UE.
+        assert problem.num_vars == 2 * n * l * k + 2 * n
+        assert problem.cones == ((("soc", 2 + 2 * l * k),) * n
+                                 + (("soc", 2 + 2 * n),) * n
+                                 + (("soc", 1 + 2 * n * k),) * l)
 
     def test_zero_weights_zero_beamformers(self):
         rng = np.random.default_rng(2)
@@ -85,7 +123,7 @@ class TestWmmseStep:
                                         [1.0, 1.0], power_limits=[1.0] * l)
         report = solve(problem)
         assert report.optimal
-        v = extract_beamformers(report, n, l, k)
+        v = extract_beamformers(report.x, np.ones((n, l), bool), k)
         assert np.max(np.abs(v)) < 1e-4
 
     def test_single_user_analytic_minimizer(self):
@@ -96,7 +134,7 @@ class TestWmmseStep:
         problem = build_wmmse_step_socp(ch, [phi], [u], [w], power_limits=[100.0])
         report = solve(problem, gap_tol=1e-10, feas_tol=1e-10)
         assert report.optimal
-        v = extract_beamformers(report, 1, 1, 1)[0, 0, 0]
+        v = extract_beamformers(report.x, np.ones((1, 1), bool), 1)[0, 0, 0]
         v_star = phi * u / (phi * u ** 2 + w)
         e_star = u ** 2 * (v_star ** 2 + 1.0) - 2.0 * u * v_star + 1.0
         expect_obj = phi * e_star + w * v_star ** 2

@@ -4,7 +4,6 @@ import pytest
 from cranopt.cloud import (
     CloudInfeasibleError,
     clone_energy,
-    clone_exec_time,
     solve_cloud_allocation,
 )
 from cranopt.scenario import Task
@@ -16,12 +15,6 @@ def make_tasks(cycles, deadline=0.1):
 
 
 class TestExecModel:
-    def test_exec_time(self):
-        assert clone_exec_time(1500, 30000) == pytest.approx(0.05)
-        assert clone_exec_time(1e6, 1e6) == pytest.approx(1.0)
-        with pytest.raises(ValueError):
-            clone_exec_time(1500, 0)
-
     def test_energy(self):
         assert clone_energy(1500, 3e4, 1e-11, 3) == pytest.approx(13.5)
         assert clone_energy(123.0, 456.0, 0.0, 3) == 0.0

@@ -1,72 +1,53 @@
 import numpy as np
 import pytest
 
-from cranopt.conic import (
-    ComplexProgram,
-    ConicProblem,
-    SocpBuilder,
-    SolverError,
-    complex_to_real_stack,
-    embed_complex,
-    real_stack_to_complex,
-    solve,
-)
-from cranopt.conic.build import LinExpr
+from cranopt.conic import ConicProblem, SolverError, solve
 
 
-def lp_min_x_ge_1():
-    b = SocpBuilder()
-    b.add_real("x")
-    b.add_nonneg(b.scalar("x") - 1.0)
-    b.minimize(b.scalar("x"))
-    return b.build()
+def conic(c, G, h, cones, A=None, b=None):
+    """Problem data for min c'x s.t. A x = b, G x + s = h, s in `cones`."""
+    c = np.asarray(c, dtype=float)
+    return ConicProblem(
+        c=c, cone_lhs=np.asarray(G, dtype=float), cone_rhs=np.asarray(h, dtype=float),
+        eq_lhs=np.zeros((0, c.size)) if A is None else np.asarray(A, dtype=float),
+        eq_rhs=np.zeros(0) if b is None else np.asarray(b, dtype=float),
+        cones=tuple(cones))
+
+
+NONNEG = ("nonneg", 1)
 
 
 class TestSmallProblems:
     def test_one_variable_lp(self):
-        report = solve(lp_min_x_ge_1())
+        # min x s.t. x >= 1.
+        report = solve(conic([1.0], [[-1.0]], [-1.0], [NONNEG]))
         assert report.optimal
         assert report.primal_objective == pytest.approx(1.0, abs=1e-8)
-        assert report.primal_vars["x"][0] == pytest.approx(1.0, abs=1e-7)
+        assert report.x[0] == pytest.approx(1.0, abs=1e-7)
 
     def test_euclidean_norm(self):
-        b = SocpBuilder()
-        b.add_real("t")
-        b.add_soc(b.scalar("t"), [LinExpr(const=3.0), LinExpr(const=4.0)])
-        b.minimize(b.scalar("t"))
-        report = solve(b.build())
+        # min t s.t. ||(3, 4)|| <= t.
+        report = solve(conic([1.0], [[-1.0], [0.0], [0.0]], [0.0, 3.0, 4.0],
+                             [("soc", 3)]))
         assert report.optimal
-        assert report.primal_vars["t"][0] == pytest.approx(5.0, abs=1e-7)
+        assert report.x[0] == pytest.approx(5.0, abs=1e-7)
 
     def test_infeasible_certified(self):
-        b = SocpBuilder()
-        b.add_real("x")
-        b.add_nonneg(b.scalar("x") - 2.0)
-        b.add_nonneg(1.0 - b.scalar("x"))
-        b.minimize(b.scalar("x"))
-        report = solve(b.build())
+        # x >= 2 and x <= 1.
+        report = solve(conic([1.0], [[-1.0], [1.0]], [-2.0, 1.0], [NONNEG, NONNEG]))
         assert report.status == "infeasible"
 
     def test_unbounded_certified(self):
-        b = SocpBuilder()
-        b.add_real("x")
-        b.add_nonneg(1.0 - b.scalar("x"))
-        b.minimize(b.scalar("x"))
-        report = solve(b.build())
+        # min x s.t. x <= 1.
+        report = solve(conic([1.0], [[1.0]], [1.0], [NONNEG]))
         assert report.status == "unbounded"
 
     def test_equality_rows(self):
-        b = SocpBuilder()
-        b.add_real("x")
-        b.add_real("y")
-        b.add_eq(b.scalar("x") + b.scalar("y"), 1.0)
-        b.add_nonneg(b.scalar("x"))
-        b.add_nonneg(b.scalar("y"))
-        b.minimize(b.scalar("x") + 2.0 * b.scalar("y"))
-        report = solve(b.build())
+        # min x + 2y s.t. x + y = 1, x >= 0, y >= 0.
+        report = solve(conic([1.0, 2.0], -np.eye(2), [0.0, 0.0], [NONNEG, NONNEG],
+                             A=[[1.0, 1.0]], b=[1.0]))
         assert report.optimal
-        assert report.primal_vars["x"][0] == pytest.approx(1.0, abs=1e-7)
-        assert report.primal_vars["y"][0] == pytest.approx(0.0, abs=1e-7)
+        assert report.x == pytest.approx([1.0, 0.0], abs=1e-7)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(SolverError):
@@ -77,49 +58,38 @@ class TestSmallProblems:
 
 class TestPresolve:
     def test_dependent_consistent_row_dropped(self):
-        b = SocpBuilder()
-        b.add_real("x")
-        b.add_real("y")
-        b.add_eq(b.scalar("x") + b.scalar("y"), 1.0)
-        b.add_eq(2.0 * b.scalar("x") + 2.0 * b.scalar("y"), 2.0)  # duplicate
-        b.add_nonneg(b.scalar("x"))
-        b.add_nonneg(b.scalar("y"))
-        b.minimize(b.scalar("y"))
-        report = solve(b.build())
+        # min y s.t. x + y = 1, 2x + 2y = 2 (a duplicate row), x, y >= 0.
+        report = solve(conic([0.0, 1.0], -np.eye(2), [0.0, 0.0], [NONNEG, NONNEG],
+                             A=[[1.0, 1.0], [2.0, 2.0]], b=[1.0, 2.0]))
         assert report.optimal
         assert "presolve dropped rows" in report.message
-        assert report.primal_vars["y"][0] == pytest.approx(0.0, abs=1e-7)
+        assert report.x[1] == pytest.approx(0.0, abs=1e-7)
 
     def test_dependent_inconsistent_rows_infeasible(self):
-        b = SocpBuilder()
-        b.add_real("x")
-        b.add_eq(b.scalar("x"), 1.0)
-        b.add_eq(2.0 * b.scalar("x"), 3.0)
-        b.add_nonneg(b.scalar("x"))
-        b.minimize(b.scalar("x"))
-        report = solve(b.build())
+        # x = 1 and 2x = 3.
+        report = solve(conic([1.0], [[-1.0]], [0.0], [NONNEG],
+                             A=[[1.0], [2.0]], b=[1.0, 3.0]))
         assert report.status == "infeasible"
         assert "presolve" in report.message
 
 
 def random_socp(rng, n):
     """Bounded random SOCP: min c'x, ||x|| <= 3, two random SOC constraints."""
-    b = SocpBuilder()
-    b.add_real("x", n)
     c = rng.standard_normal(n)
-    rows = [b.lin("x", np.eye(n)[i]) for i in range(n)]
-    b.add_soc(LinExpr(const=3.0), rows)
+    rows = [np.zeros((1, n)), np.eye(n)]   # slack s = rows x + h, so G = -rows
+    h = [3.0] + [0.0] * n
     cons = []
     for _ in range(2):
         mat = rng.standard_normal((3, n))
         off = rng.standard_normal(3)
         lin = rng.standard_normal(n) * 0.5
         rhs = np.linalg.norm(off) + 1.0 + rng.random()
-        b.add_soc(b.lin("x", lin) + rhs,
-                  [b.lin("x", mat[i]) + off[i] for i in range(3)])
+        # ||mat x + off|| <= lin x + rhs
+        rows += [lin[None, :], mat]
+        h += [rhs, *off]
         cons.append((mat, off, lin, rhs))
-    b.minimize(b.lin("x", c))
-    return b.build(), c, cons
+    problem = conic(c, -np.vstack(rows), h, [("soc", n + 1), ("soc", 4), ("soc", 4)])
+    return problem, c, cons
 
 
 def _grid_best(center, step, reach, c, cons):
@@ -206,33 +176,30 @@ class TestRandomAgainstOracle:
             assert report.primal_objective >= report.dual_objective - 1e-9
 
 
+def min_norm_problem(h, rhs):
+    """min ||v||^2 s.t. Re(h^H v) >= rhs over v in C^k.
+
+    Columns: Re v (k), Im v (k), then the epigraph t >= ||v||^2, held by
+    ||(2 Re v, 2 Im v, t - 1)|| <= t + 1.
+    """
+    k = h.shape[0]
+    n = 2 * k + 1
+    epi = np.zeros((1, n))
+    epi[0, -1] = 1.0
+    G = -np.vstack([epi, 2.0 * np.eye(n)[:2 * k], epi,
+                    np.concatenate([h.real, h.imag, [0.0]])[None, :]])
+    h_vec = np.zeros(2 * k + 3)
+    h_vec[0], h_vec[2 * k + 1], h_vec[-1] = 1.0, -1.0, -rhs
+    return conic(epi[0], G, h_vec, [("soc", 2 * k + 2), NONNEG])
+
+
 class TestEmbedding:
-    def test_round_trip_exact(self):
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            k = int(rng.integers(1, 6))
-            z = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-            back = real_stack_to_complex(complex_to_real_stack(z))
-            assert np.array_equal(back, z)
-
-    def test_dimension_count(self):
-        prog = ComplexProgram(variables={"v": 2},
-                              objective=[("norm2", 1.0, "v")])
-        problem = embed_complex(prog)
-        off, length, kind = problem.var_index["v"]
-        assert kind == "complex"
-        assert length == 4
-
     def test_hyperplane_projection(self):
-        prog = ComplexProgram(
-            variables={"v": 2},
-            objective=[("norm2", 1.0, "v")],
-            constraints=[("re_ge", np.array([1.0, 0.0]), "v", 1.0)])
-        report = solve(embed_complex(prog))
+        report = solve(min_norm_problem(np.array([1.0 + 0j, 0.0]), 1.0))
         assert report.optimal
         assert report.primal_objective == pytest.approx(1.0, abs=1e-7)
-        assert report.primal_vars["v"] == pytest.approx(np.array([1.0, 0.0]),
-                                                        abs=1e-6)
+        v = report.x[:2] + 1j * report.x[2:4]
+        assert v == pytest.approx(np.array([1.0, 0.0]), abs=1e-6)
 
     def test_min_norm_closed_form(self):
         # min ||v||^2 s.t. Re(h^H v) >= 1 has optimum 1/||h||^2.
@@ -240,43 +207,16 @@ class TestEmbedding:
         for _ in range(10):
             k = int(rng.integers(1, 5))
             h = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-            prog = ComplexProgram(
-                variables={"v": k},
-                objective=[("norm2", 1.0, "v")],
-                constraints=[("re_ge", h, "v", 1.0)])
-            report = solve(embed_complex(prog), gap_tol=1e-10, feas_tol=1e-10)
+            report = solve(min_norm_problem(h, 1.0), gap_tol=1e-10, feas_tol=1e-10)
             assert report.optimal
             expect = 1.0 / np.linalg.norm(h) ** 2
             assert report.primal_objective == pytest.approx(expect, rel=1e-8,
                                                             abs=1e-8)
 
-    def test_unsupported_expression_rejected(self):
-        with pytest.raises(ValueError):
-            embed_complex(ComplexProgram(variables={"v": 1},
-                                         objective=[("abs", 1.0, "v")]))
-        with pytest.raises(ValueError):
-            embed_complex(ComplexProgram(variables={"v": 1},
-                                         constraints=[("ge", None, "v", 0.0)]))
-
     def test_norm_cap_and_im_constraint(self):
-        h = np.array([1.0 + 0.0j])
-        prog = ComplexProgram(
-            variables={"v": 1},
-            objective=[("re", -h, "v")],  # maximize Re(v)
-            constraints=[("norm_le", "v", 2.0), ("im_eq", h, "v", 0.0)])
-        report = solve(embed_complex(prog))
+        # max Re(v) s.t. |v| <= 2, Im(v) = 0, over v = x[0] + 1j x[1].
+        report = solve(conic([-1.0, 0.0], [[0.0, 0.0], [-1.0, 0.0], [0.0, -1.0]],
+                             [2.0, 0.0, 0.0], [("soc", 3)],
+                             A=[[0.0, 1.0]], b=[0.0]))
         assert report.optimal
-        assert report.primal_vars["v"][0] == pytest.approx(2.0 + 0.0j, abs=1e-6)
-
-
-class TestInterchangeFormat:
-    def test_text_round_trip(self):
-        prob = lp_min_x_ge_1()
-        clone = ConicProblem.from_text(prob.to_text())
-        assert np.array_equal(clone.c, prob.c)
-        assert np.array_equal(clone.cone_lhs, prob.cone_lhs)
-        assert np.array_equal(clone.cone_rhs, prob.cone_rhs)
-        assert clone.cones == prob.cones
-        report = solve(clone)
-        assert report.optimal
-        assert report.primal_objective == pytest.approx(1.0, abs=1e-8)
+        assert report.x[0] + 1j * report.x[1] == pytest.approx(2.0 + 0.0j, abs=1e-6)

@@ -8,10 +8,10 @@ import pytest
 
 from cranopt.experiments import (
     CSV_HEADER,
+    SolutionRecord,
     SweepSpec,
     aggregate_records,
     emit_records,
-    load_records_json,
     run_single,
     run_sweep,
 )
@@ -49,6 +49,12 @@ class TestSweepSpec:
     def test_unknown_param(self):
         with pytest.raises(ValidationError):
             SweepSpec(param="Q", grid=(1.0,), methods=("joint",), seeds=(1,))
+
+    def test_user_count_must_be_whole(self):
+        with pytest.raises(ValidationError) as err:
+            SweepSpec(param="N", grid=(2.5, 3.0), methods=("joint",), seeds=(1,))
+        assert err.value.fieldname == "grid"
+        SweepSpec(param="N", grid=(2.0, 3.0), methods=("joint",), seeds=(1,))
 
 
 class TestRunSingle:
@@ -121,19 +127,20 @@ def records():
 class TestEmit:
 
     def test_csv_line_count(self, records, tmp_path):
-        paths = emit_records(records, tmp_path, formats=("csv",))
+        paths = emit_records(records, tmp_path)
         text = (tmp_path / "records.csv").read_text().splitlines()
         assert len(text) == len(records) + 1
         assert text[0] == ",".join(CSV_HEADER)
-        assert paths[-1].name == "summary.csv"
+        assert [p.name for p in paths] == ["records.csv", "records.json", "summary.csv"]
 
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_records([], tmp_path)
 
     def test_json_round_trip(self, records, tmp_path):
-        emit_records(records, tmp_path, formats=("json",))
-        loaded = load_records_json(tmp_path / "records.json")
+        emit_records(records, tmp_path)
+        with open(tmp_path / "records.json", encoding="utf-8") as fh:
+            loaded = [SolutionRecord(**entry) for entry in json.load(fh)]
         assert [asdict(r) for r in loaded] == [asdict(r) for r in records]
 
     def test_aggregate_order_invariant(self, records):

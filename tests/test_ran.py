@@ -3,21 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from cranopt import ran
+from cranopt.algorithms import joint_energy_minimization, ran_power_minimization
 from cranopt.ran import (
     BeamformerSet,
     EnergyBreakdown,
     RateInfeasibleError,
     fronthaul_load,
     fronthaul_weights,
-    min_rate_requirement,
     rate,
     rrh_power,
     sinr,
     total_energy,
-    transmit_cost,
 )
-from cranopt.scenario import ChannelState, default_config, generate_channels
+from cranopt.scenario import ChannelState, Task, default_config, generate_channels
 
 
 def single_link(h=1.0, sigma2=0.1):
@@ -73,11 +71,14 @@ class TestSinrRate:
 
 class TestCostsAndLoads:
     def test_transmit_cost(self):
-        assert transmit_cost(1000, 2e4, 0.01) == (pytest.approx(0.05),
-                                                  pytest.approx(5e-4))
-        assert transmit_cost(0, 123.0, 9.9) == (0.0, 0.0)
-        with pytest.raises(ValueError):
-            transmit_cost(1000, 0.0, 1.0)
+        # p D / r: 0.01 W pushing 1000 bits at 2e4 bit/s (0.05 s) is 5e-4 J;
+        # a UE with no result bits spends nothing.
+        config, _ = default_config(num_rrh=1, num_ue=2, antennas_per_rrh=1)
+        tasks = [Task(cpu_cycles=1500.0, result_bits=1000.0, deadline=0.1),
+                 Task(cpu_cycles=1500.0, result_bits=0.0, deadline=0.1)]
+        out = total_energy(config, tasks, [0.0, 0.0], bf(np.full((2, 1, 1), 0.1)),
+                           [2e4, 123.0])
+        assert out.transmit == pytest.approx([5e-4, 0.0])
 
     def test_rrh_power(self):
         zero = bf(np.zeros((2, 1, 2)))
@@ -144,18 +145,29 @@ class TestCostsAndLoads:
 
 
 class TestMinRate:
-    def test_budget_form(self):
-        assert min_rate_requirement(1000, transmit_budget=0.05) == pytest.approx(2e4)
+    """The rate floors the optimizers derive from each task."""
 
-    def test_joint_form(self):
-        floor = min_rate_requirement(1000, deadline=0.1, cpu_cycles=1500,
-                                     capacity_limit=1e6)
-        assert floor == pytest.approx(1000 / 0.0985)
+    @pytest.fixture(scope="class")
+    def link(self):
+        config, tasks = default_config(num_rrh=1, num_ue=1, antennas_per_rrh=1)
+        return config, tasks, generate_channels(config, 1)
 
-    def test_joint_form_infeasible(self):
+    def test_budget_form(self, link):
+        # D / T_budget: 1000 bits within a 0.05 s transmit budget.
+        sol = ran_power_minimization(*link, transmit_budgets=0.05)
+        assert sol.floors[0] == pytest.approx(2e4)
+
+    def test_joint_form(self, link):
+        # D / (T_max - F / f_max): 1000 bits in what 1500 cycles at 1e6
+        # cycles/s leave of 0.1 s.
+        sol = joint_energy_minimization(*link)
+        assert sol.ran.floors[0] == pytest.approx(1000 / 0.0985)
+
+    def test_joint_form_infeasible(self, link):
+        config, _, channels = link
+        tasks = [Task(cpu_cycles=1500.0, result_bits=1000.0, deadline=0.001)]
         with pytest.raises(RateInfeasibleError):
-            min_rate_requirement(1000, deadline=0.001, cpu_cycles=1500,
-                                 capacity_limit=1e6)
+            joint_energy_minimization(config, tasks, channels)
 
 
 class TestTotalEnergy:
@@ -230,7 +242,7 @@ class TestSocEquivalence:
             floor = achieved * rng.uniform(0.5, 1.5)
             if abs(achieved - floor) < 1e-9 * floor:
                 continue
-            amps = np.array([ran.effective_scalar(ch, beams, i, kk)
+            amps = np.array([np.sum(np.conj(gains[i]) * vecs[kk])
                              for kk in range(n)])
             own = amps[i]
             rotation = np.conj(own) / abs(own)

@@ -112,16 +112,11 @@ def mmse_receiver(channels: ChannelState, beamformers: BeamformerSet) -> np.ndar
     return np.diag(amps) / denom
 
 
-def mse(ue: int, receiver: complex, channels: ChannelState,
-        beamformers: BeamformerSet) -> float:
-    """Receive MSE e_i = |u|^2 (sum_k |m_ik|^2 + sigma^2) - 2 Re(u* m_ii) + 1."""
-    amps = _combined_amplitudes(channels, beamformers.vectors)[ue]
-    total = float(np.sum(np.abs(amps) ** 2) + channels.noise_power[ue])
-    return float(abs(receiver) ** 2 * total
-                 - 2.0 * np.real(np.conj(receiver) * amps[ue]) + 1.0)
+def mse(channels: ChannelState, vectors: np.ndarray, receivers) -> np.ndarray:
+    """Receive MSE per UE at (N, L, K) beamformers and one receiver per UE.
 
-
-def _mse_all(channels, vectors, receivers) -> np.ndarray:
+    e_i = |u_i|^2 (sum_k |m_ik|^2 + sigma_i^2) - 2 Re(u_i* m_ii) + 1.
+    """
     amps = _combined_amplitudes(channels, vectors)
     total = np.sum(np.abs(amps) ** 2, axis=1) + channels.noise_power
     own = np.diag(amps)
@@ -133,9 +128,23 @@ def _clamped_rate(e: float, bandwidth: float, task: Task, capacity_limit: float)
     """Rate implied by an MSE value, kept at/above the deadline floor."""
     r = bandwidth * math.log2(1.0 / e)
     if task.result_bits == 0:
-        return max(r, 0.0), False
+        return max(r, 0.0)
     floor = task.result_bits / (task.deadline - task.cpu_cycles / capacity_limit)
-    return (floor, True) if r < floor else (r, False)
+    return max(r, floor)
+
+
+def _clone_speed(task: Task, r: float, capacity_limit: float) -> float:
+    """Deadline-tight clone speed F / (T - D/r), capped at the clone capacity.
+
+    A task without result bits runs at F / T; a radio leg that leaves no
+    time puts the clone at the cap.
+    """
+    if task.result_bits == 0:
+        speed = task.cpu_cycles / task.deadline
+    else:
+        slack = task.deadline - task.result_bits / r
+        speed = task.cpu_cycles / slack if slack > 0 else capacity_limit
+    return min(speed, capacity_limit)
 
 
 def cloud_energy_of_rate(r: float, task: Task, kappa: float, exponent: float,
@@ -145,13 +154,8 @@ def cloud_energy_of_rate(r: float, task: Task, kappa: float, exponent: float,
     The clone must cover F cycles in T - D/r seconds; speeds are capped at
     the clone capacity (rates below the implied floor evaluate at the cap).
     """
-    if task.result_bits == 0:
-        speed = task.cpu_cycles / task.deadline
-    else:
-        slack = task.deadline - task.result_bits / r
-        speed = task.cpu_cycles / slack if slack > 0 else float("inf")
-    speed = min(speed, capacity_limit)
-    return clone_energy(task.cpu_cycles, speed, kappa, exponent)
+    return clone_energy(task.cpu_cycles, _clone_speed(task, r, capacity_limit),
+                        kappa, exponent)
 
 
 def mse_weight(e: float, task: Task, bandwidth: float, kappa: float,
@@ -173,10 +177,8 @@ def mse_weight(e: float, task: Task, bandwidth: float, kappa: float,
         return 0.0
     if task.deadline <= task.cpu_cycles / capacity_limit:
         raise RateInfeasibleError(0, "cloud execution alone exhausts the deadline")
-    r, clamped = _clamped_rate(e, bandwidth, task, capacity_limit)
-    speed = task.cpu_cycles / (task.deadline - task.result_bits / r)
-    if clamped:
-        speed = min(speed, capacity_limit)
+    r = _clamped_rate(e, bandwidth, task, capacity_limit)
+    speed = _clone_speed(task, r, capacity_limit)
     grad_gamma = (kappa * (exponent - 1.0) * task.result_bits
                   * speed ** exponent / r ** 2)
     return grad_gamma * bandwidth / (e * math.log(2.0))
@@ -184,7 +186,7 @@ def mse_weight(e: float, task: Task, bandwidth: float, kappa: float,
 
 def _tau_utility(e: float, task: Task, bandwidth: float, kappa: float,
                  exponent: float, capacity_limit: float) -> float:
-    r, _ = _clamped_rate(e, bandwidth, task, capacity_limit)
+    r = _clamped_rate(e, bandwidth, task, capacity_limit)
     return cloud_energy_of_rate(r, task, kappa, exponent, capacity_limit)
 
 
@@ -222,50 +224,35 @@ def _cs_rate_bound(config, channels, ue_powers, support) -> np.ndarray:
     return b * np.log2(1.0 + gain * ue_powers / channels.noise_power)
 
 
-def _rates_and_powers(config, channels, vectors):
-    bf = BeamformerSet(vectors.copy())
-    n = config.num_ue
-    rates = np.array([ran.rate(i, channels, bf, bandwidth=config.bandwidth[i])
-                      for i in range(n)])
-    powers = np.array([ran.ue_power(i, bf) for i in range(n)])
-    return rates, powers
+def _clustered(beamformers: BeamformerSet, power_limits):
+    """Mask of the blocks ||v_ij||^2 > CLUSTER_THRESHOLD * P_j, and v zeroed off it."""
+    v = beamformers.vectors
+    keep = (np.sum(np.abs(v) ** 2, axis=-1)
+            > CLUSTER_THRESHOLD * np.asarray(power_limits, dtype=float)[None, :])
+    return keep, BeamformerSet(np.where(keep[:, :, None], v, 0.0))
 
 
 def extract_rrh_clusters(beamformers: BeamformerSet, power_limits):
     """Serving sets C_i = {j : ||v_ij||^2 > CLUSTER_THRESHOLD * P_j}; small blocks zeroed."""
-    v = beamformers.vectors
-    sq = np.sum(np.abs(v) ** 2, axis=-1)
-    limits = np.asarray(power_limits, dtype=float)
-    keep = sq > CLUSTER_THRESHOLD * limits[None, :]
-    zeroed = np.where(keep[:, :, None], v, 0.0)
-    clusters = tuple(frozenset(np.flatnonzero(keep[i]).tolist())
-                     for i in range(v.shape[0]))
-    return clusters, BeamformerSet(zeroed)
+    keep, zeroed = _clustered(beamformers, power_limits)
+    return tuple(frozenset(np.flatnonzero(row).tolist()) for row in keep), zeroed
 
 
 def _weighted_fronthaul_ok(config, vectors, rho, frozen_rates, slack=1e-9):
-    sq = np.sum(np.abs(vectors) ** 2, axis=-1)
-    load = (rho * sq * frozen_rates[:, None]).sum(axis=0)
+    load = ran.surrogate_fronthaul_load(BeamformerSet(vectors), frozen_rates, rho)
     return np.all(load <= np.asarray(config.fronthaul_limit) * (1.0 + slack))
 
 
-def _iterate_feasible(config, vectors, rates, floors, slack=1e-9):
+def _iterate_feasible(config, bf, rates, floors, slack=1e-9):
     """Quick replay of the hard constraint set at an in-loop iterate."""
-    if np.any(rates < floors * (1.0 - 1e-6)):
-        return False
-    bf = BeamformerSet(vectors.copy())
-    for j in range(config.num_rrh):
-        limit = config.rrh_power_limit[j]
-        if ran.rrh_power(j, bf) > limit * (1.0 + slack):
-            return False
-        load = ran.fronthaul_load(j, bf, rates, mode="l0",
-                                  zero_threshold=CLUSTER_THRESHOLD * limit)
-        if load > config.fronthaul_limit[j] * (1.0 + slack):
-            return False
-    return True
+    limits = np.asarray(config.rrh_power_limit)
+    loads = ran.fronthaul_load(bf, rates, zero_threshold=CLUSTER_THRESHOLD * limits)
+    return not (np.any(rates < floors * (1.0 - 1e-6))
+                or np.any(ran.rrh_power(bf) > limits * (1.0 + slack))
+                or np.any(loads > np.asarray(config.fronthaul_limit) * (1.0 + slack)))
 
 
-def _fronthaul_rows(config, vectors, frozen_rates, support):
+def _fronthaul_rows(config, bf, frozen_rates, support):
     """Reweighting factors with rows zeroed where the load cannot bind.
 
     If serving every supported UE at the frozen rates already fits under
@@ -273,8 +260,7 @@ def _fronthaul_rows(config, vectors, frozen_rates, support):
     load (enormous weights on dying blocks) with no effect, so it is
     dropped for this round; the hard form is re-checked at exit.
     """
-    rho = ran.fronthaul_weights(BeamformerSet(vectors.copy()),
-                                config.stability_epsilon)
+    rho = ran.fronthaul_weights(bf, config.stability_epsilon)
     caps = np.asarray(config.fronthaul_limit)
     ceiling = (np.where(support, frozen_rates[:, None], 0.0)).sum(axis=0)
     inactive = ceiling <= FRONTHAUL_MARGIN * caps
@@ -300,24 +286,19 @@ def constraint_violations(config, tasks, channels, solution,
     independent replay rather than trust in solver bookkeeping.
     """
     bf = solution.beamformers
-    n, l = config.num_ue, config.num_rrh
-    rates, _ = _rates_and_powers(config, channels, bf.vectors)
-    power = max(ran.rrh_power(j, bf) - config.rrh_power_limit[j] for j in range(l))
-    rate_short = 0.0
-    for i in range(n):
-        if solution.floors[i] > 0:
-            rate_short = max(rate_short, (solution.floors[i] - rates[i])
-                             / solution.floors[i])
-    fronthaul = max(
-        ran.fronthaul_load(j, bf, rates, mode="l0") - config.fronthaul_limit[j]
-        for j in range(l))
-    out = {"power": power, "rate_rel": rate_short, "fronthaul": fronthaul}
+    rates = ran.rate(channels, bf, config.bandwidth)
+    floors = np.asarray(solution.floors)
+    served = floors > 0
+    out = {
+        "power": float(np.max(ran.rrh_power(bf) - np.asarray(config.rrh_power_limit))),
+        "rate_rel": float(np.max((floors - rates)[served] / floors[served], initial=0.0)),
+        "fronthaul": float(np.max(ran.fronthaul_load(bf, rates)
+                                  - np.asarray(config.fronthaul_limit))),
+    }
     if deadline_total is not None:
-        worst = 0.0
-        for i in range(n):
-            if tasks[i].result_bits > 0:
-                worst = max(worst, deadline_total[i] - tasks[i].deadline)
-        out["deadline"] = worst
+        late = np.asarray(deadline_total) - np.array([t.deadline for t in tasks])
+        pending = np.array([t.result_bits > 0 for t in tasks])
+        out["deadline"] = float(np.max(late[pending], initial=0.0))
     return out
 
 
@@ -346,7 +327,7 @@ def ran_power_minimization(config: SystemConfig, tasks: list[Task],
                            np.zeros(n), floors, [0.0], "optimal", 0, True)
 
     v = _initial_beamformers(config, channels, support)
-    _, powers = _rates_and_powers(config, channels, v)
+    powers = ran.ue_power(BeamformerSet(v))
     rho = frozen = None
     metric_prev = None
     trace = []
@@ -370,8 +351,9 @@ def ran_power_minimization(config: SystemConfig, tasks: list[Task],
         v = extract_beamformers(report.x, support, config.antennas_per_rrh)
         support = _cull_support(v, support, config.rrh_power_limit)
         v = np.where(support[:, :, None], v, 0.0)
-        rates, powers = _rates_and_powers(config, channels, v)
-        rho = _fronthaul_rows(config, v, rates, support)
+        bf = BeamformerSet(v)
+        rates, powers = ran.rate(channels, bf, config.bandwidth), ran.ue_power(bf)
+        rho = _fronthaul_rows(config, bf, rates, support)
         frozen = rates
         bound = _cs_rate_bound(config, channels, powers, support)
         metric = float(np.sum(np.where(floors > 0, powers * _safe_div(bits, bound), 0.0)))
@@ -382,9 +364,8 @@ def ran_power_minimization(config: SystemConfig, tasks: list[Task],
             break
         metric_prev = metric
 
-    clusters, bf = extract_rrh_clusters(BeamformerSet(v), config.rrh_power_limit)
     bf, rates, powers, clusters = _refit_on_support(
-        config, channels, bf, clusters, floors, np.where(floors > 0, 1.0, 0.0)
+        config, channels, BeamformerSet(v), floors, np.where(floors > 0, 1.0, 0.0)
         * _safe_div(bits, _cs_rate_bound(config, channels, powers, support)),
         support)
     return RanSolution(bf, rates, clusters, powers, floors, trace,
@@ -398,22 +379,21 @@ def _safe_div(a, b):
                      out=np.zeros_like(b))
 
 
-def _refit_on_support(config, channels, bf, clusters, floors, weights, support):
-    """Re-solve on the extracted support so zeroed blocks are exactly zero.
+def _refit_on_support(config, channels, bf, floors, weights, support):
+    """Re-solve on the extracted clusters so zeroed blocks are exactly zero.
 
-    Floors are held at max(original floor, achieved rate less a small
-    relative slack): cluster extraction may shave a little amplitude, and
-    the refit re-tightens feasibility on the kept blocks only.  Passes
-    repeat until extraction is a no-op and the hard fronthaul form holds.
+    Clusters are extracted from `bf` within `support`.  Floors are held at
+    max(original floor, achieved rate less a small relative slack): cluster
+    extraction may shave a little amplitude, and the refit re-tightens
+    feasibility on the kept blocks only.  Passes repeat until extraction is
+    a no-op and the hard fronthaul form holds.
     """
-    n, l = config.num_ue, config.num_rrh
-    mask = np.zeros((n, l), dtype=bool)
-    for i, cluster in enumerate(clusters):
-        for j in cluster:
-            mask[i, j] = True
+    n = config.num_ue
+    limits = config.rrh_power_limit
+    mask, bf = _clustered(bf, limits)
     mask &= support
 
-    rates, _ = _rates_and_powers(config, channels, bf.vectors)
+    rates = ran.rate(channels, bf, config.bandwidth)
     target = np.where(floors > 0,
                       np.maximum(floors, rates * (1.0 - REFIT_FLOOR_SLACK)), 0.0)
     frozen = np.maximum(rates, floors)
@@ -436,7 +416,7 @@ def _refit_on_support(config, channels, bf, clusters, floors, weights, support):
                 scale = caps[j] * (1.0 - 1e-6) / planned[j]
                 rows = mask[:, j] & (floors > 0)
                 target[rows] = np.maximum(floors[rows], target[rows] * scale)
-        rho = _fronthaul_rows(config, bf.vectors, frozen, mask)
+        rho = _fronthaul_rows(config, bf, frozen, mask)
         problem = build_power_min_socp(
             channels, target, config.bandwidth, config.rrh_power_limit,
             objective_weights=obj, rho=rho, frozen_rates=frozen,
@@ -449,16 +429,9 @@ def _refit_on_support(config, channels, bf, clusters, floors, weights, support):
             target = np.maximum(floors, target * 0.9)
             continue
         vec = extract_beamformers(report.x, mask, config.antennas_per_rrh)
-        clusters, bf = extract_rrh_clusters(BeamformerSet(vec),
-                                            config.rrh_power_limit)
-        new_mask = np.zeros((n, l), dtype=bool)
-        for i, cluster in enumerate(clusters):
-            for j in cluster:
-                new_mask[i, j] = True
-        rates, _ = _rates_and_powers(config, channels, bf.vectors)
-        loads = np.array([ran.fronthaul_load(j, bf, rates, mode="l0")
-                          for j in range(l)])
-        fronthaul_ok = np.all(loads <= caps * (1.0 + 1e-9))
+        new_mask, bf = _clustered(BeamformerSet(vec), limits)
+        rates = ran.rate(channels, bf, config.bandwidth)
+        fronthaul_ok = np.all(ran.fronthaul_load(bf, rates) <= caps * (1.0 + 1e-9))
         if np.array_equal(new_mask, mask) and fronthaul_ok:
             break
         mask = new_mask
@@ -467,8 +440,8 @@ def _refit_on_support(config, channels, bf, clusters, floors, weights, support):
                               np.maximum(floors,
                                          np.minimum(target, rates)), 0.0)
             frozen = np.maximum(frozen, rates * (1.0 + 1e-4))
-    rates, powers = _rates_and_powers(config, channels, bf.vectors)
-    clusters, bf = extract_rrh_clusters(bf, config.rrh_power_limit)
+    rates, powers = ran.rate(channels, bf, config.bandwidth), ran.ue_power(bf)
+    clusters, bf = extract_rrh_clusters(bf, limits)
     return bf, rates, powers, clusters
 
 
@@ -525,36 +498,28 @@ def joint_energy_minimization(config: SystemConfig, tasks: list[Task],
     status, converged, it = "max_iterations", False, 0
     best_total, best_state = np.inf, None
 
-    def tau_terms(e_vec):
-        taus = np.zeros(n)
-        for i in range(n):
-            if bits[i] > 0:
-                taus[i] = _tau_utility(e_vec[i], tasks[i], bw[i], kappa[i],
-                                       nu[i], fmax[i])
-            else:
-                taus[i] = clone_energy(cycles[i], cycles[i] / deadlines[i],
-                                       kappa[i], nu[i])
-        return taus
-
     def true_surrogate(e_vec, powers, weights):
-        return float(np.sum(tau_terms(e_vec)) + weights @ powers)
+        taus = [_tau_utility(e_vec[i], tasks[i], bw[i], kappa[i], nu[i], fmax[i])
+                for i in range(n)]
+        return float(np.sum(taus) + weights @ powers)
 
     for it in range(1, max_iterations + 1):
-        rates_prev, powers = _rates_and_powers(config, channels, v)
+        bf = BeamformerSet(v)
+        rates_prev, powers = ran.rate(channels, bf, bw), ran.ue_power(bf)
         bound = _cs_rate_bound(config, channels, powers, support)
         weights = np.where(bits > 0, eta * _safe_div(bits, bound), 0.0)
 
         s0 = None
         if u is not None:
-            e_stale = np.clip(_mse_all(channels, v, u), 1e-300, 1.0 - 1e-15)
+            e_stale = np.clip(mse(channels, v, u), 1e-300, 1.0 - 1e-15)
             s0 = true_surrogate(e_stale, powers, weights)
 
-        u = mmse_receiver(channels, BeamformerSet(v.copy()))
-        e = np.clip(_mse_all(channels, v, u), 1e-300, 1.0 - 1e-15)
+        u = mmse_receiver(channels, bf)
+        e = np.clip(mse(channels, v, u), 1e-300, 1.0 - 1e-15)
         s1 = true_surrogate(e, powers, weights)
 
         phi = np.array([mse_weight(e[i], tasks[i], bw[i], kappa[i], nu[i], fmax[i])
-                        if bits[i] > 0 else 0.0 for i in range(n)])
+                        for i in range(n)])
         s2 = s1  # the weight refresh re-anchors phi; the surrogate value is unchanged
 
         problem = build_wmmse_step_socp(
@@ -580,14 +545,15 @@ def joint_energy_minimization(config: SystemConfig, tasks: list[Task],
 
         support = _cull_support(v, support, config.rrh_power_limit)
         v = np.where(support[:, :, None], v, 0.0)
-        rates, powers = _rates_and_powers(config, channels, v)
-        rho = _fronthaul_rows(config, v, rates, support)
+        bf = BeamformerSet(v)
+        rates, powers = ran.rate(channels, bf, bw), ran.ue_power(bf)
+        rho = _fronthaul_rows(config, bf, rates, support)
         frozen = rates.copy()
 
         speeds, cloud_e, tx_e = _recover_cloud(config, tasks, rates, powers)
         total = float(np.sum(cloud_e + eta * tx_e))
         energy_trace.append(total)
-        if total < best_total and _iterate_feasible(config, v, rates, floors):
+        if total < best_total and _iterate_feasible(config, bf, rates, floors):
             best_total, best_state = total, (v.copy(), support.copy())
         if energy_prev is not None and abs(total - energy_prev) <= CONV_REL_TOL * max(
                 energy_prev, 1e-30):
@@ -599,10 +565,9 @@ def joint_energy_minimization(config: SystemConfig, tasks: list[Task],
         # Under a binding fronthaul budget the loop can orbit the optimum;
         # return the best load-feasible visit rather than the last.
         v, support = best_state
-        rates, powers = _rates_and_powers(config, channels, v)
-    clusters, bf = extract_rrh_clusters(BeamformerSet(v), config.rrh_power_limit)
+        powers = ran.ue_power(BeamformerSet(v))
     bf, rates, powers, clusters = _refit_on_support(
-        config, channels, bf, clusters, floors,
+        config, channels, BeamformerSet(v), floors,
         np.where(bits > 0, eta * _safe_div(bits, _cs_rate_bound(
             config, channels, powers, support)), 0.0), support)
     speeds, cloud_e, tx_e = _recover_cloud(config, tasks, rates, powers)
@@ -610,10 +575,10 @@ def joint_energy_minimization(config: SystemConfig, tasks: list[Task],
     ransol = RanSolution(bf, rates, clusters, powers, floors, energy_trace,
                          status if converged else "max_iterations", it, converged)
     receivers = mmse_receiver(channels, bf)
-    mses = np.clip(_mse_all(channels, bf.vectors, receivers), 1e-300, 1.0)
+    mses = np.clip(mse(channels, bf.vectors, receivers), 1e-300, 1.0)
     weights_out = np.array([
         mse_weight(min(mses[i], 1.0 - 1e-15), tasks[i], bw[i], kappa[i], nu[i],
-                   fmax[i]) if bits[i] > 0 else 0.0 for i in range(n)])
+                   fmax[i]) for i in range(n)])
     return JointSolution(ransol, speeds, energy, energy_trace, surrogate_trace,
                          status if converged else "max_iterations", it, converged,
                          mse_state=MseState(receivers, mses, weights_out))
@@ -634,7 +599,7 @@ def _surrogate_line_search(config, channels, receivers, weights, v_prev, v_cand,
     if rho is not None and not _weighted_fronthaul_ok(config, v_prev, rho, frozen):
         # Incumbent end is outside this round's surrogate set: only the full
         # step is known feasible.
-        e1 = np.clip(_mse_all(channels, v_cand, receivers), 1e-300, 1.0 - 1e-15)
+        e1 = np.clip(mse(channels, v_cand, receivers), 1e-300, 1.0 - 1e-15)
         p1 = np.sum(np.abs(v_cand) ** 2, axis=(1, 2))
         return v_cand, surrogate_fn(e1, p1, weights)
 
@@ -682,24 +647,18 @@ def _surrogate_line_search(config, channels, receivers, weights, v_prev, v_cand,
 
 def _recover_cloud(config, tasks, rates, powers):
     """Clone speeds from final rates (deadline tight), plus both energy legs."""
-    n = config.num_ue
-    kappa = np.asarray(config.switched_capacitance)
-    nu = np.asarray(config.cloud_exponent)
-    fmax = np.asarray(config.clone_capacity_limit)
-    speeds = np.zeros(n)
-    cloud_e = np.zeros(n)
-    tx_e = np.zeros(n)
-    for i in range(n):
-        t = tasks[i]
-        if t.result_bits == 0:
-            speeds[i] = t.cpu_cycles / t.deadline
-        else:
-            slack = t.deadline - t.result_bits / rates[i]
-            speeds[i] = t.cpu_cycles / slack if slack > 0 else fmax[i]
-            speeds[i] = min(speeds[i], fmax[i])
-            tx_e[i] = powers[i] * t.result_bits / rates[i]
-        cloud_e[i] = clone_energy(t.cpu_cycles, speeds[i], kappa[i], nu[i])
-    return speeds, cloud_e, tx_e
+    speeds = np.array([_clone_speed(t, r, cap) for t, r, cap
+                       in zip(tasks, rates, config.clone_capacity_limit)])
+    cloud_e = np.array([clone_energy(t.cpu_cycles, f, kappa, nu) for t, f, kappa, nu
+                        in zip(tasks, speeds, config.switched_capacitance,
+                               config.cloud_exponent)])
+    return speeds, cloud_e, _transmit_energy(tasks, rates, powers)
+
+
+def _transmit_energy(tasks, rates, powers):
+    """p_i D_i / r_i per UE, zero for a UE without result bits."""
+    bits = np.array([t.result_bits for t in tasks])
+    return powers * bits / np.where(bits > 0, rates, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -731,9 +690,7 @@ def split_deadline_baseline(config: SystemConfig, tasks: list[Task],
         raise BaselineInfeasibleError("transmit", ransol.message or ransol.status)
 
     cloud_e = np.array([a.exec_energy for a in allocs])
-    tx_e = np.array([
-        powers * t.result_bits / r if t.result_bits > 0 else 0.0
-        for powers, r, t in zip(ransol.powers, ransol.rates, tasks)])
+    tx_e = _transmit_energy(tasks, ransol.rates, ransol.powers)
     energy = EnergyBreakdown.combine(cloud_e, tx_e, config.tradeoff)
     return JointSolution(ransol, np.array([a.clone_capacity for a in allocs]),
                          energy, [energy.total], [], ransol.status,

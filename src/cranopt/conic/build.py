@@ -108,21 +108,26 @@ def _rrh_power(nv, cols, support, k, power_limits):
     return blocks
 
 
-def _rate_socs(channels, rate_floors, bandwidths, cols, support, nv):
+def _stream_rows(channels, needed, cols, nv):
+    """`_combined_rows` of every stream at each needed UE, None elsewhere."""
+    n = channels.num_ue
+    return [[_combined_rows(channels, i, stream, cols, nv) for stream in range(n)]
+            if needed[i] else None for i in range(n)]
+
+
+def _rate_socs(rate_floors, bandwidths, ue_rows, nv):
     """Per-UE QoS floor as sqrt(1 - 2^(-R/B)) ||(m_1..m_N, sigma)|| <= Re(m_ii).
 
-    Each floor also pins the phase with the equality row Im(m_ii) = 0.
-    Returns the cone blocks and the equality rows.
+    Each floor also pins the phase with the equality row Im(m_ii) = 0.  Only
+    UEs with `_stream_rows` get one.  Returns the blocks and the equality rows.
     """
-    n = channels.num_ue
+    n = len(ue_rows)
     blocks, eq_rows = [], []
-    for i in range(n):
-        floor = rate_floors[i]
-        if floor is None or floor <= 0 or not support[i].any():
+    for i, rows in enumerate(ue_rows):
+        if rows is None or not rate_floors[i] > 0:
             continue
-        gamma = 2.0 ** (floor / bandwidths[i]) - 1.0
+        gamma = 2.0 ** (rate_floors[i] / bandwidths[i]) - 1.0
         coef = float(np.sqrt(gamma / (1.0 + gamma)))
-        rows = [_combined_rows(channels, i, stream, cols, nv) for stream in range(n)]
         entries = [coef * row for pair in rows for row in pair]
         # The last entry is the normalized noise term.
         consts = np.zeros(2 * n + 2)
@@ -192,8 +197,9 @@ def build_power_min_socp(channels, rate_floors, bandwidths, power_limits,
     c[nb:] += w[served]
     blocks = _ue_power_epigraphs(nv, nb, cols, support, k)
     blocks += _rrh_power(nv, cols, support, k, power_limits)
-    rate_blocks, eq_rows = _rate_socs(channels, rate_floors, bandwidths, cols,
-                                      support, nv)
+    floored = served & (np.asarray(rate_floors, dtype=float) > 0)
+    rate_blocks, eq_rows = _rate_socs(rate_floors, bandwidths,
+                                      _stream_rows(channels, floored, cols, nv), nv)
     blocks += rate_blocks
     blocks += _fronthaul(nv, cols, support, k, rho, frozen_rates, fronthaul_limits)
     return _problem(c, blocks, eq_rows, 0.0)
@@ -221,6 +227,12 @@ def build_wmmse_step_socp(channels, mse_weights, receivers, objective_weights,
     first_mse = nb + int(served.sum())
     nv = first_mse + int(active.sum())
     cols = _pair_columns(support, k)
+    if rate_floors is None:
+        rate_floors = np.zeros(n)
+    elif bandwidths is None:
+        raise ValueError("rate floors require per-UE bandwidths")
+    floored = served & (np.asarray(rate_floors, dtype=float) > 0)
+    ue_rows = _stream_rows(channels, active | floored, cols, nv)
 
     c = np.zeros(nv)
     c[nb:first_mse] += w[served]
@@ -235,7 +247,7 @@ def build_wmmse_step_socp(channels, mse_weights, receivers, objective_weights,
             continue
         # e_i = |u~|^2 (sum_k |m~_ik|^2 + 1) - 2 Re(u~* m~_ii) + 1, u~ = sigma u.
         ut = sigma[i] * u[i]
-        rows = [_combined_rows(channels, i, stream, cols, nv) for stream in range(n)]
+        rows = ue_rows[i]
         entries = np.vstack([row for pair in rows for row in pair])
         blocks.append(_quad_le(entries, _selector(nv, [t])[0]))
         re_own, im_own = rows[i]
@@ -245,14 +257,8 @@ def build_wmmse_step_socp(channels, mse_weights, receivers, objective_weights,
         t += 1
 
     blocks += _rrh_power(nv, cols, support, k, power_limits)
-    eq_rows = []
-    if rate_floors is not None:
-        if bandwidths is None:
-            raise ValueError("rate floors require per-UE bandwidths")
-        rate_blocks, eq_rows = _rate_socs(channels, rate_floors,
-                                          np.asarray(bandwidths, dtype=float),
-                                          cols, support, nv)
-        blocks += rate_blocks
+    rate_blocks, eq_rows = _rate_socs(rate_floors, bandwidths, ue_rows, nv)
+    blocks += rate_blocks
     blocks += _fronthaul(nv, cols, support, k, rho, frozen_rates, fronthaul_limits)
     return _problem(c, blocks, eq_rows, float(const))
 

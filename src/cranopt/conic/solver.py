@@ -295,21 +295,19 @@ def _ruiz_equilibrate(c, G, h, A, b, cones, iters=8):
     As, Gs = A.copy(), G.copy()
     slices = _cone_slices(cones)
     for _ in range(iters):
-        ra = np.maximum(np.sqrt(np.abs(As).max(axis=1)), 1e-8) if p else np.ones(0)
+        ra = np.maximum(np.sqrt(np.abs(As).max(axis=1)), 1e-8)
         rg = np.sqrt(np.maximum(np.abs(Gs).max(axis=1), 1e-16))
         for kind, sl in slices:
             if kind == "soc":
                 rg[sl] = rg[sl].max()
         rg = np.maximum(rg, 1e-8)
-        if p:
-            As /= ra[:, None]
-            dr_a /= ra
+        As /= ra[:, None]
+        dr_a /= ra
         Gs /= rg[:, None]
         dr_g /= rg
-        stacked = np.vstack([As, Gs]) if p else Gs
-        cnorm = np.sqrt(np.maximum(np.abs(stacked).max(axis=0), 1e-16))
+        cnorm = np.sqrt(np.maximum(np.abs(np.vstack([As, Gs])).max(axis=0), 1e-16))
         cnorm = np.maximum(cnorm, 1e-8)
-        As /= cnorm[None, :] if p else 1.0
+        As /= cnorm[None, :]
         Gs /= cnorm[None, :]
         dc /= cnorm
     cs = c * dc
@@ -359,22 +357,19 @@ class _KktSolver:
         w2 = sp.block_diag(blocks, format="csc")
         reg_x = REG * sp.identity(n)
         neg_w2 = -(w2 + REG * sp.identity(m))
-        if p:
-            k = sp.bmat([
-                [reg_x, self.A.T, self.G.T],
-                [self.A, -REG * sp.identity(p), None],
-                [self.G, None, neg_w2],
-            ], format="csc")
-        else:
-            k = sp.bmat([[reg_x, self.G.T], [self.G, neg_w2]], format="csc")
+        k = sp.bmat([
+            [reg_x, self.A.T, self.G.T],
+            [self.A, -REG * sp.identity(p), None],
+            [self.G, None, neg_w2],
+        ], format="csc")
         self._lu = spla.splu(k)
         self._scaling = scaling
 
     def _apply_unreg(self, u):
         n, p, m = self.n, self.p, self.m
         x, y, z = u[:n], u[n:n + p], u[n + p:]
-        top = (self.A.T @ y if p else 0) + self.G.T @ z
-        mid = self.A @ x if p else np.zeros(0)
+        top = self.A.T @ y + self.G.T @ z
+        mid = self.A @ x
         bot = self.G @ x - self._scaling.mul_w2(z)
         return np.concatenate([top, mid, bot])
 
@@ -414,7 +409,7 @@ def _solve_impl(problem: ConicProblem, gap_tol: float, feas_tol: float,
     n, p, m = c.shape[0], A.shape[0], G.shape[0]
     e = _identity_element(cones, m)
     deg = _cone_degree(cones)
-    norm_b = max(1.0, np.linalg.norm(b)) if p else 1.0
+    norm_b = max(1.0, np.linalg.norm(b))
     norm_h = max(1.0, np.linalg.norm(h))
     norm_c = max(1.0, np.linalg.norm(c))
 
@@ -443,14 +438,14 @@ def _solve_impl(problem: ConicProblem, gap_tol: float, feas_tol: float,
                 and np.isfinite(tau) and tau > 0 and np.isfinite(kappa)):
             status, message = STATUS_MAXITER, "numerical breakdown (non-finite iterate)"
             break
-        rx = A.T @ y + G.T @ z + c * tau if p else G.T @ z + c * tau
+        rx = A.T @ y + G.T @ z + c * tau
         ry = A @ x - b * tau
         rz = G @ x + s - h * tau
-        rt = kappa + c @ x + (b @ y if p else 0.0) + h @ z
+        rt = kappa + c @ x + b @ y + h @ z
         mu = (s @ z + tau * kappa) / (deg + 1)
 
         pcost = c @ x / tau
-        dcost = -((b @ y if p else 0.0) + h @ z) / tau
+        dcost = -(b @ y + h @ z) / tau
         # Normalized duality gap: absolute complementarity on the equilibrated
         # problem, relative once the objective exceeds unit scale.
         gap = (s @ z / tau ** 2) / max(1.0, abs(pcost))
@@ -469,9 +464,9 @@ def _solve_impl(problem: ConicProblem, gap_tol: float, feas_tol: float,
             status, message = STATUS_OPTIMAL, ""
             break
 
-        by_hz = (b @ y if p else 0.0) + h @ z
+        by_hz = b @ y + h @ z
         if by_hz < -1e-12:
-            cert = np.linalg.norm(A.T @ y + G.T @ z if p else G.T @ z) / norm_c
+            cert = np.linalg.norm(A.T @ y + G.T @ z) / norm_c
             if cert / (-by_hz) <= feas_tol and _cone_margin(z, cones) > -feas_tol:
                 scale_cert = -by_hz
                 y, z = y / scale_cert, z / scale_cert
@@ -479,7 +474,7 @@ def _solve_impl(problem: ConicProblem, gap_tol: float, feas_tol: float,
                 break
         cx = c @ x
         if cx < -1e-12:
-            resid = max(np.linalg.norm(A @ x) / norm_b if p else 0.0,
+            resid = max(np.linalg.norm(A @ x) / norm_b,
                         np.linalg.norm(G @ x + s) / norm_h)
             if resid / (-cx) <= feas_tol and _cone_margin(s, cones) > -feas_tol:
                 x, s = x / (-cx), s / (-cx)
@@ -505,7 +500,7 @@ def _solve_impl(problem: ConicProblem, gap_tol: float, feas_tol: float,
             wl = scaling.mul_w(_jordan_solve(lam, d_s, cones))
             bz = -eta * rz + wl
             x2, y2, z2 = kkt.solve(-eta * rx, -eta * ry, bz)
-            num = -eta * rt + d_kappa / tau - (c @ x2 + (b @ y2 if p else 0.0) + h @ z2)
+            num = -eta * rt + d_kappa / tau - (c @ x2 + b @ y2 + h @ z2)
             dtau = num / den
             dx = x2 + dtau * x1
             dy = y2 + dtau * y1
@@ -573,7 +568,7 @@ def _solve_impl(problem: ConicProblem, gap_tol: float, feas_tol: float,
     s_orig = ss / drg
 
     pcost = float(c @ xs) * cost_scale
-    dcost = float(-((b @ ys if p else 0.0) + h @ zs)) * cost_scale
+    dcost = float(-(b @ ys + h @ zs)) * cost_scale
     report = SolveReport(
         status=status,
         x=x_orig, y=y_orig, z=z_orig, s=s_orig,

@@ -18,9 +18,11 @@ __all__ = [
     "RateInfeasibleError",
     "sinr",
     "rate",
+    "ue_power",
     "rrh_power",
     "fronthaul_weights",
     "fronthaul_load",
+    "surrogate_fronthaul_load",
     "total_energy",
 ]
 
@@ -45,14 +47,6 @@ class BeamformerSet:
         if not np.all(np.isfinite(self.vectors)):
             raise ValueError("beamformers must be finite")
         self.vectors.setflags(write=False)
-
-    @property
-    def num_ue(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def num_rrh(self) -> int:
-        return self.vectors.shape[1]
 
 
 @dataclass(frozen=True)
@@ -82,82 +76,76 @@ class EnergyBreakdown:
         )
 
 
-def sinr(ue: int, channels: ChannelState, beamformers: BeamformerSet) -> float:
-    """Receiver-side SINR: both desired and interfering streams ride UE `ue`'s channel.
+def sinr(channels: ChannelState, beamformers: BeamformerSet) -> np.ndarray:
+    """Receiver-side SINR per UE: every stream rides the receiving UE's channel.
 
-    Stream k reaches UE `ue` with amplitude sum_j h[ue,j]^H v[k,j].
+    Stream k reaches UE i with amplitude sum_j h[i,j]^H v[k,j].
     """
-    h = channels.gains[ue]
-    amps = np.array([complex(np.sum(np.conj(h) * beamformers.vectors[k]))
-                     for k in range(channels.num_ue)])
-    signal = abs(amps[ue]) ** 2
-    interference = float(np.sum(np.abs(amps) ** 2) - signal)
-    return signal / (interference + float(channels.noise_power[ue]))
+    h, v = channels.gains, beamformers.vectors
+    power = np.abs(np.sum(np.conj(h)[:, None] * v[None], axis=(2, 3))) ** 2
+    signal = np.diag(power)
+    interference = np.sum(power, axis=1) - signal
+    return signal / (interference + channels.noise_power)
 
 
-def rate(ue: int, channels: ChannelState, beamformers: BeamformerSet,
-         bandwidth: float) -> float:
-    """Achievable rate B * log2(1 + SINR) in bit/s."""
-    if bandwidth <= 0:
+def rate(channels: ChannelState, beamformers: BeamformerSet, bandwidth) -> np.ndarray:
+    """Achievable rate B * log2(1 + SINR) per UE in bit/s (B shared or per UE)."""
+    bandwidth = np.asarray(bandwidth, dtype=float)
+    if np.any(bandwidth <= 0):
         raise ValueError("bandwidth must be > 0")
-    return bandwidth * np.log2(1.0 + sinr(ue, channels, beamformers))
+    return bandwidth * np.log2(1.0 + sinr(channels, beamformers))
 
 
-def rrh_power(rrh: int, beamformers: BeamformerSet) -> float:
-    """Total transmit power sum_i ||v[i, rrh]||^2 at one radio head."""
-    v = beamformers.vectors[:, rrh, :]
-    return float(np.sum(np.abs(v) ** 2))
+def ue_power(beamformers: BeamformerSet) -> np.ndarray:
+    """Power per UE across all RRHs, each summed as one row like np.sum(v[i])."""
+    v = beamformers.vectors
+    return np.sum(np.abs(v.reshape(v.shape[0], -1)) ** 2, axis=1)
 
 
-def ue_power(ue: int, beamformers: BeamformerSet) -> float:
-    """Power spent on UE `ue` across all RRHs."""
-    return float(np.sum(np.abs(beamformers.vectors[ue]) ** 2))
+def rrh_power(beamformers: BeamformerSet) -> np.ndarray:
+    """Power sum_i ||v[i, j]||^2 per RRH, each summed as one row like np.sum(v[:, j])."""
+    v = beamformers.vectors
+    return np.sum(np.abs(v.transpose(1, 0, 2).reshape(v.shape[1], -1)) ** 2, axis=1)
+
+
+def _block_power(beamformers: BeamformerSet) -> np.ndarray:
+    """||v[i, j]||^2 per (UE, RRH) pair."""
+    return np.sum(np.abs(beamformers.vectors) ** 2, axis=-1)
 
 
 def fronthaul_weights(beamformers: BeamformerSet, epsilon: float) -> np.ndarray:
     """Reweighting factors rho[i, j] = 1 / (||v[i, j]||^2 + epsilon)."""
     if epsilon <= 0:
         raise ValueError("stability epsilon must be > 0")
-    sq = np.sum(np.abs(beamformers.vectors) ** 2, axis=-1)
-    return 1.0 / (sq + epsilon)
+    return 1.0 / (_block_power(beamformers) + epsilon)
 
 
-def fronthaul_load(rrh: int, beamformers: BeamformerSet, rates,
-                   mode: str = "l0", weights: np.ndarray | None = None,
-                   zero_threshold: float = 0.0) -> float:
-    """Fronthaul traffic into one RRH in bit/s.
+def fronthaul_load(beamformers: BeamformerSet, rates, zero_threshold=0.0) -> np.ndarray:
+    """Fronthaul traffic into each RRH in bit/s.
 
-    ``l0`` counts the full rate of every UE whose beamformer block at this
-    RRH is active (above `zero_threshold` in squared norm); ``weighted``
-    sums rho[i, j] * ||v[i, j]||^2 * r_i, the convex surrogate used inside
-    the solvers.
+    Counts the full rate of every UE whose block at the RRH is above
+    `zero_threshold` in squared norm (one threshold, or one per RRH).
+    """
+    active = _block_power(beamformers) > zero_threshold
+    return np.sum(np.asarray(rates, dtype=float)[:, None] * active, axis=0)
+
+
+def surrogate_fronthaul_load(beamformers: BeamformerSet, rates, weights) -> np.ndarray:
+    """The solvers' convex surrogate of `fronthaul_load`, per RRH.
+
+    sum_i rho[i, j] ||v[i, j]||^2 r_i, with `weights` rho from `fronthaul_weights`.
     """
     rates = np.asarray(rates, dtype=float)
-    if np.any(rates < 0):
-        raise ValueError("rates must be >= 0")
-    sq = np.sum(np.abs(beamformers.vectors[:, rrh, :]) ** 2, axis=-1)
-    if mode == "l0":
-        return float(np.sum(rates * (sq > zero_threshold)))
-    if mode == "weighted":
-        if weights is None:
-            raise ValueError("weighted mode needs rho weights")
-        return float(np.sum(weights[:, rrh] * sq * rates))
-    raise ValueError(f"unknown fronthaul mode {mode!r}")
+    return np.sum(weights * _block_power(beamformers) * rates[:, None], axis=0)
 
 
 def total_energy(config: SystemConfig, tasks: list[Task], cloud_energies,
                  beamformers: BeamformerSet, rates) -> EnergyBreakdown:
     """Weighted system energy: E_i = E_i^cloud + eta_i * p_i * D_i / r_i."""
-    n = config.num_ue
-    cloud = np.asarray(cloud_energies, dtype=float)
     rates = np.asarray(rates, dtype=float)
-    transmit = np.zeros(n)
-    for i in range(n):
-        d = tasks[i].result_bits
-        if d == 0:
-            continue
-        if rates[i] <= 0:
-            raise RateInfeasibleError(i, "zero rate with bits pending")
-        p = ue_power(i, beamformers)
-        transmit[i] = p * d / rates[i]
-    return EnergyBreakdown.combine(cloud, transmit, config.tradeoff)
+    bits = np.array([t.result_bits for t in tasks], dtype=float)
+    stalled = np.flatnonzero((bits > 0) & (rates <= 0))
+    if stalled.size:
+        raise RateInfeasibleError(int(stalled[0]), "zero rate with bits pending")
+    transmit = ue_power(beamformers) * bits / np.where(bits > 0, rates, 1.0)
+    return EnergyBreakdown.combine(cloud_energies, transmit, config.tradeoff)

@@ -133,16 +133,17 @@ def test_criterion_4_wmmse_kernel_identities():
     for _ in range(10):
         channels, beams = random_instance(rng)
         receivers = mmse_receiver(channels, beams)
+        base = mse(channels, beams.vectors, receivers)
         for i in range(3):
-            base = mse(i, receivers[i], channels, beams)
             for _ in range(100):
-                delta = 1e-3 * (rng.standard_normal() + 1j * rng.standard_normal())
-                if mse(i, receivers[i] + delta, channels, beams) < base - 1e-12:
+                moved = receivers.copy()
+                moved[i] += 1e-3 * (rng.standard_normal() + 1j * rng.standard_normal())
+                if mse(channels, beams.vectors, moved)[i] < base[i] - 1e-12:
                     report(4, "wmmse kernel identities", False,
                            "perturbation improved the MMSE receiver")
-            if abs(1.0 / base - (1.0 + sinr(i, channels, beams))) > 1e-9 * (
-                    1.0 + sinr(i, channels, beams)):
-                report(4, "wmmse kernel identities", False, "1/e != 1 + SINR")
+        one_plus_sinr = 1.0 + sinr(channels, beams)
+        if np.any(np.abs(1.0 / base - one_plus_sinr) > 1e-9 * one_plus_sinr):
+            report(4, "wmmse kernel identities", False, "1/e != 1 + SINR")
     # Weight gradient against high-precision finite differences.
     worst = 0.0
     checked = 0
@@ -192,14 +193,10 @@ def test_criterion_6_constraint_replay(stock_runs):
             (f"separate:{a}", b) for a, b in baselines.items() if b is not None]
         for _, sol in solutions:
             beams = sol.ran.beamformers
-            rates = np.array([
-                ran.rate(i, channels, beams, bandwidth=config.bandwidth[i])
-                for i in range(config.num_ue)])
-            for j in range(config.num_rrh):
-                worst["power"] = max(worst["power"],
-                                     ran.rrh_power(j, beams) - 1.0)
-                load = ran.fronthaul_load(j, beams, rates, mode="l0")
-                worst["fronthaul"] = max(worst["fronthaul"], load / 1e7 - 1.0)
+            rates = ran.rate(channels, beams, config.bandwidth)
+            worst["power"] = max(worst["power"], np.max(ran.rrh_power(beams)) - 1.0)
+            load = ran.fronthaul_load(beams, rates)
+            worst["fronthaul"] = max(worst["fronthaul"], np.max(load) / 1e7 - 1.0)
             for i in range(config.num_ue):
                 worst["rate"] = max(worst["rate"],
                                     1.0 - rates[i] / sol.ran.floors[i])

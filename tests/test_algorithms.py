@@ -68,8 +68,7 @@ class TestRanPowerMinimization:
         channels = generate_channels(config, 42)
         sol = ran_power_minimization(config, tasks, channels, 0.05)
         assert sol.status == "optimal"
-        for j in range(config.num_rrh):
-            assert ran.rrh_power(j, sol.beamformers) <= 1.0 + 1e-6
+        assert np.all(ran.rrh_power(sol.beamformers) <= 1.0 + 1e-6)
         assert np.all(sol.rates >= sol.floors - 1e-6)
         assert np.all(sol.rates >= sol.floors * (1.0 - 1e-9))
 
@@ -142,13 +141,12 @@ class TestJointEnergyMinimization:
             sol.energy.total_transmit, rel=1e-9)
 
     def test_mse_state_invariant(self, joint_seed42):
-        config, _, channels, sol = joint_seed42
+        _, _, channels, sol = joint_seed42
         state = sol.mse_state
         assert np.all(state.weights >= 0.0)
-        for i in range(config.num_ue):
-            assert 0.0 < state.mse[i] <= 1.0
-            s = sinr(i, channels, sol.ran.beamformers)
-            assert 1.0 / state.mse[i] == pytest.approx(1.0 + s, rel=1e-9)
+        assert np.all((0.0 < state.mse) & (state.mse <= 1.0))
+        s = sinr(channels, sol.ran.beamformers)
+        assert 1.0 / state.mse == pytest.approx(1.0 + s, rel=1e-9)
 
     def test_constraint_replay(self, joint_seed42):
         config, tasks, channels, sol = joint_seed42

@@ -67,11 +67,11 @@ class TestBeamformerLayout:
         # The builder reads the same layout: the body of UE i's power
         # epigraph block is 2 * (Re v_i, Im v_i), one block per served UE.
         slack = problem.cone_rhs - problem.cone_lhs @ x
+        powers = ue_power(BeamformerSet(got))
         start = 0
         for i, (_, dim) in zip((0, 2), problem.cones):
             body = slack[start + 1:start + dim - 1]
-            assert np.sum((body / 2.0) ** 2) == pytest.approx(
-                ue_power(i, BeamformerSet(got)), rel=1e-12)
+            assert np.sum((body / 2.0) ** 2) == pytest.approx(powers[i], rel=1e-12)
             start += dim
 
 

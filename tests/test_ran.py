@@ -13,7 +13,9 @@ from cranopt.ran import (
     rate,
     rrh_power,
     sinr,
+    surrogate_fronthaul_load,
     total_energy,
+    ue_power,
 )
 from cranopt.scenario import ChannelState, Task, default_config, generate_channels
 
@@ -31,11 +33,11 @@ def bf(array):
 class TestSinrRate:
     def test_single_user_no_interference(self):
         ch = single_link()
-        assert sinr(0, ch, bf([[[1.0]]])) == pytest.approx(10.0)
+        assert sinr(ch, bf([[[1.0]]]))[0] == pytest.approx(10.0)
 
     def test_zero_beamformers(self):
         ch = single_link()
-        assert sinr(0, ch, bf([[[0.0]]])) == 0.0
+        assert sinr(ch, bf([[[0.0]]]))[0] == 0.0
 
     def test_two_user_symmetric(self):
         # h_1 = h_2 = e_1, v_1 = v_2 = 0.5 e_1, sigma^2 = 0.25: 0.25/(0.25+0.25).
@@ -44,17 +46,17 @@ class TestSinrRate:
         vecs = np.zeros((2, 1, 2), dtype=complex)
         vecs[0, 0, 0] = vecs[1, 0, 0] = 0.5
         ch = ChannelState(gains=gains, noise_power=np.array([0.25, 0.25]))
-        assert sinr(0, ch, bf(vecs)) == pytest.approx(0.5)
+        assert sinr(ch, bf(vecs)) == pytest.approx([0.5, 0.5])
 
     def test_rate_values(self):
         ch = single_link(h=1.0, sigma2=1.0)
-        assert rate(0, ch, bf([[[1.0]]]), bandwidth=1e7) == pytest.approx(1e7)
-        assert rate(0, ch, bf([[[0.0]]]), bandwidth=1e7) == 0.0
+        assert rate(ch, bf([[[1.0]]]), bandwidth=1e7)[0] == pytest.approx(1e7)
+        assert rate(ch, bf([[[0.0]]]), bandwidth=1e7)[0] == 0.0
         ch10 = single_link(h=1.0, sigma2=0.1)
         expect = 1e7 * math.log2(11.0)
-        assert rate(0, ch10, bf([[[1.0]]]), bandwidth=1e7) == pytest.approx(expect)
+        assert rate(ch10, bf([[[1.0]]]), bandwidth=[1e7])[0] == pytest.approx(expect)
         with pytest.raises(ValueError):
-            rate(0, ch, bf([[[1.0]]]), bandwidth=0.0)
+            rate(ch, bf([[[1.0]]]), bandwidth=0.0)
 
     def test_scale_consistency(self):
         rng = np.random.default_rng(3)
@@ -64,9 +66,8 @@ class TestSinrRate:
         alpha = 1.7
         base = ChannelState(gains=gains, noise_power=noise)
         scaled = ChannelState(gains=gains.copy(), noise_power=noise * alpha ** 2)
-        for i in range(3):
-            assert sinr(i, scaled, bf(alpha * vecs)) == pytest.approx(
-                sinr(i, base, bf(vecs)), rel=1e-12)
+        assert sinr(scaled, bf(alpha * vecs)) == pytest.approx(
+            sinr(base, bf(vecs)), rel=1e-12)
 
 
 class TestCostsAndLoads:
@@ -82,12 +83,12 @@ class TestCostsAndLoads:
 
     def test_rrh_power(self):
         zero = bf(np.zeros((2, 1, 2)))
-        assert rrh_power(0, zero) == 0.0
+        assert rrh_power(zero)[0] == 0.0
         vecs = np.zeros((2, 1, 2), dtype=complex)
         vecs[0, 0] = [1.0, 0.0]
         vecs[1, 0] = [0.0, 1.0]
-        assert rrh_power(0, bf(vecs)) == pytest.approx(2.0)
-        assert rrh_power(0, bf([[[0.6, 0.8]]])) == pytest.approx(1.0)
+        assert rrh_power(bf(vecs))[0] == pytest.approx(2.0)
+        assert rrh_power(bf([[[0.6, 0.8]]]))[0] == pytest.approx(1.0)
 
     def test_fronthaul_weights(self):
         assert fronthaul_weights(bf([[[0.0]]]), 1e-10)[0, 0] == pytest.approx(1e10)
@@ -109,19 +110,18 @@ class TestCostsAndLoads:
     def test_fronthaul_load_l0(self):
         vecs = np.zeros((2, 1, 1), dtype=complex)
         vecs[1, 0, 0] = 0.5
-        load = fronthaul_load(0, bf(vecs), [1e6, 2e6], mode="l0")
-        assert load == pytest.approx(2e6)
+        load = fronthaul_load(bf(vecs), [1e6, 2e6])
+        assert load[0] == pytest.approx(2e6)
 
     def test_fronthaul_load_weighted(self):
         zero = bf(np.zeros((2, 1, 1)))
         rho = fronthaul_weights(zero, 1e-10)
-        assert fronthaul_load(0, zero, [1e6, 2e6], mode="weighted",
-                              weights=rho) == 0.0
+        assert surrogate_fronthaul_load(zero, [1e6, 2e6], rho)[0] == 0.0
         # ||v||^2 = 1 >> eps: weighted load approaches the plain rate sum.
         ones = bf(np.ones((2, 1, 1)))
         rho = fronthaul_weights(ones, 1e-10)
-        load = fronthaul_load(0, ones, [1e6, 2e6], mode="weighted", weights=rho)
-        assert load == pytest.approx(3e6, rel=1e-6)
+        load = surrogate_fronthaul_load(ones, [1e6, 2e6], rho)
+        assert load[0] == pytest.approx(3e6, rel=1e-6)
 
     def test_l0_and_weighted_agree_for_clean_sparsity(self):
         rng = np.random.default_rng(11)
@@ -137,11 +137,61 @@ class TestCostsAndLoads:
             rates = rng.uniform(1e5, 1e6, 3)
             beams = bf(vecs)
             rho = fronthaul_weights(beams, eps)
-            for j in range(2):
-                l0 = fronthaul_load(j, beams, rates, mode="l0")
-                weighted = fronthaul_load(j, beams, rates, mode="weighted",
-                                          weights=rho)
-                assert weighted == pytest.approx(l0, rel=2e-6, abs=1e-6)
+            l0 = fronthaul_load(beams, rates)
+            weighted = surrogate_fronthaul_load(beams, rates, rho)
+            assert weighted == pytest.approx(l0, rel=2e-6, abs=1e-6)
+
+
+def accounting_instances():
+    """Random cells with L*K and N*K above 8 and some all-zero blocks."""
+    rng = np.random.default_rng(23)
+    for n, l, k in ((3, 2, 2), (5, 4, 2), (8, 8, 2), (6, 3, 4), (10, 4, 2)):
+        for _ in range(4):
+            gains = rng.standard_normal((n, l, k)) + 1j * rng.standard_normal((n, l, k))
+            vecs = rng.standard_normal((n, l, k)) + 1j * rng.standard_normal((n, l, k))
+            vecs[rng.random((n, l)) < 0.3] = 0.0
+            noise = rng.uniform(0.1, 2.0, n)
+            yield ChannelState(gains=gains, noise_power=noise), bf(vecs), rng
+
+
+class TestWholeArrayAccounting:
+    """Each whole-array function against its per-UE or per-RRH formula."""
+
+    def test_rates_and_powers_match_per_index_formulas(self):
+        for ch, beams, rng in accounting_instances():
+            h, v = ch.gains, beams.vectors
+            n, l, _ = v.shape
+            bandwidth = rng.uniform(1e6, 2e7, n)
+            expect_sinr = np.empty(n)
+            for i in range(n):
+                amps = np.array([np.sum(np.conj(h[i]) * v[s]) for s in range(n)])
+                power = np.abs(amps) ** 2
+                interference = np.sum(power) - power[i]
+                expect_sinr[i] = power[i] / (interference + ch.noise_power[i])
+            expect_rate = [bandwidth[i] * np.log2(1.0 + expect_sinr[i]) for i in range(n)]
+            assert np.array_equal(sinr(ch, beams), expect_sinr)
+            assert np.array_equal(rate(ch, beams, bandwidth), expect_rate)
+            assert np.array_equal(ue_power(beams),
+                                  [float(np.sum(np.abs(v[i]) ** 2)) for i in range(n)])
+            assert np.array_equal(rrh_power(beams),
+                                  [float(np.sum(np.abs(v[:, j, :]) ** 2)) for j in range(l)])
+
+    def test_loads_match_per_rrh_formulas(self):
+        for _, beams, rng in accounting_instances():
+            v = beams.vectors
+            n, l, k = v.shape
+            sq = [np.sum(np.abs(v[:, j, :]) ** 2, axis=-1) for j in range(l)]
+            rates = rng.uniform(1e5, 1e7, n)
+            per_rrh = rng.uniform(0.0, 2.0 * k, l)
+            for threshold in (0.0, per_rrh):
+                cut = np.broadcast_to(threshold, (l,))
+                expect = [np.sum(rates * (sq[j] > cut[j])) for j in range(l)]
+                assert fronthaul_load(beams, rates, threshold) == pytest.approx(
+                    expect, rel=1e-12, abs=0.0)
+            rho = fronthaul_weights(beams, 1e-10)
+            expect = [np.sum(rho[:, j] * sq[j] * rates) for j in range(l)]
+            assert surrogate_fronthaul_load(beams, rates, rho) == pytest.approx(
+                expect, rel=1e-12, abs=0.0)
 
 
 class TestMinRate:
@@ -208,15 +258,13 @@ class TestPhaseInvariance:
         phases = np.exp(1j * rng.uniform(0, 2 * np.pi, 5))
         rotated = vecs * phases[:, None, None]
         a, b = bf(vecs), bf(rotated)
-        rates_a = [rate(i, ch, a, bandwidth=1e7) for i in range(5)]
-        rates_b = [rate(i, ch, b, bandwidth=1e7) for i in range(5)]
-        for i in range(5):
-            assert sinr(i, ch, b) == pytest.approx(sinr(i, ch, a), rel=1e-12)
-            assert rates_b[i] == pytest.approx(rates_a[i], rel=1e-12)
-        for j in range(4):
-            assert rrh_power(j, b) == pytest.approx(rrh_power(j, a), rel=1e-12)
-            assert fronthaul_load(j, b, rates_b, mode="l0") == pytest.approx(
-                fronthaul_load(j, a, rates_a, mode="l0"), rel=1e-12)
+        rates_a = rate(ch, a, bandwidth=1e7)
+        rates_b = rate(ch, b, bandwidth=1e7)
+        assert sinr(ch, b) == pytest.approx(sinr(ch, a), rel=1e-12)
+        assert rates_b == pytest.approx(rates_a, rel=1e-12)
+        assert rrh_power(b) == pytest.approx(rrh_power(a), rel=1e-12)
+        assert fronthaul_load(b, rates_b) == pytest.approx(
+            fronthaul_load(a, rates_a), rel=1e-12)
         cloud = np.ones(5)
         ea = total_energy(config, tasks, cloud, a, rates_a)
         eb = total_energy(config, tasks, cloud, b, rates_b)
@@ -238,7 +286,7 @@ class TestSocEquivalence:
             beams = bf(vecs)
             bandwidth = 1e7
             i = int(rng.integers(0, n))
-            achieved = rate(i, ch, beams, bandwidth=bandwidth)
+            achieved = rate(ch, beams, bandwidth=bandwidth)[i]
             floor = achieved * rng.uniform(0.5, 1.5)
             if abs(achieved - floor) < 1e-9 * floor:
                 continue

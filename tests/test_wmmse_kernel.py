@@ -31,46 +31,41 @@ class TestMmseReceiver:
                           noise_power=np.array([1.0]))
         u = mmse_receiver(ch, BeamformerSet(np.array([[[3.0]]], dtype=complex)))
         assert abs(u[0]) == pytest.approx(0.3)
-        assert mse(0, u[0], ch, BeamformerSet(np.array([[[3.0]]], dtype=complex))) \
-            == pytest.approx(0.1)
+        assert mse(ch, np.array([[[3.0]]], dtype=complex), u)[0] == pytest.approx(0.1)
 
     def test_local_optimality_probe(self):
         rng = np.random.default_rng(3)
         ch, beams = random_instance(rng)
         receivers = mmse_receiver(ch, beams)
+        base = mse(ch, beams.vectors, receivers)
         for i in range(3):
-            base = mse(i, receivers[i], ch, beams)
             for _ in range(100):
-                delta = 1e-3 * (rng.standard_normal() + 1j * rng.standard_normal())
-                perturbed = mse(i, receivers[i] + delta, ch, beams)
-                assert perturbed >= base - 1e-12
+                moved = receivers.copy()
+                moved[i] += 1e-3 * (rng.standard_normal() + 1j * rng.standard_normal())
+                perturbed = mse(ch, beams.vectors, moved)[i]
+                assert perturbed >= base[i] - 1e-12
 
 
 class TestMseIdentities:
     def test_zero_receiver(self):
         rng = np.random.default_rng(4)
         ch, beams = random_instance(rng)
-        for i in range(3):
-            assert mse(i, 0.0, ch, beams) == pytest.approx(1.0)
+        assert mse(ch, beams.vectors, np.zeros(3)) == pytest.approx(np.ones(3))
 
     def test_inverse_mse_is_one_plus_sinr(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             ch, beams = random_instance(rng)
-            receivers = mmse_receiver(ch, beams)
-            for i in range(3):
-                e = mse(i, receivers[i], ch, beams)
-                assert 1.0 / e == pytest.approx(1.0 + sinr(i, ch, beams), rel=1e-9)
+            e = mse(ch, beams.vectors, mmse_receiver(ch, beams))
+            assert 1.0 / e == pytest.approx(1.0 + sinr(ch, beams), rel=1e-9)
 
     def test_rate_mse_identity(self):
         rng = np.random.default_rng(6)
         ch, beams = random_instance(rng)
-        receivers = mmse_receiver(ch, beams)
-        for i in range(3):
-            e = mse(i, receivers[i], ch, beams)
-            rate_via_mse = 1e7 * math.log2(1.0 / e)
-            rate_direct = 1e7 * math.log2(1.0 + sinr(i, ch, beams))
-            assert rate_via_mse == pytest.approx(rate_direct, rel=1e-9)
+        e = mse(ch, beams.vectors, mmse_receiver(ch, beams))
+        rate_via_mse = 1e7 * np.log2(1.0 / e)
+        rate_direct = 1e7 * np.log2(1.0 + sinr(ch, beams))
+        assert rate_via_mse == pytest.approx(rate_direct, rel=1e-9)
 
 
 def tau_reference(e, task, bandwidth, kappa, nu, cap):

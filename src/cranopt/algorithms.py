@@ -328,6 +328,7 @@ def ran_power_minimization(config: SystemConfig, tasks: list[Task],
 
     v = _initial_beamformers(config, channels, support)
     powers = ran.ue_power(BeamformerSet(v))
+    bound = _cs_rate_bound(config, channels, powers, support)
     rho = frozen = None
     metric_prev = None
     trace = []
@@ -335,7 +336,7 @@ def ran_power_minimization(config: SystemConfig, tasks: list[Task],
     bits = np.array([t.result_bits for t in tasks])
 
     for it in range(1, max_iterations + 1):
-        bound = _cs_rate_bound(config, channels, powers, support)
+        # `bound` holds the rate bound at the current v and support.
         weights = np.where(floors > 0, _safe_div(bits, bound), 0.0)
         problem = build_power_min_socp(
             channels, floors, config.bandwidth, config.rrh_power_limit,
@@ -365,9 +366,8 @@ def ran_power_minimization(config: SystemConfig, tasks: list[Task],
         metric_prev = metric
 
     bf, rates, powers, clusters = _refit_on_support(
-        config, channels, BeamformerSet(v), floors, np.where(floors > 0, 1.0, 0.0)
-        * _safe_div(bits, _cs_rate_bound(config, channels, powers, support)),
-        support)
+        config, channels, BeamformerSet(v), floors,
+        np.where(floors > 0, 1.0, 0.0) * _safe_div(bits, bound), support)
     return RanSolution(bf, rates, clusters, powers, floors, trace,
                        status if converged else "max_iterations",
                        it, converged)
@@ -458,8 +458,9 @@ def joint_energy_minimization(config: SystemConfig, tasks: list[Task],
     from the cloud-utility gradient, (3) transmit beamformers by a conic
     step under rate floors / per-RRH power / fronthaul surrogate, then
     refresh rates, fronthaul weights and the energy bookkeeping; stop when
-    the total energy settles.  On exit clone speeds are recovered from the
-    final rates, making the deadline exactly tight per UE.
+    the total energy settles with no clone at its cap.  On exit clone speeds
+    are recovered from the final rates, making the deadline exactly tight
+    per UE.
     """
     n, l = config.num_ue, config.num_rrh
     kappa = np.asarray(config.switched_capacitance)
@@ -491,6 +492,8 @@ def joint_energy_minimization(config: SystemConfig, tasks: list[Task],
                              energy, [energy.total], [], "optimal", 0, True)
 
     v = _initial_beamformers(config, channels, support)
+    bf = BeamformerSet(v)
+    rates, powers = ran.rate(channels, bf, bw), ran.ue_power(bf)
     rho = frozen = None
     u = None
     energy_prev = None
@@ -504,8 +507,7 @@ def joint_energy_minimization(config: SystemConfig, tasks: list[Task],
         return float(np.sum(taus) + weights @ powers)
 
     for it in range(1, max_iterations + 1):
-        bf = BeamformerSet(v)
-        rates_prev, powers = ran.rate(channels, bf, bw), ran.ue_power(bf)
+        # bf, rates and powers hold the current v, measured when it was set.
         bound = _cs_rate_bound(config, channels, powers, support)
         weights = np.where(bits > 0, eta * _safe_div(bits, bound), 0.0)
 
@@ -528,7 +530,7 @@ def joint_energy_minimization(config: SystemConfig, tasks: list[Task],
             fronthaul_limits=config.fronthaul_limit, support=support)
         report = solve(problem, **SOLVE_KW)
         if not report.optimal:
-            ransol = RanSolution(BeamformerSet(v), rates_prev,
+            ransol = RanSolution(bf, rates,
                                  tuple(frozenset() for _ in range(n)), powers,
                                  floors, [], report.status, it, False,
                                  f"conic step failed: {report.message or report.status}")
@@ -554,9 +556,14 @@ def joint_energy_minimization(config: SystemConfig, tasks: list[Task],
         total = float(np.sum(cloud_e + eta * tx_e))
         energy_trace.append(total)
         if total < best_total and _iterate_feasible(config, bf, rates, floors):
-            best_total, best_state = total, (v.copy(), support.copy())
-        if energy_prev is not None and abs(total - energy_prev) <= CONV_REL_TOL * max(
-                energy_prev, 1e-30):
+            best_total, best_state = total, (v.copy(), support.copy(), powers)
+        # A clone at its cap (its UE held at the rate floor) costs the most
+        # cloud energy, ~15,000 J in the stock cell; a tolerance relative to
+        # such a total absorbs the other UEs' whole energy, or a swap of which
+        # UEs sit at their floors, so the round does not count as settled.
+        pinned = np.any((bits > 0) & (speeds >= fmax * (1.0 - CONV_REL_TOL)))
+        if energy_prev is not None and not pinned and abs(
+                total - energy_prev) <= CONV_REL_TOL * max(energy_prev, 1e-30):
             status, converged = "optimal", True
             break
         energy_prev = total
@@ -564,8 +571,7 @@ def joint_energy_minimization(config: SystemConfig, tasks: list[Task],
     if best_state is not None:
         # Under a binding fronthaul budget the loop can orbit the optimum;
         # return the best load-feasible visit rather than the last.
-        v, support = best_state
-        powers = ran.ue_power(BeamformerSet(v))
+        v, support, powers = best_state
     bf, rates, powers, clusters = _refit_on_support(
         config, channels, BeamformerSet(v), floors,
         np.where(bits > 0, eta * _safe_div(bits, _cs_rate_bound(

@@ -1,21 +1,19 @@
 """Builders that write beamforming subproblems straight into conic form.
 
-Each builder fills ``c, G, h, A, b`` and the cone list of a `ConicProblem`
-from the channel arrays.  The columns of x are, in order:
+Each builder fills ``c, P, G, h, A, b`` and the cone list of a
+`ConicProblem` from the channel arrays.  x is the beamformer block and
+nothing else: one complex K-vector v[i, j] per supported (UE i, RRH j) pair,
+in row-major order of the (N, L) `support` mask, each stored as its K real
+parts followed by its K imaginary parts, so ``x.size == 2 * K *
+support.sum()`` (`extract_beamformers` scatters x back).
 
-* the beamformer block ``x[:2 * K * support.sum()]``: one complex K-vector
-  v[i, j] per supported (UE i, RRH j) pair, in row-major order of the
-  (N, L) `support` mask, each stored as its K real parts followed by its K
-  imaginary parts (`extract_beamformers` scatters the block back);
-* one epigraph t_i >= ||v_i||^2 per UE with a supported pair, in UE order;
-* in the WMMSE step only, one epigraph of the receive-MSE quadratic per
-  such UE whose MSE weight is nonzero, in UE order.
-
-Under this embedding squared norms, ``Re(h^H v)`` and ``Im(h^H v)`` are
-exact linear/quadratic images.  All channel rows are normalized by the
-per-UE noise standard deviation before entering the matrices, which keeps
-coefficient magnitudes near unity.  Every cone block is a second-order cone
-written first as its slack s = E x + f, then stored as G = -E, h = f.
+Under this embedding squared norms are quadratic forms in x and
+``Re(h^H v)``, ``Im(h^H v)`` are linear ones, so transmit power and receive
+MSE go straight into the objective (1/2) x'P x + c'x.  All channel rows are
+normalized by the per-UE noise standard deviation before entering the
+matrices, which keeps coefficient magnitudes near unity.  Every cone block
+is a second-order cone written first as its slack s = E x + f, then stored
+as G = -E, h = f.
 """
 
 from __future__ import annotations
@@ -56,17 +54,11 @@ def _selector(nv, columns, values=1.0):
     return rows
 
 
-def _quad_le(entries, bound, bound_const=0.0):
-    """sum((entries x)^2) <= bound x + bound_const as one SOC block.
-
-    Uses ||(2 entries x, b - 1)|| <= b + 1 with b = bound x + bound_const;
-    returns the block's slack (E, f).
-    """
-    rows = np.vstack([bound, 2.0 * entries, bound])
-    consts = np.zeros(rows.shape[0])
-    consts[0] = bound_const + 1.0
-    consts[-1] = bound_const - 1.0
-    return rows, consts
+def _norm_le(entries, bound):
+    """||entries x|| <= bound as one SOC block; returns its slack (E, f)."""
+    consts = np.zeros(1 + entries.shape[0])
+    consts[0] = bound
+    return np.vstack([np.zeros(entries.shape[1]), entries]), consts
 
 
 def _combined_rows(channels, ue, stream, cols, nv):
@@ -84,16 +76,9 @@ def _combined_rows(channels, ue, stream, cols, nv):
     return re, im
 
 
-def _ue_power_epigraphs(nv, first, cols, support, k):
-    """t_i >= ||v_i||^2 per served UE, t_i in columns first, first + 1, ..."""
-    blocks = []
-    t = first
-    for i in range(support.shape[0]):
-        if support[i].any():
-            entries = _selector(nv, _block_columns(cols[i, support[i]], k))
-            blocks.append(_quad_le(entries, _selector(nv, [t])[0]))
-            t += 1
-    return blocks
+def _power_quadratic(weights, support, k):
+    """P of sum_i w_i ||v_i||^2 = (1/2) x'P x: 2 w_i on each of UE i's reals."""
+    return np.diag(2.0 * np.repeat(weights[np.nonzero(support)[0]], 2 * k))
 
 
 def _rrh_power(nv, cols, support, k, power_limits):
@@ -102,9 +87,7 @@ def _rrh_power(nv, cols, support, k, power_limits):
     for j in range(support.shape[1]):
         if support[:, j].any():
             entries = _selector(nv, _block_columns(cols[support[:, j], j], k))
-            consts = np.zeros(1 + entries.shape[0])
-            consts[0] = float(np.sqrt(power_limits[j]))
-            blocks.append((np.vstack([np.zeros(nv), entries]), consts))
+            blocks.append(_norm_le(entries, float(np.sqrt(power_limits[j]))))
     return blocks
 
 
@@ -140,8 +123,8 @@ def _rate_socs(rate_floors, bandwidths, ue_rows, nv):
 def _fronthaul(nv, cols, support, k, rho, frozen_rates, fronthaul_limits):
     """sum_i rho_ij * r_i * ||v_ij||^2 <= C_j, one SOC per RRH with active rows.
 
-    Rows are normalized by C_j so coefficients stay near unity regardless of
-    the rate scale.
+    Each is ||E x|| <= 1 with E holding sqrt(rho_ij r_i / C_j): the division
+    by C_j keeps coefficients near unity regardless of the rate scale.
     """
     if rho is None:
         return []
@@ -157,15 +140,16 @@ def _fronthaul(nv, cols, support, k, rho, frozen_rates, fronthaul_limits):
         if starts:
             entries = _selector(nv, _block_columns(starts, k),
                                 np.repeat(roots, 2 * k))
-            blocks.append(_quad_le(entries, np.zeros(nv), 1.0))
+            blocks.append(_norm_le(entries, 1.0))
     return blocks
 
 
-def _problem(c, blocks, eq_rows, obj_const) -> ConicProblem:
+def _problem(c, quad, blocks, eq_rows, obj_const) -> ConicProblem:
     """Stack SOC blocks (E, f), slack s = E x + f, into a ConicProblem."""
     empty = np.zeros((0, c.shape[0]))
     return ConicProblem(
         c=c,
+        P=quad,
         cone_lhs=-np.vstack([empty, *(rows for rows, _ in blocks)]),
         cone_rhs=np.concatenate([np.zeros(0), *(consts for _, consts in blocks)]),
         eq_lhs=np.vstack([empty, *eq_rows]),
@@ -188,21 +172,16 @@ def build_power_min_socp(channels, rate_floors, bandwidths, power_limits,
     support = _active_pairs(n, l, support)
     bandwidths = np.asarray(bandwidths, dtype=float)
     w = np.ones(n) if objective_weights is None else np.asarray(objective_weights, float)
-    served = support.any(axis=1)
-    nb = 2 * k * int(support.sum())
-    nv = nb + int(served.sum())
+    nv = 2 * k * int(support.sum())
     cols = _pair_columns(support, k)
 
-    c = np.zeros(nv)
-    c[nb:] += w[served]
-    blocks = _ue_power_epigraphs(nv, nb, cols, support, k)
-    blocks += _rrh_power(nv, cols, support, k, power_limits)
-    floored = served & (np.asarray(rate_floors, dtype=float) > 0)
+    blocks = _rrh_power(nv, cols, support, k, power_limits)
+    floored = support.any(axis=1) & (np.asarray(rate_floors, dtype=float) > 0)
     rate_blocks, eq_rows = _rate_socs(rate_floors, bandwidths,
                                       _stream_rows(channels, floored, cols, nv), nv)
     blocks += rate_blocks
     blocks += _fronthaul(nv, cols, support, k, rho, frozen_rates, fronthaul_limits)
-    return _problem(c, blocks, eq_rows, 0.0)
+    return _problem(np.zeros(nv), _power_quadratic(w, support, k), blocks, eq_rows, 0.0)
 
 
 def build_wmmse_step_socp(channels, mse_weights, receivers, objective_weights,
@@ -213,7 +192,8 @@ def build_wmmse_step_socp(channels, mse_weights, receivers, objective_weights,
 
     minimize sum_i phi_i e_i(v) + w_i ||v_i||^2 for fixed receivers u and
     MSE weights phi, where e_i is the receive MSE expanded as a convex
-    quadratic in v; constraints are the same power/fronthaul set plus the
+    quadratic in v (its quadratic part in P, linear part in c, constant in
+    obj_const); constraints are the same power/fronthaul set plus the
     deadline-derived rate floors.
     """
     n, l, k = channels.gains.shape
@@ -223,9 +203,7 @@ def build_wmmse_step_socp(channels, mse_weights, receivers, objective_weights,
     w = np.asarray(objective_weights, dtype=float)
     served = support.any(axis=1)
     active = served & (phi != 0.0)
-    nb = 2 * k * int(support.sum())
-    first_mse = nb + int(served.sum())
-    nv = first_mse + int(active.sum())
+    nv = 2 * k * int(support.sum())
     cols = _pair_columns(support, k)
     if rate_floors is None:
         rate_floors = np.zeros(n)
@@ -235,11 +213,9 @@ def build_wmmse_step_socp(channels, mse_weights, receivers, objective_weights,
     ue_rows = _stream_rows(channels, active | floored, cols, nv)
 
     c = np.zeros(nv)
-    c[nb:first_mse] += w[served]
-    blocks = _ue_power_epigraphs(nv, nb, cols, support, k)
+    quad = _power_quadratic(w, support, k)
     const = 0.0
     sigma = np.sqrt(np.asarray(channels.noise_power, dtype=float))
-    t = first_mse
     for i in range(n):
         if not active[i]:
             if phi[i] > 0.0:
@@ -249,28 +225,26 @@ def build_wmmse_step_socp(channels, mse_weights, receivers, objective_weights,
         ut = sigma[i] * u[i]
         rows = ue_rows[i]
         entries = np.vstack([row for pair in rows for row in pair])
-        blocks.append(_quad_le(entries, _selector(nv, [t])[0]))
+        quad += (2.0 * phi[i] * abs(ut) ** 2) * (entries.T @ entries)
         re_own, im_own = rows[i]
-        c[t] += phi[i] * abs(ut) ** 2
         c -= (2.0 * phi[i]) * (ut.real * re_own + ut.imag * im_own)
         const += phi[i] * (abs(ut) ** 2 + 1.0)
-        t += 1
 
-    blocks += _rrh_power(nv, cols, support, k, power_limits)
+    blocks = _rrh_power(nv, cols, support, k, power_limits)
     rate_blocks, eq_rows = _rate_socs(rate_floors, bandwidths, ue_rows, nv)
     blocks += rate_blocks
     blocks += _fronthaul(nv, cols, support, k, rho, frozen_rates, fronthaul_limits)
-    return _problem(c, blocks, eq_rows, float(const))
+    return _problem(c, quad, blocks, eq_rows, float(const))
 
 
 def extract_beamformers(x, support, antennas) -> np.ndarray:
-    """Scatter the beamformer block of a solution x into an (N, L, K) array.
+    """Scatter a solution x into an (N, L, K) beamformer array.
 
     `support` is the (N, L) mask the problem was built with; pairs off it
     come back as exact zeros.
     """
     support = np.asarray(support, dtype=bool)
-    block = x[:2 * antennas * int(support.sum())].reshape(-1, 2, antennas)
+    block = x.reshape(-1, 2, antennas)
     v = np.zeros(support.shape + (antennas,), dtype=complex)
     v[support] = block[:, 0] + 1j * block[:, 1]
     return v

@@ -2,22 +2,28 @@
 
 Problem form:
 
-    minimize    c'x
+    minimize    (1/2) x'P x + c'x
     subject to  A x = b                      (equality rows)
                 G x + s = h,   s in K        (cone rows)
 
-where K is an ordered product of nonnegative-orthant blocks and second-order
-cone blocks partitioning the slack vector s.  The solver runs Nesterov-Todd
-scaled predictor-corrector steps on the homogeneous self-dual embedding, so
+where P is symmetric positive semidefinite (zero for an LP or SOCP) and K is
+an ordered product of nonnegative-orthant blocks and second-order cone
+blocks partitioning the slack vector s.  The solver runs Nesterov-Todd
+scaled predictor-corrector steps on the homogeneous self-dual embedding of
+this quadratic cone program (as in Clarabel, Goulart & Chen 2024), so
 primal/dual infeasibility is certified rather than inferred from stalling.
+An optimal answer is then polished by Newton's method on the KKT system of
+its active cone blocks, which the interior-point iterate only approaches as
+the square root of its duality gap.
 
 The solver knows variables only by position: a `ConicProblem` holds the
 arrays above and no names, and `SolveReport.x` comes back in the caller's
 column order.
 
-Data is Ruiz-equilibrated before solving; all reported residuals and the
-duality gap refer to the normalized problem, while objective values are
-translated back to the caller's units.
+Data is Ruiz-equilibrated before solving; the reported residuals and
+duality gap are those of the returned answer (the polished point, else the
+last interior-point iterate) on the normalized problem, while objective
+values are in the caller's units.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ __all__ = ["ConicProblem", "SolveReport", "SolverError", "solve"]
 PRESOLVE_TOL = 1e-10   # dependent equality rows dropped below this
 STEP_BACKOFF = 0.99
 REG = 1e-9             # static KKT regularization (undone by refinement)
+POLISH_STEPS = 8       # Newton steps before a polish is given up
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_UNBOUNDED = "unbounded"
@@ -55,6 +62,7 @@ class ConicProblem:
     """
 
     c: np.ndarray
+    P: np.ndarray          # (n, n), symmetric PSD
     cone_lhs: np.ndarray   # G, (m, n)
     cone_rhs: np.ndarray   # h, (m,)
     eq_lhs: np.ndarray     # A, (p, n)
@@ -65,6 +73,8 @@ class ConicProblem:
     def __post_init__(self):
         n = self.c.shape[0]
         m, p = self.cone_lhs.shape[0], self.eq_lhs.shape[0]
+        if self.P.shape != (n, n):
+            raise SolverError("quadratic term shape mismatch")
         if self.cone_lhs.shape != (m, n) or self.cone_rhs.shape != (m,):
             raise SolverError("cone system shape mismatch")
         if self.eq_lhs.shape != (p, n) or self.eq_rhs.shape != (p,):
@@ -200,17 +210,9 @@ def _jordan_solve(lam, d, cones):
 class _Scaling:
     """Nesterov-Todd scaling W per cone block: W z = W^{-1} s = lambda."""
 
-    def __init__(self, s, z, cones, identity=False):
+    def __init__(self, s, z, cones):
         self.blocks = []
         for kind, sl in _cone_slices(cones):
-            if identity:
-                if kind == "nonneg":
-                    self.blocks.append((kind, sl, np.ones(sl.stop - sl.start)))
-                else:
-                    wb = np.zeros(sl.stop - sl.start)
-                    wb[0] = 1.0
-                    self.blocks.append((kind, sl, (1.0, wb)))
-                continue
             sb_, zb_ = s[sl], z[sl]
             if kind == "nonneg":
                 self.blocks.append((kind, sl, np.sqrt(sb_ / zb_)))
@@ -285,14 +287,19 @@ class _Scaling:
 # Equilibration and presolve.
 
 
-def _ruiz_equilibrate(c, G, h, A, b, cones, iters=8):
-    """Row/column scaling; SOC row blocks share one scale to keep cone shape."""
+def _ruiz_equilibrate(c, P, G, h, A, b, cones, iters=8):
+    """Row/column scaling; SOC row blocks share one scale to keep cone shape.
+
+    The column scaling D, taken over the columns of P, A and G, scales the
+    objective to D P D and D c; one cost scale then brings both to at most
+    unit size.
+    """
     p, n = A.shape
     m = G.shape[0]
     dr_a = np.ones(p)
     dr_g = np.ones(m)
     dc = np.ones(n)
-    As, Gs = A.copy(), G.copy()
+    Ps, As, Gs = P.copy(), A.copy(), G.copy()
     slices = _cone_slices(cones)
     for _ in range(iters):
         ra = np.maximum(np.sqrt(np.abs(As).max(axis=1)), 1e-8)
@@ -305,14 +312,15 @@ def _ruiz_equilibrate(c, G, h, A, b, cones, iters=8):
         dr_a /= ra
         Gs /= rg[:, None]
         dr_g /= rg
-        cnorm = np.sqrt(np.maximum(np.abs(np.vstack([As, Gs])).max(axis=0), 1e-16))
+        cnorm = np.sqrt(np.maximum(np.abs(np.vstack([Ps, As, Gs])).max(axis=0), 1e-16))
         cnorm = np.maximum(cnorm, 1e-8)
+        Ps /= np.outer(cnorm, cnorm)
         As /= cnorm[None, :]
         Gs /= cnorm[None, :]
         dc /= cnorm
     cs = c * dc
-    cost_scale = max(1.0, np.abs(cs).max()) if cs.size else 1.0
-    return (cs / cost_scale, Gs, h * dr_g, As, b * dr_a,
+    cost_scale = max(1.0, np.abs(cs).max(initial=0.0), np.abs(Ps).max(initial=0.0))
+    return (cs / cost_scale, Ps / cost_scale, Gs, h * dr_g, As, b * dr_a,
             dc, dr_a, dr_g, cost_scale)
 
 
@@ -336,13 +344,69 @@ def _presolve_equalities(A, b):
 
 
 # ---------------------------------------------------------------------------
+# Polishing.
+
+
+def _polish(P, c, G, h, A, b, cones, x, y, z, feas_tol):
+    """Newton's method on the KKT system of the blocks active at (x, z).
+
+    An interior-point iterate at duality gap g can sit O(sqrt(g)) from the
+    solution along the boundary of an active cone (the primal and dual
+    blocks are not yet exactly opposite).  Holding each block k whose z_k0
+    exceeds the margin s_k0 - ||s_k1|| of s = h - G x on its boundary, with
+    z_k = nu_k (1, -s_k1 / ||s_k1||), Newton's method on stationarity,
+    A x = b and those boundaries converges to working precision.  Returns
+    the polished (x, y, z), or None when Newton does not settle, a
+    multiplier nu_k falls below -feas_tol (a block held on its boundary
+    with nu_k = 0 is weakly active) or a block leaves its cone.
+    """
+    slack = h - G @ x
+    active = [r for kind, sl in _cone_slices(cones)
+              for r in ([sl] if kind == "soc" else
+                        [slice(i, i + 1) for i in range(sl.start, sl.stop)])
+              if z[r.start] > slack[r.start] - np.linalg.norm(slack[r.start + 1:r.stop])]
+    n, p, q = x.size, y.size, len(active)
+    nu = z[[r.start for r in active]]
+    for step in range(POLISH_STEPS + 1):
+        hess, grads, resid = P.copy(), np.zeros((q, n)), np.zeros(q)
+        zp = np.zeros_like(z)
+        for k, r in enumerate(active):
+            s = h[r] - G[r] @ x
+            norm1 = max(np.linalg.norm(s[1:]), 1e-300)
+            u = np.concatenate([[1.0], -s[1:] / norm1])
+            g1 = G[r][1:]
+            g1u = g1.T @ u[1:]
+            hess += nu[k] * (g1.T @ g1 - np.outer(g1u, g1u)) / norm1
+            grads[k] = u @ G[r]
+            resid[k] = norm1 - s[0]
+            zp[r] = nu[k] * u
+        f = np.concatenate([P @ x + c + A.T @ y + G.T @ zp, A @ x - b, resid])
+        if np.max(np.abs(f)) <= 1e-13:
+            break
+        if step == POLISH_STEPS:
+            return None
+        kkt = np.block([[hess, A.T, grads.T],
+                        [A, np.zeros((p, p + q))],
+                        [grads, np.zeros((q, p + q))]])
+        try:
+            dxyn = np.linalg.solve(kkt, -f)
+        except np.linalg.LinAlgError:
+            return None
+        x, y, nu = x + dxyn[:n], y + dxyn[n:n + p], nu + dxyn[n + p:]
+    if np.all(nu > -feas_tol) and _cone_margin(h - G @ x, cones) > -feas_tol:
+        return x, y, zp
+    return None
+
+
+# ---------------------------------------------------------------------------
 # KKT assembly and solution.
 
 
 class _KktSolver:
-    """Factor [[0 A' G'], [A 0 0], [G 0 -W^2]] with static regularization."""
+    """Factor [[P A' G'], [A 0 0], [G 0 -W^2]] with static regularization."""
 
-    def __init__(self, A, G):
+    def __init__(self, P, A, G):
+        self.P = sp.csr_matrix(P)
         self.A = sp.csr_matrix(A)
         self.G = sp.csr_matrix(G)
         self.n = A.shape[1]
@@ -355,7 +419,7 @@ class _KktSolver:
         for kind, blk in scaling.w2_blocks():
             blocks.append(sp.diags(blk) if kind == "diag" else sp.csc_matrix(blk))
         w2 = sp.block_diag(blocks, format="csc")
-        reg_x = REG * sp.identity(n)
+        reg_x = self.P + REG * sp.identity(n)
         neg_w2 = -(w2 + REG * sp.identity(m))
         k = sp.bmat([
             [reg_x, self.A.T, self.G.T],
@@ -368,7 +432,7 @@ class _KktSolver:
     def _apply_unreg(self, u):
         n, p, m = self.n, self.p, self.m
         x, y, z = u[:n], u[n:n + p], u[n + p:]
-        top = self.A.T @ y + self.G.T @ z
+        top = self.P @ x + self.A.T @ y + self.G.T @ z
         mid = self.A @ x
         bot = self.G @ x - self._scaling.mul_w2(z)
         return np.concatenate([top, mid, bot])
@@ -395,7 +459,7 @@ def solve(problem: ConicProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8,
 def _solve_impl(problem: ConicProblem, gap_tol: float, feas_tol: float,
                 max_iter: int) -> SolveReport:
     cones = problem.cones
-    c0, G0, h0 = problem.c, problem.cone_lhs, problem.cone_rhs
+    c0, P0, G0, h0 = problem.c, problem.P, problem.cone_lhs, problem.cone_rhs
     A0, b0 = problem.eq_lhs, problem.eq_rhs
 
     A0, b0, dropped, inconsistent = _presolve_equalities(A0, b0)
@@ -404,8 +468,8 @@ def _solve_impl(problem: ConicProblem, gap_tol: float, feas_tol: float,
                        message="equality system inconsistent at presolve tolerance",
                        iterations=0)
 
-    c, G, h, A, b, dc, dra, drg, cost_scale = _ruiz_equilibrate(
-        c0, G0, h0, A0, b0, cones)
+    c, P, G, h, A, b, dc, dra, drg, cost_scale = _ruiz_equilibrate(
+        c0, P0, G0, h0, A0, b0, cones)
     n, p, m = c.shape[0], A.shape[0], G.shape[0]
     e = _identity_element(cones, m)
     deg = _cone_degree(cones)
@@ -413,10 +477,10 @@ def _solve_impl(problem: ConicProblem, gap_tol: float, feas_tol: float,
     norm_h = max(1.0, np.linalg.norm(h))
     norm_c = max(1.0, np.linalg.norm(c))
 
-    kkt = _KktSolver(A, G)
+    kkt = _KktSolver(P, A, G)
 
     # Initial point: least-squares style starts shifted into the cone.
-    kkt.factor(_Scaling(None, None, cones, identity=True))
+    kkt.factor(_Scaling(e, e, cones))
     x, _, z_init = kkt.solve(np.zeros(n), b.copy(), h.copy())
     s = -z_init
     margin = _cone_margin(s, cones)
@@ -438,14 +502,17 @@ def _solve_impl(problem: ConicProblem, gap_tol: float, feas_tol: float,
                 and np.isfinite(tau) and tau > 0 and np.isfinite(kappa)):
             status, message = STATUS_MAXITER, "numerical breakdown (non-finite iterate)"
             break
-        rx = A.T @ y + G.T @ z + c * tau
+        px = P @ x
+        xpx = x @ px
+        rx = px + A.T @ y + G.T @ z + c * tau
         ry = A @ x - b * tau
         rz = G @ x + s - h * tau
-        rt = kappa + c @ x + b @ y + h @ z
+        rt = kappa + c @ x + b @ y + h @ z + xpx / tau
         mu = (s @ z + tau * kappa) / (deg + 1)
 
-        pcost = c @ x / tau
-        dcost = -(b @ y + h @ z) / tau
+        # The quadratic adds +-(1/2) x'P x / tau^2 to the two objectives.
+        pcost = (c @ x + 0.5 * xpx / tau) / tau
+        dcost = -(b @ y + h @ z + 0.5 * xpx / tau) / tau
         # Normalized duality gap: absolute complementarity on the equilibrated
         # problem, relative once the objective exceeds unit scale.
         gap = (s @ z / tau ** 2) / max(1.0, abs(pcost))
@@ -475,7 +542,8 @@ def _solve_impl(problem: ConicProblem, gap_tol: float, feas_tol: float,
         cx = c @ x
         if cx < -1e-12:
             resid = max(np.linalg.norm(A @ x) / norm_b,
-                        np.linalg.norm(G @ x + s) / norm_h)
+                        np.linalg.norm(G @ x + s) / norm_h,
+                        np.linalg.norm(px) / norm_c)
             if resid / (-cx) <= feas_tol and _cone_margin(s, cones) > -feas_tol:
                 x, s = x / (-cx), s / (-cx)
                 status, message = STATUS_UNBOUNDED, "dual infeasibility certified"
@@ -489,9 +557,14 @@ def _solve_impl(problem: ConicProblem, gap_tol: float, feas_tol: float,
             status, message = STATUS_MAXITER, "KKT factorization failed"
             break
         x1, y1, z1 = kkt.solve(-c, b.copy(), h.copy())
-        # c'x1 + b'y1 + h'z1 equals -||W z1||^2 at the exact KKT solution; the
+        # The tau row linearizes to (c + 2 P xi)'dx - xi'P xi dtau + ... with
+        # xi = x / tau.  At the exact KKT solution (c + 2 P xi)'x1 - xi'P xi
+        # + b'y1 + h'z1 equals -(x1 - xi)'P(x1 - xi) - ||W z1||^2; the
         # identity form keeps den strictly negative under round-off.
-        den = -(np.sum(scaling.mul_w(z1) ** 2) + kappa / tau)
+        xi = x / tau
+        c_tau = c + 2.0 * (P @ xi)
+        dxi = x1 - xi
+        den = -(dxi @ P @ dxi + np.sum(scaling.mul_w(z1) ** 2) + kappa / tau)
         if not np.isfinite(den) or den >= 0:
             status, message = STATUS_MAXITER, "numerical breakdown (degenerate step)"
             break
@@ -500,7 +573,7 @@ def _solve_impl(problem: ConicProblem, gap_tol: float, feas_tol: float,
             wl = scaling.mul_w(_jordan_solve(lam, d_s, cones))
             bz = -eta * rz + wl
             x2, y2, z2 = kkt.solve(-eta * rx, -eta * ry, bz)
-            num = -eta * rt + d_kappa / tau - (c @ x2 + b @ y2 + h @ z2)
+            num = -eta * rt + d_kappa / tau - (c_tau @ x2 + b @ y2 + h @ z2)
             dtau = num / den
             dx = x2 + dtau * x1
             dy = y2 + dtau * y1
@@ -560,6 +633,16 @@ def _solve_impl(problem: ConicProblem, gap_tol: float, feas_tol: float,
     else:
         t = tau if tau > 1e-300 else 1.0
         xs, ys, zs, ss = x / t, y / t, z / t, s / t
+        if status == STATUS_OPTIMAL:
+            polished = _polish(P, c, G, h, A, b, cones, xs, ys, zs, feas_tol)
+            if polished is not None:
+                # Report the polished point's own residuals and gap.
+                xs, ys, zs = polished
+                ss = h - G @ xs
+                gap_rep = abs(ss @ zs) / max(1.0, abs(c @ xs + 0.5 * xs @ P @ xs))
+                pres_rep = max(np.linalg.norm(A @ xs - b) / norm_b,
+                               -_cone_margin(ss, cones) / norm_h)
+                dres_rep = np.linalg.norm(P @ xs + c + A.T @ ys + G.T @ zs) / norm_c
 
     # Undo equilibration.
     x_orig = dc * xs
@@ -567,8 +650,9 @@ def _solve_impl(problem: ConicProblem, gap_tol: float, feas_tol: float,
     z_orig = cost_scale * drg * zs
     s_orig = ss / drg
 
-    pcost = float(c @ xs) * cost_scale
-    dcost = float(-(b @ ys + h @ zs)) * cost_scale
+    quad = 0.5 * float(xs @ P @ xs)
+    pcost = (float(c @ xs) + quad) * cost_scale
+    dcost = (float(-(b @ ys + h @ zs)) - quad) * cost_scale
     report = SolveReport(
         status=status,
         x=x_orig, y=y_orig, z=z_orig, s=s_orig,

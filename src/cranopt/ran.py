@@ -42,11 +42,13 @@ class BeamformerSet:
     vectors: np.ndarray  # complex, shape (num_ue, num_rrh, antennas)
 
     def __post_init__(self):
-        if self.vectors.ndim != 3:
+        vectors = np.array(self.vectors)  # a private copy: the caller's stays writable
+        if vectors.ndim != 3:
             raise ValueError("beamformers must have shape (num_ue, num_rrh, antennas)")
-        if not np.all(np.isfinite(self.vectors)):
+        if not np.all(np.isfinite(vectors)):
             raise ValueError("beamformers must be finite")
-        self.vectors.setflags(write=False)
+        vectors.setflags(write=False)
+        object.__setattr__(self, "vectors", vectors)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -159,6 +160,20 @@ class TestJointEnergyMinimization:
         assert viol["fronthaul"] <= 1e-6 * config.fronthaul_limit[0]
         assert viol["deadline"] <= 1e-6
         assert np.all(sol.clone_capacity <= np.asarray(config.clone_capacity_limit))
+
+
+    def test_no_convergence_with_a_clone_at_its_cap(self):
+        # Fronthaul at C/10, seed 44: rounds 6 and 7 each hold three UEs at
+        # their rate floors (clones at f_max, ~15,000 J each), different ones,
+        # and their totals agree to 2e-6.  That is not a settled BCD.
+        config, tasks = default_config(fronthaul_limit=1e6)
+        tasks = [dataclasses.replace(t, cpu_cycles=1500.0) for t in tasks]
+        sol = joint_energy_minimization(config, tasks, generate_channels(config, 44))
+        fmax = np.asarray(config.clone_capacity_limit)
+        if sol.converged:
+            assert np.all(sol.clone_capacity < fmax * (1.0 - 1e-4))
+        assert sol.energy_trace[5] == pytest.approx(sol.energy_trace[6], rel=1e-4)
+        assert sol.iterations > 7
 
 
 class TestSeparateBaseline:

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from cranopt.algorithms import mse
 from cranopt.conic import (
     build_power_min_socp,
     build_wmmse_step_socp,
     extract_beamformers,
     solve,
 )
-from cranopt.ran import BeamformerSet, ue_power
+from cranopt.ran import BeamformerSet, rrh_power, ue_power
 from cranopt.scenario import ChannelState
 
 
@@ -25,11 +26,11 @@ class TestPowerMinStructure:
             ch, rate_floors=[2e4], bandwidths=[1e7], power_limits=[1.0],
             rho=np.array([[1.0]]), frozen_rates=np.array([1.0]),
             fronthaul_limits=[1e7])
-        # 2 beamformer reals and the power epigraph; SOC blocks: power
-        # epigraph, RRH power, rate floor, fronthaul; one phase equality.
-        assert problem.num_vars == 3
-        assert problem.cones == (("soc", 4), ("soc", 3), ("soc", 4), ("soc", 4))
-        assert problem.eq_lhs.shape == (1, 3)
+        # The 2 beamformer reals only; SOC blocks: RRH power, rate floor,
+        # fronthaul; one phase equality.
+        assert problem.num_vars == 2
+        assert problem.cones == (("soc", 3), ("soc", 4), ("soc", 3))
+        assert problem.eq_lhs.shape == (1, 2)
 
     def test_decision_reals_scale_with_dims(self):
         rng = np.random.default_rng(0)
@@ -39,9 +40,8 @@ class TestPowerMinStructure:
         problem = build_power_min_socp(ch, rate_floors=[1e4] * n,
                                        bandwidths=[1e7] * n,
                                        power_limits=[1.0] * l)
-        assert problem.num_vars == 2 * n * l * k + n
-        assert problem.cones == ((("soc", 2 + 2 * l * k),) * n
-                                 + (("soc", 1 + 2 * n * k),) * l
+        assert problem.num_vars == 2 * n * l * k
+        assert problem.cones == ((("soc", 1 + 2 * n * k),) * l
                                  + (("soc", 2 + 2 * n),) * n)
 
 
@@ -64,15 +64,19 @@ class TestBeamformerLayout:
             x[2 * k * p + k:2 * k * (p + 1)] = v[i, j].imag
         got = extract_beamformers(x, support, k)
         assert np.array_equal(got, np.where(support[:, :, None], v, 0.0))
-        # The builder reads the same layout: the body of UE i's power
-        # epigraph block is 2 * (Re v_i, Im v_i), one block per served UE.
+        # The builder reads the same layout: the body of RRH j's power block
+        # is (Re v_ij, Im v_ij) over the UEs it serves, and the objective
+        # (1/2) x'Px is the weighted transmit power.
         slack = problem.cone_rhs - problem.cone_lhs @ x
-        powers = ue_power(BeamformerSet(got))
+        powers = rrh_power(BeamformerSet(got))
         start = 0
-        for i, (_, dim) in zip((0, 2), problem.cones):
-            body = slack[start + 1:start + dim - 1]
-            assert np.sum((body / 2.0) ** 2) == pytest.approx(powers[i], rel=1e-12)
+        for j, (_, dim) in enumerate(problem.cones[:l]):
+            assert slack[start] == pytest.approx(1.0)
+            body = slack[start + 1:start + dim]
+            assert np.sum(body ** 2) == pytest.approx(powers[j], rel=1e-12)
             start += dim
+        assert 0.5 * x @ problem.P @ x == pytest.approx(
+            np.sum(ue_power(BeamformerSet(got))), rel=1e-12)
 
 
 class TestPowerMinSingleUser:
@@ -108,11 +112,9 @@ class TestWmmseStep:
         ch = ChannelState(gains=1e-4 * gains, noise_power=np.full(n, 1e-6))
         problem = build_wmmse_step_socp(ch, [1.0, 1.0], [0.1 + 0j, 0.1 + 0j],
                                         [1.0, 1.0], power_limits=[1.0] * l)
-        # Beamformer reals, then one power and one MSE epigraph per UE.
-        assert problem.num_vars == 2 * n * l * k + 2 * n
-        assert problem.cones == ((("soc", 2 + 2 * l * k),) * n
-                                 + (("soc", 2 + 2 * n),) * n
-                                 + (("soc", 1 + 2 * n * k),) * l)
+        # Beamformer reals only: power and MSE live in the objective.
+        assert problem.num_vars == 2 * n * l * k
+        assert problem.cones == (("soc", 1 + 2 * n * k),) * l
 
     def test_zero_weights_zero_beamformers(self):
         rng = np.random.default_rng(2)
@@ -140,3 +142,46 @@ class TestWmmseStep:
         expect_obj = phi * e_star + w * v_star ** 2
         assert report.primal_objective == pytest.approx(expect_obj, abs=1e-8)
         assert abs(v - v_star) < 1e-4
+
+
+def random_channels(rng, n, l, k):
+    gains = rng.standard_normal((n, l, k)) + 1j * rng.standard_normal((n, l, k))
+    return ChannelState(gains=1e-4 * gains, noise_power=rng.uniform(0.5e-6, 2e-6, n))
+
+
+class TestQuadraticObjective:
+    def test_objective_is_weighted_mse_plus_power(self):
+        # (1/2) v'Pv + c'v + obj_const = sum_i phi_i e_i(v) + w_i ||v_i||^2 at
+        # any beamformers, with one UE of zero MSE weight.
+        rng = np.random.default_rng(6)
+        n, l, k = 3, 2, 2
+        ch = random_channels(rng, n, l, k)
+        phi = np.array([1.5, 0.0, 0.7])
+        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        w = rng.uniform(0.1, 2.0, n)
+        problem = build_wmmse_step_socp(ch, phi, u, w, power_limits=[1.0] * l,
+                                        rate_floors=[1e4] * n, bandwidths=[1e7] * n)
+        support = np.ones((n, l), bool)
+        for _ in range(5):
+            x = 1e-2 * rng.standard_normal(problem.num_vars)
+            v = extract_beamformers(x, support, k)
+            got = 0.5 * x @ problem.P @ x + problem.c @ x + problem.obj_const
+            want = phi @ mse(ch, v, u) + w @ ue_power(BeamformerSet(v))
+            assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("builder", ["power_min", "wmmse"])
+    def test_quadratic_term_symmetric_psd(self, builder):
+        rng = np.random.default_rng(7)
+        n, l, k = 3, 2, 2
+        ch = random_channels(rng, n, l, k)
+        if builder == "power_min":
+            problem = build_power_min_socp(ch, rate_floors=[1e4] * n,
+                                           bandwidths=[1e7] * n, power_limits=[1.0] * l,
+                                           objective_weights=rng.uniform(0.1, 2.0, n))
+        else:
+            problem = build_wmmse_step_socp(ch, [1.0, 2.0, 0.5], [0.3, 0.2j, -0.1],
+                                            [0.5, 1.0, 0.1], power_limits=[1.0] * l)
+        P = problem.P
+        assert P.shape == (problem.num_vars, problem.num_vars)
+        assert np.array_equal(P, P.T)
+        assert np.linalg.eigvalsh(P).min() >= -1e-12 * np.abs(P).max()

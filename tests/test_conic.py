@@ -4,11 +4,12 @@ import pytest
 from cranopt.conic import ConicProblem, SolverError, solve
 
 
-def conic(c, G, h, cones, A=None, b=None):
-    """Problem data for min c'x s.t. A x = b, G x + s = h, s in `cones`."""
+def conic(c, G, h, cones, A=None, b=None, P=None):
+    """Problem data for min x'Px/2 + c'x s.t. A x = b, G x + s = h, s in `cones`."""
     c = np.asarray(c, dtype=float)
     return ConicProblem(
-        c=c, cone_lhs=np.asarray(G, dtype=float), cone_rhs=np.asarray(h, dtype=float),
+        c=c, P=np.zeros((c.size, c.size)) if P is None else np.asarray(P, dtype=float),
+        cone_lhs=np.asarray(G, dtype=float), cone_rhs=np.asarray(h, dtype=float),
         eq_lhs=np.zeros((0, c.size)) if A is None else np.asarray(A, dtype=float),
         eq_rhs=np.zeros(0) if b is None else np.asarray(b, dtype=float),
         cones=tuple(cones))
@@ -51,9 +52,75 @@ class TestSmallProblems:
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(SolverError):
-            ConicProblem(c=np.ones(2), cone_lhs=np.ones((2, 2)),
+            ConicProblem(c=np.ones(2), P=np.zeros((2, 2)), cone_lhs=np.ones((2, 2)),
                          cone_rhs=np.ones(2), eq_lhs=np.zeros((0, 2)),
                          eq_rhs=np.zeros(0), cones=(("nonneg", 1),))
+        with pytest.raises(SolverError):
+            conic([1.0, 1.0], -np.eye(2), [0.0, 0.0], [NONNEG, NONNEG], P=np.eye(3))
+
+
+def ball(c, P, radius):
+    """min x'Px/2 + c'x s.t. ||x|| <= radius."""
+    n = len(c)
+    return conic(c, -np.vstack([np.zeros((1, n)), np.eye(n)]),
+                 np.concatenate([[radius], np.zeros(n)]), [("soc", n + 1)], P=P)
+
+
+class TestQuadraticObjective:
+    @pytest.mark.parametrize("reach", [0.5, 2.0])
+    def test_ball_closed_form(self, reach):
+        # With P = a I the minimizer is -c/a when that lies in the ball
+        # (||c||/a = reach * radius < radius), and -radius c/||c|| on its
+        # boundary otherwise.
+        rng = np.random.default_rng(12)
+        for _ in range(5):
+            a, radius = rng.uniform(0.5, 3.0), rng.uniform(0.5, 2.0)
+            c = rng.standard_normal(3)
+            c *= reach * radius * a / np.linalg.norm(c)
+            report = solve(ball(c, a * np.eye(3), radius))
+            assert report.optimal
+            x_star = -c / a if reach < 1 else -radius * c / np.linalg.norm(c)
+            assert report.x == pytest.approx(x_star, abs=1e-9)
+            f_star = 0.5 * a * x_star @ x_star + c @ x_star
+            assert report.primal_objective == pytest.approx(f_star, abs=1e-9)
+            assert report.dual_objective == pytest.approx(f_star, abs=1e-7)
+
+    def test_polish_lands_on_the_active_cone(self):
+        # On the ball's boundary the interior-point iterate stops ~1e-9 from
+        # the answer; the Newton polish lands on it, and the reported gap and
+        # residuals are those of the polished point.
+        rng = np.random.default_rng(12)
+        for _ in range(3):
+            a, radius = rng.uniform(0.5, 3.0), rng.uniform(0.5, 2.0)
+            c = rng.standard_normal(3)
+            c *= 2.0 * radius * a / np.linalg.norm(c)
+            report = solve(ball(c, a * np.eye(3), radius))
+            assert report.x == pytest.approx(-radius * c / np.linalg.norm(c), abs=1e-13)
+            assert max(report.duality_gap, report.primal_residual,
+                       report.dual_residual) <= 1e-13
+
+    def test_polish_accepts_a_zero_multiplier(self):
+        # min (x - 1)^2 / 2 s.t. x <= 1: the bound holds at the optimum with
+        # multiplier 0, where the iterate is still O(sqrt(gap)) short of 1.
+        report = solve(conic([-1.0], [[1.0]], [1.0], [NONNEG], P=[[1.0]]))
+        assert report.optimal
+        assert report.x[0] == pytest.approx(1.0, abs=1e-13)
+
+    def test_quadratic_bounds_an_unbounded_linear_part(self):
+        # min x^2/2 - x s.t. x <= 10: -x alone is unbounded below, the
+        # quadratic puts the optimum at x = 1.
+        report = solve(conic([-1.0], [[1.0]], [10.0], [NONNEG], P=[[1.0]]))
+        assert report.optimal
+        assert report.x[0] == pytest.approx(1.0, abs=1e-9)
+        assert report.primal_objective == pytest.approx(-0.5, abs=1e-9)
+
+    def test_unbounded_along_null_space_of_P(self):
+        # min x1^2/2 + x2 s.t. x2 <= 1: x2 -> -inf costs nothing quadratic.
+        report = solve(conic([0.0, 1.0], [[0.0, 1.0]], [1.0], [NONNEG],
+                             P=np.diag([1.0, 0.0])))
+        assert report.status == "unbounded"
+        assert report.x[1] < 0
+        assert abs(report.x[0]) <= 1e-6 * abs(report.x[1])
 
 
 class TestPresolve:

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from dataclasses import asdict
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import cranopt
 from cranopt.experiments import (
     CSV_HEADER,
     SolutionRecord,
@@ -163,8 +165,13 @@ class TestGolden:
 
 class TestCli:
     def run_cli(self, *args):
+        # A fresh interpreter finds the cranopt this module imported, also
+        # when that is an uninstalled checkout's src/.
+        path = [str(Path(cranopt.__file__).resolve().parents[1]),
+                os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
         return subprocess.run([sys.executable, "-m", "cranopt.cli", *args],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=env)
 
     def test_run_json(self, tmp_path):
         out = tmp_path / "record.json"

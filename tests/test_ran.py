@@ -30,6 +30,16 @@ def bf(array):
     return BeamformerSet(np.asarray(array, dtype=complex))
 
 
+class TestBeamformerSet:
+    def test_freezes_a_private_copy(self):
+        v = np.zeros((2, 1, 2), dtype=complex)
+        frozen = BeamformerSet(v)
+        v[0, 0, 0] = 1.0          # the caller's array stays writable
+        assert frozen.vectors[0, 0, 0] == 0.0
+        with pytest.raises(ValueError):
+            frozen.vectors[0, 0, 0] = 1.0
+
+
 class TestSinrRate:
     def test_single_user_no_interference(self):
         ch = single_link()

@@ -12,13 +12,19 @@ blocks partitioning the slack vector s.  The solver runs Nesterov-Todd
 scaled predictor-corrector steps on the homogeneous self-dual embedding of
 this quadratic cone program (as in Clarabel, Goulart & Chen 2024), so
 primal/dual infeasibility is certified rather than inferred from stalling.
+
+Cone blocks are stacked by dimension (see `_Cones`), so each cone operation
+is one array operation per block dimension, and each Newton system is
+reduced to a dense Cholesky factorization (see `_KktSolver`), as in
+CVXOPT's coneqp (Vandenberghe 2010).
+
 An optimal answer is then polished by Newton's method on the KKT system of
 its active cone blocks, which the interior-point iterate only approaches as
 the square root of its duality gap.
 
 The solver knows variables only by position: a `ConicProblem` holds the
-arrays above and no names, and `SolveReport.x` comes back in the caller's
-column order.
+arrays above and no names.  `SolveReport.x` comes back in the caller's
+column order, and `z` and `s` in the caller's cone row order.
 
 Data is Ruiz-equilibrated before solving; the reported residuals and
 duality gap are those of the returned answer (the polished point, else the
@@ -32,8 +38,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 __all__ = ["ConicProblem", "SolveReport", "SolverError", "solve"]
 
@@ -75,6 +79,8 @@ class ConicProblem:
         m, p = self.cone_lhs.shape[0], self.eq_lhs.shape[0]
         if self.P.shape != (n, n):
             raise SolverError("quadratic term shape mismatch")
+        if not np.array_equal(self.P, self.P.T):
+            raise SolverError("quadratic term must be symmetric")
         if self.cone_lhs.shape != (m, n) or self.cone_rhs.shape != (m,):
             raise SolverError("cone system shape mismatch")
         if self.eq_lhs.shape != (p, n) or self.eq_rhs.shape != (p,):
@@ -114,173 +120,145 @@ class SolveReport:
 
 
 # ---------------------------------------------------------------------------
-# Cone algebra.  Blocks are handled through index slices into the slack dim.
+# Cone algebra.  Blocks are stacked by dimension; see `_Cones`.
 
 
-def _cone_slices(cones):
-    out, off = [], 0
-    for kind, d in cones:
-        out.append((kind, slice(off, off + d)))
-        off += d
-    return out
+class _Cones:
+    """The cone blocks, stacked by dimension.
+
+    A ("nonneg", d) entry is d blocks of dimension 1 (the second-order cone
+    of dimension 1 is {x0 >= 0}).  Slack rows are permuted so that the
+    blocks of each dimension are contiguous: internal row i is caller row
+    ``perm[i]``, and `split` views a vector or row matrix in internal order
+    as one (k, d, ...) array per block dimension d.
+    """
+
+    def __init__(self, cones):
+        starts, row = {}, 0
+        for kind, d in cones:
+            for dim in ([1] * d if kind == "nonneg" else [d]):
+                starts.setdefault(dim, []).append(row)
+                row += dim
+        self._spans, perm, off = [], [], 0   # (first row, end row, (k, d))
+        for dim, rows in sorted(starts.items()):
+            self._spans.append((off, off + dim * len(rows), (len(rows), dim)))
+            perm.append((np.array(rows)[:, None] + np.arange(dim)).ravel())
+            off += dim * len(rows)
+        self.perm = np.concatenate(perm)
+        self.degree = sum(len(rows) for rows in starts.values())
+
+    def split(self, v):
+        return [v[start:stop].reshape(shape + v.shape[1:])
+                for start, stop, shape in self._spans]
+
+    def blocks(self):
+        """The row slice of every block, in internal order."""
+        return [slice(start + i * d, start + (i + 1) * d)
+                for start, _, (k, d) in self._spans for i in range(k)]
 
 
-def _cone_degree(cones):
-    return sum(d if kind == "nonneg" else 1 for kind, d in cones)
+def _dot(u, v):
+    """Row-wise inner products of two (k, d) arrays."""
+    return np.einsum("ij,ij->i", u, v)
 
 
 def _identity_element(cones, m):
     e = np.zeros(m)
-    for kind, sl in _cone_slices(cones):
-        if kind == "nonneg":
-            e[sl] = 1.0
-        else:
-            e[sl.start] = 1.0
+    for blk in cones.split(e):
+        blk[:, 0] = 1.0
     return e
 
 
 def _cone_margin(v, cones):
     """Smallest interior margin; > 0 iff strictly inside every block."""
-    worst = np.inf
-    for kind, sl in _cone_slices(cones):
-        blk = v[sl]
-        if kind == "nonneg":
-            worst = min(worst, blk.min() if blk.size else np.inf)
-        else:
-            worst = min(worst, blk[0] - np.linalg.norm(blk[1:]))
-    return worst
+    return min(np.min(b[:, 0] - np.linalg.norm(b[:, 1:], axis=1))
+               for b in cones.split(v))
 
 
 def _max_step(v, dv, cones):
-    """Largest t with v + t*dv still in the cone (np.inf if unbounded)."""
+    """Largest t with v + t*dv still in the cone (np.inf if unbounded).
+
+    Blocks take the first positive root of a t^2 + b t + c = (u0 + t d0)^2 -
+    ||u1 + t d1||^2 (c > 0 inside), except in dimension 1, where that root is
+    double and round-off can hide it behind a negative discriminant.
+    """
     t_max = np.inf
-    for kind, sl in _cone_slices(cones):
-        u, d = v[sl], dv[sl]
-        if kind == "nonneg":
-            neg = d < 0
-            if np.any(neg):
-                t_max = min(t_max, np.min(-u[neg] / d[neg]))
-        else:
-            a = d[0] ** 2 - d[1:] @ d[1:]
-            b = 2.0 * (u[0] * d[0] - u[1:] @ d[1:])
-            cc = u[0] ** 2 - u[1:] @ u[1:]
-            # First positive root of a t^2 + b t + c = 0 (c > 0 inside).
-            if abs(a) < 1e-300:
-                if b < 0:
-                    t_max = min(t_max, -cc / b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for u, d in zip(cones.split(v), cones.split(dv)):
+            if u.shape[1] == 1:
+                roots = np.where(d < 0, -u / d, np.inf)
             else:
-                disc = b * b - 4.0 * a * cc
-                if disc >= 0:
-                    sq = np.sqrt(disc)
-                    roots = sorted(r for r in ((-b - sq) / (2 * a), (-b + sq) / (2 * a))
-                                   if r > 0)
-                    if roots:
-                        t_max = min(t_max, roots[0])
+                a = d[:, 0] ** 2 - _dot(d[:, 1:], d[:, 1:])
+                b = 2.0 * (u[:, 0] * d[:, 0] - _dot(u[:, 1:], d[:, 1:]))
+                c = u[:, 0] ** 2 - _dot(u[:, 1:], u[:, 1:])
+                sq = np.sqrt(b * b - 4.0 * a * c)   # nan: the line stays inside
+                roots = np.where(np.abs(a) < 1e-300, -c / b,
+                                 [(-b - sq) / (2 * a), (-b + sq) / (2 * a)])
+            t_max = min(t_max, roots[roots > 0].min(initial=np.inf))
     return t_max
 
 
 def _jordan_mul(u, v, cones):
+    """u o v = (u'v, u0 v1 + v0 u1), blockwise."""
     out = np.empty_like(u)
-    for kind, sl in _cone_slices(cones):
-        a, bb = u[sl], v[sl]
-        if kind == "nonneg":
-            out[sl] = a * bb
-        else:
-            out[sl.start] = a @ bb
-            out[sl.start + 1:sl.stop] = a[0] * bb[1:] + bb[0] * a[1:]
+    for a, b, o in zip(cones.split(u), cones.split(v), cones.split(out)):
+        o[:, 0] = _dot(a, b)
+        o[:, 1:] = a[:, :1] * b[:, 1:] + b[:, :1] * a[:, 1:]
     return out
 
 
 def _jordan_solve(lam, d, cones):
     """x with lam o x = d, blockwise."""
     out = np.empty_like(d)
-    for kind, sl in _cone_slices(cones):
-        l, rhs = lam[sl], d[sl]
-        if kind == "nonneg":
-            out[sl] = rhs / l
-        else:
-            l0, l1 = l[0], l[1:]
-            det = l0 * l0 - l1 @ l1
-            x0 = (l0 * rhs[0] - l1 @ rhs[1:]) / det
-            out[sl.start] = x0
-            out[sl.start + 1:sl.stop] = (rhs[1:] - x0 * l1) / l0
+    for l, rhs, o in zip(cones.split(lam), cones.split(d), cones.split(out)):
+        det = l[:, 0] ** 2 - _dot(l[:, 1:], l[:, 1:])
+        x0 = (l[:, 0] * rhs[:, 0] - _dot(l[:, 1:], rhs[:, 1:])) / det
+        o[:, 0] = x0
+        o[:, 1:] = (rhs[:, 1:] - x0[:, None] * l[:, 1:]) / l[:, :1]
     return out
 
 
 class _Scaling:
-    """Nesterov-Todd scaling W per cone block: W z = W^{-1} s = lambda."""
+    """Nesterov-Todd scaling W per cone block: W z = W^{-1} s = lambda.
+
+    Block k is W_k = beta_k T(w_k), where T(w) = u u'/(1 + w0) - J with
+    u = w + e and J = diag(1, -1, ..., -1), and W_k^{-1} = J T(w_k) J /
+    beta_k.  Both are kept as one dense (k, d, d) array per block dimension.
+    """
 
     def __init__(self, s, z, cones):
-        self.blocks = []
-        for kind, sl in _cone_slices(cones):
-            sb_, zb_ = s[sl], z[sl]
-            if kind == "nonneg":
-                self.blocks.append((kind, sl, np.sqrt(sb_ / zb_)))
-            else:
-                rs = np.sqrt(max(sb_[0] ** 2 - sb_[1:] @ sb_[1:], 1e-300))
-                rz = np.sqrt(max(zb_[0] ** 2 - zb_[1:] @ zb_[1:], 1e-300))
-                sn, zn = sb_ / rs, zb_ / rz
-                gamma = np.sqrt(max((1.0 + sn @ zn) / 2.0, 1e-300))
-                wb = sn.copy()
-                wb[0] += zn[0]
-                wb[1:] -= zn[1:]
-                wb /= 2.0 * gamma
-                self.blocks.append((kind, sl, (np.sqrt(rs / rz), wb)))
+        self.cones = cones
+        self.w, self.winv = [], []
+        for sb, zb in zip(cones.split(s), cones.split(z)):
+            sign = np.ones(sb.shape[1])
+            sign[1:] = -1.0
+            rs = np.sqrt(np.maximum(sb[:, 0] ** 2 - _dot(sb[:, 1:], sb[:, 1:]), 1e-300))
+            rz = np.sqrt(np.maximum(zb[:, 0] ** 2 - _dot(zb[:, 1:], zb[:, 1:]), 1e-300))
+            sn, zn = sb / rs[:, None], zb / rz[:, None]
+            gamma = np.sqrt(np.maximum((1.0 + _dot(sn, zn)) / 2.0, 1e-300))
+            u = (sn + sign * zn) / (2.0 * gamma[:, None])
+            u[:, 0] += 1.0
+            t = u[:, :, None] * u[:, None, :] / u[:, :1, None] - np.diag(sign)
+            beta = np.sqrt(rs / rz)[:, None, None]
+            self.w.append(beta * t)
+            self.winv.append(t * np.outer(sign, sign) / beta)
 
-    @staticmethod
-    def _t_mul(wb, v, inverse=False):
-        """Multiply by T(wb) = [[w0, w1'], [w1, I + w1 w1'/(1+w0)]] (or inverse)."""
-        w0, w1 = wb[0], wb[1:].copy()
-        if inverse:
-            w1 = -w1  # T(wb)^{-1} = J T(wb) J
-        out = np.empty_like(v)
-        out[0] = w0 * v[0] + w1 @ v[1:]
-        out[1:] = v[0] * w1 + v[1:] + (w1 @ v[1:]) / (1.0 + w0) * w1
-        return out
+    def _apply(self, mats, v):
+        """The blocks of `mats` applied to v, an (m,) vector or (m, r) matrix."""
+        cols = v.reshape(v.shape[0], -1)
+        out = np.empty_like(cols)
+        for mat, blk, o in zip(mats, self.cones.split(cols), self.cones.split(out)):
+            np.matmul(mat, blk, out=o)
+        return out.reshape(v.shape)
 
     def mul_w(self, v):
-        out = np.empty_like(v)
-        for kind, sl, data in self.blocks:
-            if kind == "nonneg":
-                out[sl] = data * v[sl]
-            else:
-                scale, wb = data
-                out[sl] = scale * self._t_mul(wb, v[sl])
-        return out
+        return self._apply(self.w, v)
 
     def mul_winv(self, v):
-        out = np.empty_like(v)
-        for kind, sl, data in self.blocks:
-            if kind == "nonneg":
-                out[sl] = v[sl] / data
-            else:
-                scale, wb = data
-                out[sl] = self._t_mul(wb, v[sl], inverse=True) / scale
-        return out
+        return self._apply(self.winv, v)
 
     def mul_w2(self, v):
-        out = np.empty_like(v)
-        for kind, sl, data in self.blocks:
-            if kind == "nonneg":
-                out[sl] = data * data * v[sl]
-            else:
-                scale, wb = data
-                out[sl] = scale ** 2 * self._t_mul(wb, self._t_mul(wb, v[sl]))
-        return out
-
-    def w2_blocks(self):
-        """Dense W^2 blocks (for KKT assembly), in cone order."""
-        out = []
-        for kind, sl, data in self.blocks:
-            if kind == "nonneg":
-                out.append(("diag", data * data))
-            else:
-                scale, wb = data
-                d = wb.shape[0]
-                jw = np.eye(d)
-                jw[1:, 1:] *= -1.0
-                out.append(("dense", scale ** 2 * (2.0 * np.outer(wb, wb) - jw)))
-        return out
+        return self._apply(self.w, self._apply(self.w, v))
 
 
 # ---------------------------------------------------------------------------
@@ -300,20 +278,18 @@ def _ruiz_equilibrate(c, P, G, h, A, b, cones, iters=8):
     dr_g = np.ones(m)
     dc = np.ones(n)
     Ps, As, Gs = P.copy(), A.copy(), G.copy()
-    slices = _cone_slices(cones)
     for _ in range(iters):
         ra = np.maximum(np.sqrt(np.abs(As).max(axis=1)), 1e-8)
         rg = np.sqrt(np.maximum(np.abs(Gs).max(axis=1), 1e-16))
-        for kind, sl in slices:
-            if kind == "soc":
-                rg[sl] = rg[sl].max()
+        for blk in cones.split(rg):
+            blk[:] = blk.max(axis=1, keepdims=True)
         rg = np.maximum(rg, 1e-8)
         As /= ra[:, None]
         dr_a /= ra
         Gs /= rg[:, None]
         dr_g /= rg
-        cnorm = np.sqrt(np.maximum(np.abs(np.vstack([Ps, As, Gs])).max(axis=0), 1e-16))
-        cnorm = np.maximum(cnorm, 1e-8)
+        colmax = np.max([np.abs(M).max(axis=0, initial=0.0) for M in (Ps, As, Gs)], axis=0)
+        cnorm = np.maximum(np.sqrt(np.maximum(colmax, 1e-16)), 1e-8)
         Ps /= np.outer(cnorm, cnorm)
         As /= cnorm[None, :]
         Gs /= cnorm[None, :]
@@ -361,9 +337,7 @@ def _polish(P, c, G, h, A, b, cones, x, y, z, feas_tol):
     with nu_k = 0 is weakly active) or a block leaves its cone.
     """
     slack = h - G @ x
-    active = [r for kind, sl in _cone_slices(cones)
-              for r in ([sl] if kind == "soc" else
-                        [slice(i, i + 1) for i in range(sl.start, sl.stop)])
+    active = [r for r in cones.blocks()
               if z[r.start] > slack[r.start] - np.linalg.norm(slack[r.start + 1:r.stop])]
     n, p, q = x.size, y.size, len(active)
     nu = z[[r.start for r in active]]
@@ -402,35 +376,51 @@ def _polish(P, c, G, h, A, b, cones, x, y, z, feas_tol):
 # KKT assembly and solution.
 
 
+def _cho_solve(upper, rhs):
+    """Solve with an upper Cholesky factor from `scipy.linalg.cho_factor`."""
+    return scipy.linalg.lapack.dpotrs(upper, rhs)[0]
+
+
 class _KktSolver:
-    """Factor [[P A' G'], [A 0 0], [G 0 -W^2]] with static regularization."""
+    """Solve [[P A' G'], [A 0 0], [G 0 -W^2]] (x, y, z) = (rx, ry, rz), reduced.
+
+    The cone rows give z = W^{-2}(G x - rz).  With Ghat = W^{-1} G what
+    remains is [[H, A'], [A, 0]] for H = P + Ghat'Ghat, and `factor` takes
+    dense Cholesky factors of H + REG I and, when there are equality rows,
+    of the Schur complement A (H + REG I)^{-1} A' + REG I (the "chol2"
+    reduction of CVXOPT's coneqp).  `solve` refines against the full,
+    unregularized system, which takes the regularization back out.
+    """
 
     def __init__(self, P, A, G):
-        self.P = sp.csr_matrix(P)
-        self.A = sp.csr_matrix(A)
-        self.G = sp.csr_matrix(G)
-        self.n = A.shape[1]
-        self.p = A.shape[0]
-        self.m = G.shape[0]
+        self.P, self.A, self.G = P, A, G
+        self.p, self.n = A.shape
 
     def factor(self, scaling: _Scaling):
-        n, p, m = self.n, self.p, self.m
-        blocks = []
-        for kind, blk in scaling.w2_blocks():
-            blocks.append(sp.diags(blk) if kind == "diag" else sp.csc_matrix(blk))
-        w2 = sp.block_diag(blocks, format="csc")
-        reg_x = self.P + REG * sp.identity(n)
-        neg_w2 = -(w2 + REG * sp.identity(m))
-        k = sp.bmat([
-            [reg_x, self.A.T, self.G.T],
-            [self.A, -REG * sp.identity(p), None],
-            [self.G, None, neg_w2],
-        ], format="csc")
-        self._lu = spla.splu(k)
-        self._scaling = scaling
+        """Raises np.linalg.LinAlgError when a reduced matrix is not definite."""
+        ghat = scaling.mul_winv(self.G)
+        h = self.P + ghat.T @ ghat
+        h.flat[::self.n + 1] += REG
+        self._h = scipy.linalg.cho_factor(h)[0]
+        if self.p:
+            self._h_at = _cho_solve(self._h, self.A.T)
+            schur = self.A @ self._h_at
+            schur.flat[::self.p + 1] += REG
+            self._schur = scipy.linalg.cho_factor(schur)[0]
+        self._ghat, self._scaling = ghat, scaling
+
+    def _solve_reduced(self, rx, ry, rz):
+        winv_rz = self._scaling.mul_winv(rz)
+        x = _cho_solve(self._h, rx + self._ghat.T @ winv_rz)
+        y = np.zeros(0)
+        if self.p:
+            y = _cho_solve(self._schur, self.A @ x - ry)
+            x -= self._h_at @ y
+        z = self._scaling.mul_winv(self._ghat @ x - winv_rz)
+        return np.concatenate([x, y, z])
 
     def _apply_unreg(self, u):
-        n, p, m = self.n, self.p, self.m
+        n, p = self.n, self.p
         x, y, z = u[:n], u[n:n + p], u[n + p:]
         top = self.P @ x + self.A.T @ y + self.G.T @ z
         mid = self.A @ x
@@ -438,14 +428,14 @@ class _KktSolver:
         return np.concatenate([top, mid, bot])
 
     def solve(self, rx, ry, rz, refine=4):
+        n, p = self.n, self.p
         rhs = np.concatenate([rx, ry, rz])
-        u = self._lu.solve(rhs)
+        u = self._solve_reduced(rx, ry, rz)
         for _ in range(refine):
             resid = rhs - self._apply_unreg(u)
             if np.max(np.abs(resid)) < 1e-14 * max(1.0, np.max(np.abs(rhs))):
                 break
-            u += self._lu.solve(resid)
-        n, p = self.n, self.p
+            u += self._solve_reduced(resid[:n], resid[n:n + p], resid[n + p:])
         return u[:n], u[n:n + p], u[n + p:]
 
 
@@ -458,21 +448,19 @@ def solve(problem: ConicProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8,
 
 def _solve_impl(problem: ConicProblem, gap_tol: float, feas_tol: float,
                 max_iter: int) -> SolveReport:
-    cones = problem.cones
-    c0, P0, G0, h0 = problem.c, problem.P, problem.cone_lhs, problem.cone_rhs
-    A0, b0 = problem.eq_lhs, problem.eq_rhs
-
-    A0, b0, dropped, inconsistent = _presolve_equalities(A0, b0)
+    cones = _Cones(problem.cones)
+    A0, b0, dropped, inconsistent = _presolve_equalities(problem.eq_lhs, problem.eq_rhs)
     if inconsistent:
         return _report(problem, STATUS_INFEASIBLE,
                        message="equality system inconsistent at presolve tolerance",
                        iterations=0)
 
     c, P, G, h, A, b, dc, dra, drg, cost_scale = _ruiz_equilibrate(
-        c0, P0, G0, h0, A0, b0, cones)
+        problem.c, problem.P, problem.cone_lhs[cones.perm], problem.cone_rhs[cones.perm],
+        A0, b0, cones)
     n, p, m = c.shape[0], A.shape[0], G.shape[0]
     e = _identity_element(cones, m)
-    deg = _cone_degree(cones)
+    deg = cones.degree
     norm_b = max(1.0, np.linalg.norm(b))
     norm_h = max(1.0, np.linalg.norm(h))
     norm_c = max(1.0, np.linalg.norm(c))
@@ -480,7 +468,11 @@ def _solve_impl(problem: ConicProblem, gap_tol: float, feas_tol: float,
     kkt = _KktSolver(P, A, G)
 
     # Initial point: least-squares style starts shifted into the cone.
-    kkt.factor(_Scaling(e, e, cones))
+    try:
+        kkt.factor(_Scaling(e, e, cones))
+    except ValueError:  # np.linalg.LinAlgError, or non-finite entries
+        return _report(problem, STATUS_MAXITER, message="KKT factorization failed",
+                       iterations=0)
     x, _, z_init = kkt.solve(np.zeros(n), b.copy(), h.copy())
     s = -z_init
     margin = _cone_margin(s, cones)
@@ -553,7 +545,7 @@ def _solve_impl(problem: ConicProblem, gap_tol: float, feas_tol: float,
         lam = scaling.mul_w(z)
         try:
             kkt.factor(scaling)
-        except (RuntimeError, ValueError):
+        except ValueError:  # np.linalg.LinAlgError, or non-finite entries
             status, message = STATUS_MAXITER, "KKT factorization failed"
             break
         x1, y1, z1 = kkt.solve(-c, b.copy(), h.copy())
@@ -644,11 +636,12 @@ def _solve_impl(problem: ConicProblem, gap_tol: float, feas_tol: float,
                                -_cone_margin(ss, cones) / norm_h)
                 dres_rep = np.linalg.norm(P @ xs + c + A.T @ ys + G.T @ zs) / norm_c
 
-    # Undo equilibration.
+    # Undo equilibration and the cone row order.
+    back = np.argsort(cones.perm)
     x_orig = dc * xs
     y_orig = cost_scale * dra * ys
-    z_orig = cost_scale * drg * zs
-    s_orig = ss / drg
+    z_orig = (cost_scale * drg * zs)[back]
+    s_orig = (ss / drg)[back]
 
     quad = 0.5 * float(xs @ P @ xs)
     pcost = (float(c @ xs) + quad) * cost_scale

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cranopt.conic import ConicProblem, SolverError, solve
+from cranopt.conic import ConicProblem, SolverError, solve, solver
 
 
 def conic(c, G, h, cones, A=None, b=None, P=None):
@@ -280,6 +286,15 @@ class TestEmbedding:
             assert report.primal_objective == pytest.approx(expect, rel=1e-8,
                                                             abs=1e-8)
 
+    def test_slack_and_multipliers_in_caller_row_order(self):
+        # Cone rows are stacked by block dimension inside the solver; s and z
+        # come back in the caller's row order.
+        prob = min_norm_problem(np.array([1.0 + 1.0j, 2.0]), 1.0)
+        report = solve(prob)
+        assert report.optimal
+        assert report.s == pytest.approx(prob.cone_rhs - prob.cone_lhs @ report.x, abs=1e-9)
+        assert prob.c + prob.cone_lhs.T @ report.z == pytest.approx(0.0, abs=1e-9)
+
     def test_norm_cap_and_im_constraint(self):
         # max Re(v) s.t. |v| <= 2, Im(v) = 0, over v = x[0] + 1j x[1].
         report = solve(conic([-1.0, 0.0], [[0.0, 0.0], [-1.0, 0.0], [0.0, -1.0]],
@@ -287,3 +302,167 @@ class TestEmbedding:
                              A=[[0.0, 1.0]], b=[0.0]))
         assert report.optimal
         assert report.x[0] + 1j * report.x[1] == pytest.approx(2.0 + 0.0j, abs=1e-6)
+
+
+class TestMalformedData:
+    def test_asymmetric_quadratic_term_rejected(self):
+        with pytest.raises(SolverError):
+            conic([1.0, 1.0], -np.eye(2), [0.0, 0.0], [NONNEG, NONNEG],
+                  P=[[1.0, 0.5], [0.0, 1.0]])
+
+    def test_failed_factorization_reported(self):
+        # A negative definite P leaves the reduced KKT matrix indefinite at
+        # the very first factorization; that comes back as a report.
+        report = solve(conic([1.0], [[-1.0]], [-1.0], [NONNEG], P=[[-10.0]]))
+        assert report.status == "max_iterations"
+        assert report.message == "KKT factorization failed"
+        assert report.iterations == 0
+
+
+# ---------------------------------------------------------------------------
+# The stacked cone kernels and the reduced KKT solve, against per-block
+# reference formulas.
+
+MIXED_CONES = (("soc", 12), ("nonneg", 3), ("soc", 1), ("soc", 21), ("nonneg", 1),
+               ("soc", 12), ("soc", 1))
+
+
+def interior(rng, cones, spread=1.0):
+    """A random point strictly inside every block, in the solver's row order."""
+    v = rng.standard_normal(cones.perm.size) * spread
+    for r in cones.blocks():
+        v[r.start] = np.linalg.norm(v[r.start + 1:r.stop]) + rng.uniform(0.1, 2.0)
+    return v
+
+
+def nt_block(s, z):
+    """Nesterov-Todd scaling matrix W of one block, from its textbook formula."""
+    if s.size == 1:
+        return np.sqrt(s / z)[:, None]
+    jnorm = lambda v: np.sqrt(v[0] ** 2 - v[1:] @ v[1:])
+    sn, zn = s / jnorm(s), z / jnorm(z)
+    gamma = np.sqrt((1.0 + sn @ zn) / 2.0)
+    w = np.concatenate([[sn[0] + zn[0]], sn[1:] - zn[1:]]) / (2.0 * gamma)
+    t = np.empty((s.size, s.size))
+    t[0, 0], t[0, 1:], t[1:, 0] = w[0], w[1:], w[1:]
+    t[1:, 1:] = np.eye(s.size - 1) + np.outer(w[1:], w[1:]) / (1.0 + w[0])
+    return np.sqrt(jnorm(s) / jnorm(z)) * t
+
+
+def nt_matrix(s, z, cones):
+    """Block-diagonal W over every block."""
+    w = np.zeros((s.size, s.size))
+    for r in cones.blocks():
+        w[r, r] = nt_block(s[r], z[r])
+    return w
+
+
+def jordan_ref(u, v, cones):
+    out = np.empty_like(u)
+    for r in cones.blocks():
+        head, tail = r.start, slice(r.start + 1, r.stop)
+        out[head] = u[r] @ v[r]
+        out[tail] = u[head] * v[tail] + v[head] * u[tail]
+    return out
+
+
+def margin_ref(v, cones):
+    return min(v[r.start] - np.linalg.norm(v[r.start + 1:r.stop]) for r in cones.blocks())
+
+
+def step_by_bisection(v, dv, cones, hi=1e3):
+    """Largest t in [0, hi] with v + t dv inside the cones (hi when never left)."""
+    if margin_ref(v + hi * dv, cones) >= 0:
+        return hi
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if margin_ref(v + mid * dv, cones) >= 0 else (lo, mid)
+    return lo
+
+
+class TestStackedKernels:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_scaling_identities(self, seed):
+        rng = np.random.default_rng(seed)
+        cones = solver._Cones(MIXED_CONES)
+        s, z = interior(rng, cones), interior(rng, cones)
+        v = rng.standard_normal(cones.perm.size)
+        scaling = solver._Scaling(s, z, cones)
+        lam = scaling.mul_w(z)
+        close = np.testing.assert_allclose
+        close(lam, scaling.mul_winv(s), rtol=1e-10, atol=1e-12)
+        close(scaling.mul_w(v), nt_matrix(s, z, cones) @ v, rtol=1e-10, atol=1e-12)
+        close(scaling.mul_winv(scaling.mul_w(v)), v, rtol=1e-10, atol=1e-12)
+        close(scaling.mul_w2(v), scaling.mul_w(scaling.mul_w(v)), rtol=1e-12, atol=1e-14)
+        close(solver._jordan_mul(lam, v, cones), jordan_ref(lam, v, cones),
+              rtol=1e-12, atol=1e-14)
+        close(solver._jordan_solve(lam, jordan_ref(lam, v, cones), cones), v,
+              rtol=1e-9, atol=1e-11)
+        assert solver._cone_margin(s, cones) == pytest.approx(margin_ref(s, cones), rel=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_max_step_matches_bisection(self, seed):
+        rng = np.random.default_rng(seed)
+        cones = solver._Cones(MIXED_CONES)
+        v, dv = interior(rng, cones), rng.standard_normal(cones.perm.size)
+        t = solver._max_step(v, dv, cones)
+        expect = step_by_bisection(v, dv, cones)
+        if expect == 1e3:
+            assert t >= 1e3
+        else:
+            assert t == pytest.approx(expect, rel=1e-9)
+
+    @pytest.mark.parametrize("value,slope", [(0.1, -0.7), (0.4, -0.7), (0.6, -0.8), (1.0, -0.25)])
+    def test_max_step_exact_on_a_dimension_one_block(self, value, slope):
+        # The quadratic of a dimension-1 block, (u0 + t d0)^2, has a double
+        # root; for the first three pairs round-off puts its discriminant
+        # below zero.  The step must still stop exactly at -u0 / d0.
+        cones = solver._Cones((("soc", 3), ("soc", 1)))
+        one, three = sorted(cones.blocks(), key=lambda r: r.stop - r.start)
+        v, dv = np.zeros(4), np.zeros(4)
+        v[three], dv[three] = [2.0, 0.5, -0.5], [0.01, 0.0, 0.0]   # never leaves
+        v[one], dv[one] = value, slope
+        assert solver._max_step(v, dv, cones) == -value / slope
+
+
+def full_kkt(P, A, G, w):
+    """The unreduced [[P, A', G'], [A, 0, 0], [G, 0, -W^2]]."""
+    p, m = A.shape[0], G.shape[0]
+    return np.block([[P, A.T, G.T],
+                     [A, np.zeros((p, p)), np.zeros((p, m))],
+                     [G, np.zeros((m, p)), -w @ w]])
+
+
+class TestReducedKkt:
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([0, 1, 4]))
+    def test_solve_matches_the_full_system(self, seed, p):
+        rng = np.random.default_rng(seed)
+        cones = solver._Cones(MIXED_CONES)
+        m = cones.perm.size
+        n = 20
+        s, z = interior(rng, cones, 0.3), interior(rng, cones, 0.3)
+        B = rng.standard_normal((n, n // 2))
+        P, A, G = B @ B.T, rng.standard_normal((p, n)), rng.standard_normal((m, n))
+        kkt = solver._KktSolver(P, A, G)
+        kkt.factor(solver._Scaling(s, z, cones))
+        rx, ry, rz = rng.standard_normal(n), rng.standard_normal(p), rng.standard_normal(m)
+        got = np.concatenate(kkt.solve(rx, ry, rz))
+        expect = np.linalg.solve(full_kkt(P, A, G, nt_matrix(s, z, cones)),
+                                 np.concatenate([rx, ry, rz]))
+        # Refinement takes the regularization out: without it the error
+        # here is 1e-11 to 1e-8.
+        np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12 * np.abs(expect).max())
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = "import sys, cranopt; print('scipy.sparse' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "False"

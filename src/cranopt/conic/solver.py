@@ -13,10 +13,12 @@ scaled predictor-corrector steps on the homogeneous self-dual embedding of
 this quadratic cone program (as in Clarabel, Goulart & Chen 2024), so
 primal/dual infeasibility is certified rather than inferred from stalling.
 
-Cone blocks are stacked by dimension (see `_Cones`), so each cone operation
-is one array operation per block dimension, and each Newton system is
-reduced to a dense Cholesky factorization (see `_KktSolver`), as in
-CVXOPT's coneqp (Vandenberghe 2010).
+Cone blocks are segments of the slack vector, kept in the caller's row
+order (see `_Cones`): each cone operation is a fixed number of array
+operations over all blocks, and the Nesterov-Todd scaling is applied as a
+rank-one update per block (see `_Scaling`), as in CVXOPT and ECOS.  Each
+Newton system is reduced to a dense Cholesky factorization (see
+`_KktSolver`), as in CVXOPT's coneqp (Vandenberghe 2010).
 
 An optimal answer is then polished by Newton's method on the KKT system of
 its active cone blocks, which the interior-point iterate only approaches as
@@ -120,59 +122,39 @@ class SolveReport:
 
 
 # ---------------------------------------------------------------------------
-# Cone algebra.  Blocks are stacked by dimension; see `_Cones`.
+# Cone algebra.  Blocks are segments of the slack vector; see `_Cones`.
 
 
 class _Cones:
-    """The cone blocks, stacked by dimension.
+    """The cone blocks as segments of the slack vector, in the caller's row order.
 
     A ("nonneg", d) entry is d blocks of dimension 1 (the second-order cone
-    of dimension 1 is {x0 >= 0}).  Slack rows are permuted so that the
-    blocks of each dimension are contiguous: internal row i is caller row
-    ``perm[i]``, and `split` views a vector or row matrix in internal order
-    as one (k, d, ...) array per block dimension d.
+    of dimension 1 is {x0 >= 0}).  Block k is rows ``starts[k]`` to
+    ``starts[k] + dims[k] - 1``, head row first; ``owner`` maps each row to
+    its block, and ``sign`` is the diagonal of J = diag(1, -1, ..., -1) over
+    all blocks.  A per-block sum is one ``np.add.reduceat(., starts)``, and
+    ``[owner]`` spreads a per-block value back over the block's rows, so
+    every cone operation is a fixed number of array operations.
     """
 
     def __init__(self, cones):
-        starts, row = {}, 0
-        for kind, d in cones:
-            for dim in ([1] * d if kind == "nonneg" else [d]):
-                starts.setdefault(dim, []).append(row)
-                row += dim
-        self._spans, perm, off = [], [], 0   # (first row, end row, (k, d))
-        for dim, rows in sorted(starts.items()):
-            self._spans.append((off, off + dim * len(rows), (len(rows), dim)))
-            perm.append((np.array(rows)[:, None] + np.arange(dim)).ravel())
-            off += dim * len(rows)
-        self.perm = np.concatenate(perm)
-        self.degree = sum(len(rows) for rows in starts.values())
+        self.dims = np.array([dim for kind, d in cones
+                              for dim in ([1] * d if kind == "nonneg" else [d])], dtype=np.intp)
+        self.starts = np.cumsum(self.dims) - self.dims
+        self.owner = np.repeat(np.arange(self.dims.size), self.dims)
+        self.sign = -np.ones(self.owner.size)
+        self.sign[self.starts] = 1.0
+        self.tail = (1.0 - self.sign) / 2.0   # 1 on the rows below each head
+        self.degree = self.dims.size
 
-    def split(self, v):
-        return [v[start:stop].reshape(shape + v.shape[1:])
-                for start, stop, shape in self._spans]
-
-    def blocks(self):
-        """The row slice of every block, in internal order."""
-        return [slice(start + i * d, start + (i + 1) * d)
-                for start, _, (k, d) in self._spans for i in range(k)]
-
-
-def _dot(u, v):
-    """Row-wise inner products of two (k, d) arrays."""
-    return np.einsum("ij,ij->i", u, v)
-
-
-def _identity_element(cones, m):
-    e = np.zeros(m)
-    for blk in cones.split(e):
-        blk[:, 0] = 1.0
-    return e
+    def tail_dot(self, u, v):
+        """u1'v1 per block, the inner product of the rows below the heads."""
+        return np.add.reduceat(u * v * self.tail, self.starts)
 
 
 def _cone_margin(v, cones):
     """Smallest interior margin; > 0 iff strictly inside every block."""
-    return min(np.min(b[:, 0] - np.linalg.norm(b[:, 1:], axis=1))
-               for b in cones.split(v))
+    return np.min(v[cones.starts] - np.sqrt(cones.tail_dot(v, v)))
 
 
 def _max_step(v, dv, cones):
@@ -182,83 +164,78 @@ def _max_step(v, dv, cones):
     ||u1 + t d1||^2 (c > 0 inside), except in dimension 1, where that root is
     double and round-off can hide it behind a negative discriminant.
     """
-    t_max = np.inf
+    u0, d0 = v[cones.starts], dv[cones.starts]
+    a = d0 ** 2 - cones.tail_dot(dv, dv)
+    b = 2.0 * (u0 * d0 - cones.tail_dot(v, dv))
+    c = u0 ** 2 - cones.tail_dot(v, v)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for u, d in zip(cones.split(v), cones.split(dv)):
-            if u.shape[1] == 1:
-                roots = np.where(d < 0, -u / d, np.inf)
-            else:
-                a = d[:, 0] ** 2 - _dot(d[:, 1:], d[:, 1:])
-                b = 2.0 * (u[:, 0] * d[:, 0] - _dot(u[:, 1:], d[:, 1:]))
-                c = u[:, 0] ** 2 - _dot(u[:, 1:], u[:, 1:])
-                sq = np.sqrt(b * b - 4.0 * a * c)   # nan: the line stays inside
-                roots = np.where(np.abs(a) < 1e-300, -c / b,
-                                 [(-b - sq) / (2 * a), (-b + sq) / (2 * a)])
-            t_max = min(t_max, roots[roots > 0].min(initial=np.inf))
-    return t_max
+        sq = np.sqrt(b * b - 4.0 * a * c)   # nan: the line stays inside
+        roots = np.where(np.abs(a) < 1e-300, -c / b,
+                         [(-b - sq) / (2 * a), (-b + sq) / (2 * a)])
+        roots = np.where(cones.dims == 1, np.where(d0 < 0, -u0 / d0, np.inf), roots)
+    return roots[roots > 0].min(initial=np.inf)
 
 
 def _jordan_mul(u, v, cones):
     """u o v = (u'v, u0 v1 + v0 u1), blockwise."""
-    out = np.empty_like(u)
-    for a, b, o in zip(cones.split(u), cones.split(v), cones.split(out)):
-        o[:, 0] = _dot(a, b)
-        o[:, 1:] = a[:, :1] * b[:, 1:] + b[:, :1] * a[:, 1:]
+    heads, owner = cones.starts, cones.owner
+    out = u[heads][owner] * v + v[heads][owner] * u
+    out[heads] = np.add.reduceat(u * v, heads)
     return out
 
 
 def _jordan_solve(lam, d, cones):
     """x with lam o x = d, blockwise."""
-    out = np.empty_like(d)
-    for l, rhs, o in zip(cones.split(lam), cones.split(d), cones.split(out)):
-        det = l[:, 0] ** 2 - _dot(l[:, 1:], l[:, 1:])
-        x0 = (l[:, 0] * rhs[:, 0] - _dot(l[:, 1:], rhs[:, 1:])) / det
-        o[:, 0] = x0
-        o[:, 1:] = (rhs[:, 1:] - x0[:, None] * l[:, 1:]) / l[:, :1]
+    heads, owner = cones.starts, cones.owner
+    l0 = lam[heads]
+    x0 = (l0 * d[heads] - cones.tail_dot(lam, d)) / (l0 ** 2 - cones.tail_dot(lam, lam))
+    out = (d - x0[owner] * lam) / l0[owner]
+    out[heads] = x0
     return out
 
 
 class _Scaling:
     """Nesterov-Todd scaling W per cone block: W z = W^{-1} s = lambda.
 
-    Block k is W_k = beta_k T(w_k), where T(w) = u u'/(1 + w0) - J with
-    u = w + e and J = diag(1, -1, ..., -1), and W_k^{-1} = J T(w_k) J /
-    beta_k.  Both are kept as one dense (k, d, d) array per block dimension.
+    Block k is W_k = beta_k T(w_k), where T(w) = u u'/u0 - J with u = w + e
+    (so u0 = 1 + w0), and W_k^{-1} = J T(w_k) J / beta_k.  Only u, u0 and
+    beta are kept: W and W^{-1} act as a rank-one update of J, one per-block
+    inner product and O(m) elementwise work per vector.
     """
 
     def __init__(self, s, z, cones):
         self.cones = cones
-        self.w, self.winv = [], []
-        for sb, zb in zip(cones.split(s), cones.split(z)):
-            sign = np.ones(sb.shape[1])
-            sign[1:] = -1.0
-            rs = np.sqrt(np.maximum(sb[:, 0] ** 2 - _dot(sb[:, 1:], sb[:, 1:]), 1e-300))
-            rz = np.sqrt(np.maximum(zb[:, 0] ** 2 - _dot(zb[:, 1:], zb[:, 1:]), 1e-300))
-            sn, zn = sb / rs[:, None], zb / rz[:, None]
-            gamma = np.sqrt(np.maximum((1.0 + _dot(sn, zn)) / 2.0, 1e-300))
-            u = (sn + sign * zn) / (2.0 * gamma[:, None])
-            u[:, 0] += 1.0
-            t = u[:, :, None] * u[:, None, :] / u[:, :1, None] - np.diag(sign)
-            beta = np.sqrt(rs / rz)[:, None, None]
-            self.w.append(beta * t)
-            self.winv.append(t * np.outer(sign, sign) / beta)
-
-    def _apply(self, mats, v):
-        """The blocks of `mats` applied to v, an (m,) vector or (m, r) matrix."""
-        cols = v.reshape(v.shape[0], -1)
-        out = np.empty_like(cols)
-        for mat, blk, o in zip(mats, self.cones.split(cols), self.cones.split(out)):
-            np.matmul(mat, blk, out=o)
-        return out.reshape(v.shape)
+        heads, owner = cones.starts, cones.owner
+        rs = np.sqrt(np.maximum(s[heads] ** 2 - cones.tail_dot(s, s), 1e-300))
+        rz = np.sqrt(np.maximum(z[heads] ** 2 - cones.tail_dot(z, z), 1e-300))
+        sn, zn = s / rs[owner], z / rz[owner]
+        gamma = np.sqrt(np.maximum((1.0 + np.add.reduceat(sn * zn, heads)) / 2.0, 1e-300))
+        self.u = (sn + cones.sign * zn) / (2.0 * gamma)[owner]
+        self.u[heads] += 1.0
+        self.u0 = self.u[heads]
+        self.ju = cones.sign * self.u
+        self.beta = np.sqrt(rs / rz)[owner]   # per row
 
     def mul_w(self, v):
-        return self._apply(self.w, v)
+        coef = np.add.reduceat(self.u * v, self.cones.starts) / self.u0
+        return self.beta * (self.u * coef[self.cones.owner] - self.cones.sign * v)
 
     def mul_winv(self, v):
-        return self._apply(self.winv, v)
+        return self.winv_of_j(self.cones.sign * v)
 
     def mul_w2(self, v):
-        return self._apply(self.w, self._apply(self.w, v))
+        return self.mul_w(self.mul_w(v))
+
+    def winv_of_j(self, jv):
+        """W^{-1} v = (Ju (u'Jv)/u0 - Jv) / beta from Jv, an (m,) or (m, r) array."""
+        col = (slice(None),) + (None,) * (jv.ndim - 1)
+        coef = np.add.reduceat(self.u[col] * jv, self.cones.starts, axis=0)
+        coef /= self.u0[col]
+        out = coef[self.cones.owner]
+        out *= self.ju[col]
+        out -= jv
+        out /= self.beta[col]
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +258,7 @@ def _ruiz_equilibrate(c, P, G, h, A, b, cones, iters=8):
     for _ in range(iters):
         ra = np.maximum(np.sqrt(np.abs(As).max(axis=1)), 1e-8)
         rg = np.sqrt(np.maximum(np.abs(Gs).max(axis=1), 1e-16))
-        for blk in cones.split(rg):
-            blk[:] = blk.max(axis=1, keepdims=True)
-        rg = np.maximum(rg, 1e-8)
+        rg = np.maximum(np.maximum.reduceat(rg, cones.starts)[cones.owner], 1e-8)
         As /= ra[:, None]
         dr_a /= ra
         Gs /= rg[:, None]
@@ -337,23 +312,28 @@ def _polish(P, c, G, h, A, b, cones, x, y, z, feas_tol):
     with nu_k = 0 is weakly active) or a block leaves its cone.
     """
     slack = h - G @ x
-    active = [r for r in cones.blocks()
-              if z[r.start] > slack[r.start] - np.linalg.norm(slack[r.start + 1:r.stop])]
-    n, p, q = x.size, y.size, len(active)
-    nu = z[[r.start for r in active]]
+    heads = cones.starts
+    active = z[heads] > slack[heads] - np.sqrt(cones.tail_dot(slack, slack))
+    act = _Cones([("soc", d) for d in cones.dims[active]])
+    rows = active[cones.owner]
+    Ga, ha = G[rows], h[rows]
+    n, p, q = x.size, y.size, act.degree
+    nu = z[heads[active]]
     for step in range(POLISH_STEPS + 1):
-        hess, grads, resid = P.copy(), np.zeros((q, n)), np.zeros(q)
+        s = ha - Ga @ x
+        norm1 = np.maximum(np.sqrt(act.tail_dot(s, s)), 1e-300)
+        u = -s / norm1[act.owner]
+        u[act.starts] = 1.0
+        # Block k adds nu_k (g1'g1 - g1'u1 u1'g1) / ||s_k1|| to the Hessian,
+        # where g1 is its tail rows of G; a dimension-1 block has no tail.
+        g1u = np.add.reduceat((act.tail * u)[:, None] * Ga, act.starts, axis=0)
+        weight = np.where(act.dims > 1, nu / norm1, 0.0)
+        hess = P + (Ga * (act.tail * weight[act.owner])[:, None]).T @ Ga \
+            - (g1u * weight[:, None]).T @ g1u
+        grads = g1u + Ga[act.starts]
+        resid = norm1 - s[act.starts]
         zp = np.zeros_like(z)
-        for k, r in enumerate(active):
-            s = h[r] - G[r] @ x
-            norm1 = max(np.linalg.norm(s[1:]), 1e-300)
-            u = np.concatenate([[1.0], -s[1:] / norm1])
-            g1 = G[r][1:]
-            g1u = g1.T @ u[1:]
-            hess += nu[k] * (g1.T @ g1 - np.outer(g1u, g1u)) / norm1
-            grads[k] = u @ G[r]
-            resid[k] = norm1 - s[0]
-            zp[r] = nu[k] * u
+        zp[rows] = nu[act.owner] * u
         f = np.concatenate([P @ x + c + A.T @ y + G.T @ zp, A @ x - b, resid])
         if np.max(np.abs(f)) <= 1e-13:
             break
@@ -388,17 +368,19 @@ class _KktSolver:
     remains is [[H, A'], [A, 0]] for H = P + Ghat'Ghat, and `factor` takes
     dense Cholesky factors of H + REG I and, when there are equality rows,
     of the Schur complement A (H + REG I)^{-1} A' + REG I (the "chol2"
-    reduction of CVXOPT's coneqp).  `solve` refines against the full,
-    unregularized system, which takes the regularization back out.
+    reduction of CVXOPT's coneqp).  J G is kept for the whole solve, so
+    Ghat is one rank-one update per block of it.  `solve` refines against
+    the full, unregularized system, which takes the regularization back out.
     """
 
-    def __init__(self, P, A, G):
+    def __init__(self, P, A, G, cones):
         self.P, self.A, self.G = P, A, G
         self.p, self.n = A.shape
+        self._jg = cones.sign[:, None] * G
 
     def factor(self, scaling: _Scaling):
         """Raises np.linalg.LinAlgError when a reduced matrix is not definite."""
-        ghat = scaling.mul_winv(self.G)
+        ghat = scaling.winv_of_j(self._jg)
         h = self.P + ghat.T @ ghat
         h.flat[::self.n + 1] += REG
         self._h = scipy.linalg.cho_factor(h)[0]
@@ -428,14 +410,24 @@ class _KktSolver:
         return np.concatenate([top, mid, bot])
 
     def solve(self, rx, ry, rz, refine=4):
+        """Refine until the residual's max-norm stops halving; keep the best."""
         n, p = self.n, self.p
         rhs = np.concatenate([rx, ry, rz])
+        tol = 1e-14 * max(1.0, np.max(np.abs(rhs)))
         u = self._solve_reduced(rx, ry, rz)
+        resid = rhs - self._apply_unreg(u)
+        err = np.max(np.abs(resid))
         for _ in range(refine):
-            resid = rhs - self._apply_unreg(u)
-            if np.max(np.abs(resid)) < 1e-14 * max(1.0, np.max(np.abs(rhs))):
+            if err < tol:
                 break
-            u += self._solve_reduced(resid[:n], resid[n:n + p], resid[n + p:])
+            step = u + self._solve_reduced(resid[:n], resid[n:n + p], resid[n + p:])
+            step_resid = rhs - self._apply_unreg(step)
+            step_err = np.max(np.abs(step_resid))
+            if step_err < err:
+                u, resid = step, step_resid
+            if not step_err <= 0.5 * err:
+                break
+            err = step_err
         return u[:n], u[n:n + p], u[n + p:]
 
 
@@ -456,16 +448,16 @@ def _solve_impl(problem: ConicProblem, gap_tol: float, feas_tol: float,
                        iterations=0)
 
     c, P, G, h, A, b, dc, dra, drg, cost_scale = _ruiz_equilibrate(
-        problem.c, problem.P, problem.cone_lhs[cones.perm], problem.cone_rhs[cones.perm],
-        A0, b0, cones)
+        problem.c, problem.P, problem.cone_lhs, problem.cone_rhs, A0, b0, cones)
     n, p, m = c.shape[0], A.shape[0], G.shape[0]
-    e = _identity_element(cones, m)
+    e = np.zeros(m)
+    e[cones.starts] = 1.0
     deg = cones.degree
     norm_b = max(1.0, np.linalg.norm(b))
     norm_h = max(1.0, np.linalg.norm(h))
     norm_c = max(1.0, np.linalg.norm(c))
 
-    kkt = _KktSolver(P, A, G)
+    kkt = _KktSolver(P, A, G, cones)
 
     # Initial point: least-squares style starts shifted into the cone.
     try:
@@ -636,12 +628,11 @@ def _solve_impl(problem: ConicProblem, gap_tol: float, feas_tol: float,
                                -_cone_margin(ss, cones) / norm_h)
                 dres_rep = np.linalg.norm(P @ xs + c + A.T @ ys + G.T @ zs) / norm_c
 
-    # Undo equilibration and the cone row order.
-    back = np.argsort(cones.perm)
+    # Undo equilibration.
     x_orig = dc * xs
     y_orig = cost_scale * dra * ys
-    z_orig = (cost_scale * drg * zs)[back]
-    s_orig = (ss / drg)[back]
+    z_orig = cost_scale * drg * zs
+    s_orig = ss / drg
 
     quad = 0.5 * float(xs @ P @ xs)
     pcost = (float(c @ xs) + quad) * cost_scale

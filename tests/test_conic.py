@@ -287,7 +287,7 @@ class TestEmbedding:
                                                             abs=1e-8)
 
     def test_slack_and_multipliers_in_caller_row_order(self):
-        # Cone rows are stacked by block dimension inside the solver; s and z
+        # The blocks differ in dimension and are not sorted by it; s and z
         # come back in the caller's row order.
         prob = min_norm_problem(np.array([1.0 + 1.0j, 2.0]), 1.0)
         report = solve(prob)
@@ -320,17 +320,35 @@ class TestMalformedData:
 
 
 # ---------------------------------------------------------------------------
-# The stacked cone kernels and the reduced KKT solve, against per-block
-# reference formulas.
-
-MIXED_CONES = (("soc", 12), ("nonneg", 3), ("soc", 1), ("soc", 21), ("nonneg", 1),
-               ("soc", 12), ("soc", 1))
+# The segment cone kernels and the reduced KKT solve, against per-block
+# reference formulas, over drawn cone lists.
 
 
-def interior(rng, cones, spread=1.0):
-    """A random point strictly inside every block, in the solver's row order."""
-    v = rng.standard_normal(cones.perm.size) * spread
-    for r in cones.blocks():
+def _distinct_dims(cone_list):
+    return {1 if kind == "nonneg" else d for kind, d in cone_list}
+
+
+# Dims 1-25 in any order, with runs of dimension-1 blocks ("nonneg", d) and
+# 1-6 distinct block dimensions.
+CONE_LISTS = st.lists(
+    st.tuples(st.just("soc"), st.integers(1, 25)) | st.tuples(st.just("nonneg"), st.integers(1, 6)),
+    min_size=1, max_size=8).filter(lambda cl: len(_distinct_dims(cl)) <= 6)
+
+
+def blocks(cone_list):
+    """The row slice of every block, read off the public cone list."""
+    out, row = [], 0
+    for kind, d in cone_list:
+        for dim in ([1] * d if kind == "nonneg" else [d]):
+            out.append(slice(row, row + dim))
+            row += dim
+    return out
+
+
+def interior(rng, cone_list, spread=1.0):
+    """A random point strictly inside every block."""
+    v = rng.standard_normal(sum(d for _, d in cone_list)) * spread
+    for r in blocks(cone_list):
         v[r.start] = np.linalg.norm(v[r.start + 1:r.stop]) + rng.uniform(0.1, 2.0)
     return v
 
@@ -349,67 +367,72 @@ def nt_block(s, z):
     return np.sqrt(jnorm(s) / jnorm(z)) * t
 
 
-def nt_matrix(s, z, cones):
+def nt_matrix(s, z, cone_list):
     """Block-diagonal W over every block."""
     w = np.zeros((s.size, s.size))
-    for r in cones.blocks():
+    for r in blocks(cone_list):
         w[r, r] = nt_block(s[r], z[r])
     return w
 
 
-def jordan_ref(u, v, cones):
+def jordan_ref(u, v, cone_list):
     out = np.empty_like(u)
-    for r in cones.blocks():
+    for r in blocks(cone_list):
         head, tail = r.start, slice(r.start + 1, r.stop)
         out[head] = u[r] @ v[r]
         out[tail] = u[head] * v[tail] + v[head] * u[tail]
     return out
 
 
-def margin_ref(v, cones):
-    return min(v[r.start] - np.linalg.norm(v[r.start + 1:r.stop]) for r in cones.blocks())
+def margin_ref(v, cone_list):
+    return min(v[r.start] - np.linalg.norm(v[r.start + 1:r.stop]) for r in blocks(cone_list))
 
 
-def step_by_bisection(v, dv, cones, hi=1e3):
+def step_by_bisection(v, dv, cone_list, hi=1e3):
     """Largest t in [0, hi] with v + t dv inside the cones (hi when never left)."""
-    if margin_ref(v + hi * dv, cones) >= 0:
+    if margin_ref(v + hi * dv, cone_list) >= 0:
         return hi
     lo = 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if margin_ref(v + mid * dv, cones) >= 0 else (lo, mid)
+        lo, hi = (mid, hi) if margin_ref(v + mid * dv, cone_list) >= 0 else (lo, mid)
     return lo
 
 
 class TestStackedKernels:
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 2 ** 32 - 1))
-    def test_scaling_identities(self, seed):
+    @settings(max_examples=40, deadline=None)
+    @given(CONE_LISTS, st.integers(0, 2 ** 32 - 1))
+    def test_scaling_identities(self, cone_list, seed):
         rng = np.random.default_rng(seed)
-        cones = solver._Cones(MIXED_CONES)
-        s, z = interior(rng, cones), interior(rng, cones)
-        v = rng.standard_normal(cones.perm.size)
+        cones = solver._Cones(cone_list)
+        s, z = interior(rng, cone_list), interior(rng, cone_list)
+        v = rng.standard_normal(s.size)
         scaling = solver._Scaling(s, z, cones)
         lam = scaling.mul_w(z)
         close = np.testing.assert_allclose
         close(lam, scaling.mul_winv(s), rtol=1e-10, atol=1e-12)
-        close(scaling.mul_w(v), nt_matrix(s, z, cones) @ v, rtol=1e-10, atol=1e-12)
+        close(scaling.mul_w(v), nt_matrix(s, z, cone_list) @ v, rtol=1e-10, atol=1e-12)
         close(scaling.mul_winv(scaling.mul_w(v)), v, rtol=1e-10, atol=1e-12)
         close(scaling.mul_w2(v), scaling.mul_w(scaling.mul_w(v)), rtol=1e-12, atol=1e-14)
-        close(solver._jordan_mul(lam, v, cones), jordan_ref(lam, v, cones),
+        mat = rng.standard_normal((s.size, 3))
+        close(scaling.winv_of_j(cones.sign[:, None] * mat),
+              np.linalg.solve(nt_matrix(s, z, cone_list), mat), rtol=1e-9, atol=1e-11)
+        close(solver._jordan_mul(lam, v, cones), jordan_ref(lam, v, cone_list),
               rtol=1e-12, atol=1e-14)
-        close(solver._jordan_solve(lam, jordan_ref(lam, v, cones), cones), v,
+        close(solver._jordan_solve(lam, jordan_ref(lam, v, cone_list), cones), v,
               rtol=1e-9, atol=1e-11)
-        assert solver._cone_margin(s, cones) == pytest.approx(margin_ref(s, cones), rel=1e-12)
+        assert solver._cone_margin(s, cones) == pytest.approx(margin_ref(s, cone_list),
+                                                              rel=1e-12)
 
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 2 ** 32 - 1))
-    def test_max_step_matches_bisection(self, seed):
+    @settings(max_examples=40, deadline=None)
+    @given(CONE_LISTS, st.integers(0, 2 ** 32 - 1))
+    def test_max_step_matches_bisection(self, cone_list, seed):
         rng = np.random.default_rng(seed)
-        cones = solver._Cones(MIXED_CONES)
-        v, dv = interior(rng, cones), rng.standard_normal(cones.perm.size)
+        cones = solver._Cones(cone_list)
+        v = interior(rng, cone_list)
+        dv = rng.standard_normal(v.size)
         t = solver._max_step(v, dv, cones)
-        expect = step_by_bisection(v, dv, cones)
+        expect = step_by_bisection(v, dv, cone_list)
         if expect == 1e3:
             assert t >= 1e3
         else:
@@ -421,10 +444,8 @@ class TestStackedKernels:
         # root; for the first three pairs round-off puts its discriminant
         # below zero.  The step must still stop exactly at -u0 / d0.
         cones = solver._Cones((("soc", 3), ("soc", 1)))
-        one, three = sorted(cones.blocks(), key=lambda r: r.stop - r.start)
-        v, dv = np.zeros(4), np.zeros(4)
-        v[three], dv[three] = [2.0, 0.5, -0.5], [0.01, 0.0, 0.0]   # never leaves
-        v[one], dv[one] = value, slope
+        v = np.array([2.0, 0.5, -0.5, value])
+        dv = np.array([0.01, 0.0, 0.0, slope])   # the first block never leaves
         assert solver._max_step(v, dv, cones) == -value / slope
 
 
@@ -436,26 +457,58 @@ def full_kkt(P, A, G, w):
                      [G, np.zeros((m, p)), -w @ w]])
 
 
+def kkt_system(rng, cone_list, s, z, p, n=20):
+    """A reduced KKT solver at scaling (s, z) with random data, and a right side.
+
+    P has rank n/2 when G has at least n rows, whose full column rank then
+    makes P + G'W^-2 G definite; with fewer rows P is itself definite.
+    """
+    m = s.size
+    B = rng.standard_normal((n, n // 2 if m >= n else 2 * n))
+    P, A, G = B @ B.T, rng.standard_normal((p, n)), rng.standard_normal((m, n))
+    cones = solver._Cones(cone_list)
+    kkt = solver._KktSolver(P, A, G, cones)
+    kkt.factor(solver._Scaling(s, z, cones))
+    rhs = (rng.standard_normal(n), rng.standard_normal(p), rng.standard_normal(m))
+    return kkt, (P, A, G), rhs
+
+
 class TestReducedKkt:
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([0, 1, 4]))
-    def test_solve_matches_the_full_system(self, seed, p):
+    @settings(max_examples=30, deadline=None)
+    @given(CONE_LISTS, st.integers(0, 2 ** 32 - 1), st.sampled_from([0, 1, 4]))
+    def test_solve_matches_the_full_system(self, cone_list, seed, p):
         rng = np.random.default_rng(seed)
-        cones = solver._Cones(MIXED_CONES)
-        m = cones.perm.size
-        n = 20
-        s, z = interior(rng, cones, 0.3), interior(rng, cones, 0.3)
-        B = rng.standard_normal((n, n // 2))
-        P, A, G = B @ B.T, rng.standard_normal((p, n)), rng.standard_normal((m, n))
-        kkt = solver._KktSolver(P, A, G)
-        kkt.factor(solver._Scaling(s, z, cones))
-        rx, ry, rz = rng.standard_normal(n), rng.standard_normal(p), rng.standard_normal(m)
-        got = np.concatenate(kkt.solve(rx, ry, rz))
-        expect = np.linalg.solve(full_kkt(P, A, G, nt_matrix(s, z, cones)),
-                                 np.concatenate([rx, ry, rz]))
+        s, z = interior(rng, cone_list, 0.3), interior(rng, cone_list, 0.3)
+        kkt, (P, A, G), rhs = kkt_system(rng, cone_list, s, z, p)
+        got = np.concatenate(kkt.solve(*rhs))
+        expect = np.linalg.solve(full_kkt(P, A, G, nt_matrix(s, z, cone_list)),
+                                 np.concatenate(rhs))
         # Refinement takes the regularization out: without it the error
         # here is 1e-11 to 1e-8.
         np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12 * np.abs(expect).max())
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_refinement_stops_when_it_stalls(self, seed):
+        # s and z 1e-8 inside opposite sides of each block, as near the end
+        # of a solve: W^2 is so ill-conditioned that refinement stalls far
+        # above its 1e-14 target.  It stops before its 4 steps and returns
+        # the iterate with the smallest residual, so no worse than the first
+        # reduced solve.
+        cone_list = (("soc", 12), ("nonneg", 3), ("soc", 5), ("soc", 21))
+        rng = np.random.default_rng(seed)
+        s = rng.standard_normal(41)
+        for r in blocks(cone_list):
+            s[r.start] = np.linalg.norm(s[r.start + 1:r.stop]) + 1e-8
+        z = s * solver._Cones(cone_list).sign
+        kkt, _, rhs = kkt_system(rng, cone_list, s, z, 4)
+        full_rhs = np.concatenate(rhs)
+        reduced, apply_unreg, seen = kkt._solve_reduced, kkt._apply_unreg, []
+        resid = lambda u: np.max(np.abs(full_rhs - apply_unreg(u)))
+        kkt._apply_unreg = lambda u: seen.append(resid(u)) or apply_unreg(u)
+        got = np.concatenate(kkt.solve(*rhs))
+        assert resid(got) > 1e-14 * np.abs(full_rhs).max()   # never converged
+        assert 2 <= len(seen) < 5   # the first solve and 1-3 refinement steps
+        assert resid(got) == min(seen) <= resid(reduced(*rhs))
 
 
 def test_import_leaves_scipy_sparse_unloaded():

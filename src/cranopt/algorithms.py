@@ -13,7 +13,10 @@ Two entry points:
 
 Both return solutions with serving clusters extracted and a final refit on
 the reduced support, so returned iterates replay cleanly against the model
-constraints.
+constraints.  Every per-UE quantity (rate floors, clone speeds, cloud
+energies, MSE weights) is computed on whole per-UE arrays: each entry point
+turns its task list into (F, D, T) arrays once, and the kernels broadcast
+scalars against them.
 """
 
 from __future__ import annotations
@@ -124,70 +127,69 @@ def mse(channels: ChannelState, vectors: np.ndarray, receivers) -> np.ndarray:
             - 2.0 * np.real(np.conj(receivers) * own) + 1.0)
 
 
-def _clamped_rate(e: float, bandwidth: float, task: Task, capacity_limit: float):
-    """Rate implied by an MSE value, kept at/above the deadline floor."""
-    r = bandwidth * math.log2(1.0 / e)
-    if task.result_bits == 0:
-        return max(r, 0.0)
-    floor = task.result_bits / (task.deadline - task.cpu_cycles / capacity_limit)
-    return max(r, floor)
+def _task_arrays(tasks: list[Task]):
+    """Per-UE arrays (F, D, T): CPU cycles, result bits and deadlines."""
+    return np.array([(t.cpu_cycles, t.result_bits, t.deadline) for t in tasks],
+                    dtype=float).reshape(-1, 3).T
 
 
-def _clone_speed(task: Task, r: float, capacity_limit: float) -> float:
+def _rate_floor(cycles, bits, deadlines, capacity_limit):
+    """D / (T - F / f_max): the slowest radio leg the deadline allows, 0 when D = 0."""
+    room = deadlines - cycles / capacity_limit
+    return np.where(bits > 0, bits / np.where(room > 0, room, np.inf), 0.0)
+
+
+def _clone_speed(r, cycles, bits, deadlines, capacity_limit):
     """Deadline-tight clone speed F / (T - D/r), capped at the clone capacity.
 
     A task without result bits runs at F / T; a radio leg that leaves no
-    time puts the clone at the cap.
+    time (including r = 0) puts the clone at the cap.
     """
-    if task.result_bits == 0:
-        speed = task.cpu_cycles / task.deadline
-    else:
-        slack = task.deadline - task.result_bits / r
-        speed = task.cpu_cycles / slack if slack > 0 else capacity_limit
-    return min(speed, capacity_limit)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slack = deadlines - np.where(bits > 0, bits / np.asarray(r, dtype=float), 0.0)
+        speed = np.where(slack > 0, cycles / slack, capacity_limit)
+    return np.minimum(speed, capacity_limit)
 
 
-def cloud_energy_of_rate(r: float, task: Task, kappa: float, exponent: float,
-                         capacity_limit: float) -> float:
+def cloud_energy_of_rate(r, cycles, bits, deadlines, kappa, exponent,
+                         capacity_limit):
     """Clone energy when the radio leg runs at rate r and the deadline is tight.
 
     The clone must cover F cycles in T - D/r seconds; speeds are capped at
     the clone capacity (rates below the implied floor evaluate at the cap).
     """
-    return clone_energy(task.cpu_cycles, _clone_speed(task, r, capacity_limit),
-                        kappa, exponent)
+    speed = _clone_speed(r, cycles, bits, deadlines, capacity_limit)
+    return clone_energy(cycles, speed, kappa, exponent)
 
 
-def mse_weight(e: float, task: Task, bandwidth: float, kappa: float,
-               exponent: float, capacity_limit: float) -> float:
-    """Gradient of the cloud-energy utility through the MSE map.
+def mse_weight(e, cycles, bits, deadlines, bandwidth, kappa, exponent,
+               capacity_limit):
+    """Gradient of the cloud-energy utility through the MSE map, per UE.
 
     With tau(e) = gamma(B log2(1/e)) and gamma the deadline-tight clone
     energy as a function of the radio rate, the chain rule gives
 
         d tau / d e = kappa (nu - 1) D f^nu / r^2 * B / (e ln 2),
 
-    where f = F / (T - D/r) is the implied clone speed.  The speed is
-    clamped at the clone capacity when the MSE implies a rate below the
-    deadline floor, which bounds the weight at infeasible iterates.
+    where f = F / (T - D/r) is the implied clone speed.  The rate is
+    clamped at the deadline floor, which puts the speed at the clone
+    capacity and bounds the weight at infeasible iterates.  The weight is 0
+    without result bits, at nu = 1 or at kappa = 0; otherwise a UE whose
+    cloud execution alone exhausts its deadline raises RateInfeasibleError.
     """
-    if not 0.0 < e < 1.0:
+    e = np.asarray(e, dtype=float)
+    if not np.all((e > 0.0) & (e < 1.0)):
         raise ValueError("mse weight needs e in (0, 1)")
-    if task.result_bits == 0 or exponent == 1.0 or kappa == 0.0:
-        return 0.0
-    if task.deadline <= task.cpu_cycles / capacity_limit:
-        raise RateInfeasibleError(0, "cloud execution alone exhausts the deadline")
-    r = _clamped_rate(e, bandwidth, task, capacity_limit)
-    speed = _clone_speed(task, r, capacity_limit)
-    grad_gamma = (kappa * (exponent - 1.0) * task.result_bits
-                  * speed ** exponent / r ** 2)
-    return grad_gamma * bandwidth / (e * math.log(2.0))
-
-
-def _tau_utility(e: float, task: Task, bandwidth: float, kappa: float,
-                 exponent: float, capacity_limit: float) -> float:
-    r = _clamped_rate(e, bandwidth, task, capacity_limit)
-    return cloud_energy_of_rate(r, task, kappa, exponent, capacity_limit)
+    live = (bits > 0) & (exponent != 1.0) & (kappa != 0.0)
+    late = live & (deadlines <= cycles / capacity_limit)
+    if np.any(late):
+        raise RateInfeasibleError(int(np.argmax(late)),
+                                  "cloud execution alone exhausts the deadline")
+    r = np.maximum(bandwidth * np.log2(1.0 / e),
+                   _rate_floor(cycles, bits, deadlines, capacity_limit))
+    speed = _clone_speed(r, cycles, bits, deadlines, capacity_limit)
+    grad_gamma = kappa * (exponent - 1.0) * bits * speed ** exponent / r ** 2
+    return np.where(live, grad_gamma * bandwidth / (e * math.log(2.0)), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -197,19 +199,16 @@ def _tau_utility(e: float, task: Task, bandwidth: float, kappa: float,
 def _initial_beamformers(config: SystemConfig, channels: ChannelState,
                          support: np.ndarray) -> np.ndarray:
     """Matched-filter directions at half the per-RRH power budget."""
-    n, l, k = channels.gains.shape
-    v = np.zeros((n, l, k), dtype=complex)
+    h = channels.gains
     active = max(1, int(support.any(axis=1).sum()))
-    for j in range(l):
-        share = config.rrh_power_limit[j] / (2.0 * active)
-        for i in range(n):
-            if not support[i, j]:
-                continue
-            h = channels.gains[i, j]
-            norm = np.linalg.norm(h)
-            if norm > 0:
-                v[i, j] = math.sqrt(share) * h / norm
-    return v
+    share = np.asarray(config.rrh_power_limit, dtype=float) / (2.0 * active)
+    # ||h_ij|| from the dot products Re'Re + Im'Im that np.linalg.norm takes
+    # per vector (its axis form sums in another order).
+    norm = np.sqrt(sum((a[..., None, :] @ a[..., :, None])[..., 0, 0]
+                       for a in (h.real, h.imag)))
+    on = support & (norm > 0)
+    v = np.sqrt(share)[None, :, None] * h / np.where(on, norm, 1.0)[..., None]
+    return np.where(on[..., None], v, 0.0)
 
 
 def _cs_rate_bound(config, channels, ue_powers, support) -> np.ndarray:
@@ -272,9 +271,8 @@ def _cull_support(vectors, support, power_limits):
     """Drop blocks far below the extraction threshold (keeping one per UE)."""
     sq = np.sum(np.abs(vectors) ** 2, axis=-1)
     keep = support & (sq > CULL_THRESHOLD * np.asarray(power_limits)[None, :])
-    for i in range(support.shape[0]):
-        if support[i].any() and not keep[i].any():
-            keep[i, int(np.argmax(sq[i]))] = True
+    lost = support.any(axis=1) & ~keep.any(axis=1)
+    keep[lost, np.argmax(sq[lost], axis=1)] = True
     return keep
 
 
@@ -296,9 +294,9 @@ def constraint_violations(config, tasks, channels, solution,
                                   - np.asarray(config.fronthaul_limit))),
     }
     if deadline_total is not None:
-        late = np.asarray(deadline_total) - np.array([t.deadline for t in tasks])
-        pending = np.array([t.result_bits > 0 for t in tasks])
-        out["deadline"] = float(np.max(late[pending], initial=0.0))
+        _, bits, deadlines = _task_arrays(tasks)
+        late = np.asarray(deadline_total) - deadlines
+        out["deadline"] = float(np.max(late[bits > 0], initial=0.0))
     return out
 
 
@@ -317,13 +315,12 @@ def ran_power_minimization(config: SystemConfig, tasks: list[Task],
     inactive so the reweighting has a point to start from.
     """
     n = config.num_ue
-    budgets = np.broadcast_to(np.asarray(transmit_budgets, dtype=float), (n,))
-    floors = np.array([t.result_bits / budgets[i] if t.result_bits > 0 else 0.0
-                       for i, t in enumerate(tasks)])
+    _, bits, _ = _task_arrays(tasks)
+    floors = bits / np.asarray(transmit_budgets, dtype=float)
     support = np.repeat((floors > 0)[:, None], config.num_rrh, axis=1)
     if not support.any():
         zero = BeamformerSet(np.zeros_like(channels.gains))
-        return RanSolution(zero, np.zeros(n), tuple(frozenset() for _ in range(n)),
+        return RanSolution(zero, np.zeros(n), (frozenset(),) * n,
                            np.zeros(n), floors, [0.0], "optimal", 0, True)
 
     v = _initial_beamformers(config, channels, support)
@@ -333,7 +330,6 @@ def ran_power_minimization(config: SystemConfig, tasks: list[Task],
     metric_prev = None
     trace = []
     status, converged, it = "max_iterations", False, 0
-    bits = np.array([t.result_bits for t in tasks])
 
     for it in range(1, max_iterations + 1):
         # `bound` holds the rate bound at the current v and support.
@@ -344,8 +340,7 @@ def ran_power_minimization(config: SystemConfig, tasks: list[Task],
             fronthaul_limits=config.fronthaul_limit, support=support)
         report = solve(problem, **SOLVE_KW)
         if not report.optimal:
-            return RanSolution(BeamformerSet(v), np.zeros(n),
-                               tuple(frozenset() for _ in range(n)),
+            return RanSolution(BeamformerSet(v), np.zeros(n), (frozenset(),) * n,
                                powers, floors, trace, report.status, it, False,
                                f"conic step failed: {report.message or report.status}; "
                                f"floors={floors.tolist()}")
@@ -402,8 +397,7 @@ def _refit_on_support(config, channels, bf, floors, weights, support):
     for _ in range(10):
         if not mask.any():
             zero = BeamformerSet(np.zeros_like(bf.vectors))
-            return zero, np.zeros(n), np.zeros(n), tuple(
-                frozenset() for _ in range(n))
+            return zero, np.zeros(n), np.zeros(n), (frozenset(),) * n
         # Every served UE costs its full rate on the hard per-RRH form, and a
         # power-min refit lands on its targets, so shed targets until the
         # planned load fits each masked RRH.
@@ -468,27 +462,25 @@ def joint_energy_minimization(config: SystemConfig, tasks: list[Task],
     fmax = np.asarray(config.clone_capacity_limit)
     bw = np.asarray(config.bandwidth)
     eta = np.asarray(config.tradeoff)
-    bits = np.array([t.result_bits for t in tasks])
-    cycles = np.array([t.cpu_cycles for t in tasks])
-    deadlines = np.array([t.deadline for t in tasks])
+    cycles, bits, deadlines = _task_arrays(tasks)
 
-    for i in range(n):
-        if deadlines[i] <= cycles[i] / fmax[i]:
-            raise RateInfeasibleError(
-                i, f"cloud execution needs {cycles[i] / fmax[i]:.6g} s "
-                   f"of a {deadlines[i]:.6g} s deadline")
+    late = deadlines <= cycles / fmax
+    if np.any(late):
+        i = int(np.argmax(late))
+        raise RateInfeasibleError(
+            i, f"cloud execution needs {cycles[i] / fmax[i]:.6g} s "
+               f"of a {deadlines[i]:.6g} s deadline")
 
-    floors = np.where(bits > 0, _safe_div(bits, deadlines - cycles / fmax), 0.0)
+    floors = _rate_floor(cycles, bits, deadlines, fmax)
     support = np.repeat((bits > 0)[:, None], l, axis=1)
 
     if not support.any():
-        allocs = solve_cloud_allocation(tasks, deadlines, fmax, kappa, nu)
-        energy = EnergyBreakdown.combine([a.exec_energy for a in allocs],
-                                         np.zeros(n), eta)
+        alloc = solve_cloud_allocation(cycles, deadlines, fmax, kappa, nu)
+        energy = EnergyBreakdown.combine(alloc.exec_energy, np.zeros(n), eta)
         zero = BeamformerSet(np.zeros_like(channels.gains))
-        ransol = RanSolution(zero, np.zeros(n), tuple(frozenset() for _ in range(n)),
+        ransol = RanSolution(zero, np.zeros(n), (frozenset(),) * n,
                              np.zeros(n), floors, [], "optimal", 0, True)
-        return JointSolution(ransol, np.array([a.clone_capacity for a in allocs]),
+        return JointSolution(ransol, alloc.clone_capacity,
                              energy, [energy.total], [], "optimal", 0, True)
 
     v = _initial_beamformers(config, channels, support)
@@ -502,9 +494,15 @@ def joint_energy_minimization(config: SystemConfig, tasks: list[Task],
     best_total, best_state = np.inf, None
 
     def true_surrogate(e_vec, powers, weights):
-        taus = [_tau_utility(e_vec[i], tasks[i], bw[i], kappa[i], nu[i], fmax[i])
-                for i in range(n)]
-        return float(np.sum(taus) + weights @ powers)
+        rates = np.maximum(bw * np.log2(1.0 / e_vec), floors)
+        taus = cloud_energy_of_rate(rates, cycles, bits, deadlines, kappa, nu, fmax)
+        return float(taus.sum() + weights @ powers)
+
+    def recover_cloud(rates, powers):
+        """Clone speeds from the rates (deadline tight), plus both energy legs."""
+        speeds = _clone_speed(rates, cycles, bits, deadlines, fmax)
+        return (speeds, clone_energy(cycles, speeds, kappa, nu),
+                _transmit_energy(bits, rates, powers))
 
     for it in range(1, max_iterations + 1):
         # bf, rates and powers hold the current v, measured when it was set.
@@ -520,8 +518,7 @@ def joint_energy_minimization(config: SystemConfig, tasks: list[Task],
         e = np.clip(mse(channels, v, u), 1e-300, 1.0 - 1e-15)
         s1 = true_surrogate(e, powers, weights)
 
-        phi = np.array([mse_weight(e[i], tasks[i], bw[i], kappa[i], nu[i], fmax[i])
-                        for i in range(n)])
+        phi = mse_weight(e, cycles, bits, deadlines, bw, kappa, nu, fmax)
         s2 = s1  # the weight refresh re-anchors phi; the surrogate value is unchanged
 
         problem = build_wmmse_step_socp(
@@ -530,8 +527,7 @@ def joint_energy_minimization(config: SystemConfig, tasks: list[Task],
             fronthaul_limits=config.fronthaul_limit, support=support)
         report = solve(problem, **SOLVE_KW)
         if not report.optimal:
-            ransol = RanSolution(bf, rates,
-                                 tuple(frozenset() for _ in range(n)), powers,
+            ransol = RanSolution(bf, rates, (frozenset(),) * n, powers,
                                  floors, [], report.status, it, False,
                                  f"conic step failed: {report.message or report.status}")
             return JointSolution(ransol, np.zeros(n), None, energy_trace,
@@ -552,7 +548,7 @@ def joint_energy_minimization(config: SystemConfig, tasks: list[Task],
         rho = _fronthaul_rows(config, bf, rates, support)
         frozen = rates.copy()
 
-        speeds, cloud_e, tx_e = _recover_cloud(config, tasks, rates, powers)
+        speeds, cloud_e, tx_e = recover_cloud(rates, powers)
         total = float(np.sum(cloud_e + eta * tx_e))
         energy_trace.append(total)
         if total < best_total and _iterate_feasible(config, bf, rates, floors):
@@ -576,15 +572,14 @@ def joint_energy_minimization(config: SystemConfig, tasks: list[Task],
         config, channels, BeamformerSet(v), floors,
         np.where(bits > 0, eta * _safe_div(bits, _cs_rate_bound(
             config, channels, powers, support)), 0.0), support)
-    speeds, cloud_e, tx_e = _recover_cloud(config, tasks, rates, powers)
+    speeds, cloud_e, tx_e = recover_cloud(rates, powers)
     energy = EnergyBreakdown.combine(cloud_e, tx_e, eta)
     ransol = RanSolution(bf, rates, clusters, powers, floors, energy_trace,
                          status if converged else "max_iterations", it, converged)
     receivers = mmse_receiver(channels, bf)
     mses = np.clip(mse(channels, bf.vectors, receivers), 1e-300, 1.0)
-    weights_out = np.array([
-        mse_weight(min(mses[i], 1.0 - 1e-15), tasks[i], bw[i], kappa[i], nu[i],
-                   fmax[i]) for i in range(n)])
+    weights_out = mse_weight(np.minimum(mses, 1.0 - 1e-15), cycles, bits, deadlines,
+                             bw, kappa, nu, fmax)
     return JointSolution(ransol, speeds, energy, energy_trace, surrogate_trace,
                          status if converged else "max_iterations", it, converged,
                          mse_state=MseState(receivers, mses, weights_out))
@@ -651,19 +646,8 @@ def _surrogate_line_search(config, channels, receivers, weights, v_prev, v_cand,
     return v_prev + best_alpha * dv, best_val
 
 
-def _recover_cloud(config, tasks, rates, powers):
-    """Clone speeds from final rates (deadline tight), plus both energy legs."""
-    speeds = np.array([_clone_speed(t, r, cap) for t, r, cap
-                       in zip(tasks, rates, config.clone_capacity_limit)])
-    cloud_e = np.array([clone_energy(t.cpu_cycles, f, kappa, nu) for t, f, kappa, nu
-                        in zip(tasks, speeds, config.switched_capacitance,
-                               config.cloud_exponent)])
-    return speeds, cloud_e, _transmit_energy(tasks, rates, powers)
-
-
-def _transmit_energy(tasks, rates, powers):
+def _transmit_energy(bits, rates, powers):
     """p_i D_i / r_i per UE, zero for a UE without result bits."""
-    bits = np.array([t.result_bits for t in tasks])
     return powers * bits / np.where(bits > 0, rates, 1.0)
 
 
@@ -677,27 +661,28 @@ def split_deadline_baseline(config: SystemConfig, tasks: list[Task],
 
     The cloud side gets (1 - alpha) * T_max and is solved in closed form;
     the radio side gets alpha * T_max as a hard transmit budget.  Raises
-    BaselineInfeasibleError naming the side that cannot meet its share.
+    BaselineInfeasibleError naming the side that cannot meet its share; a
+    transmit side that stops for another reason keeps its status.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("split fraction must be in (0, 1)")
-    n = config.num_ue
-    deadlines = np.array([t.deadline for t in tasks])
+    cycles, bits, deadlines = _task_arrays(tasks)
     try:
-        allocs = solve_cloud_allocation(tasks, (1.0 - alpha) * deadlines,
-                                        config.clone_capacity_limit,
-                                        config.switched_capacitance,
-                                        config.cloud_exponent)
+        alloc = solve_cloud_allocation(cycles, (1.0 - alpha) * deadlines,
+                                       config.clone_capacity_limit,
+                                       config.switched_capacitance,
+                                       config.cloud_exponent)
     except CloudInfeasibleError as err:
         raise BaselineInfeasibleError("cloud", str(err)) from err
 
     ransol = ran_power_minimization(config, tasks, channels, alpha * deadlines)
-    if ransol.status != "optimal":
+    if ransol.status == "infeasible":
         raise BaselineInfeasibleError("transmit", ransol.message or ransol.status)
-
-    cloud_e = np.array([a.exec_energy for a in allocs])
-    tx_e = _transmit_energy(tasks, ransol.rates, ransol.powers)
-    energy = EnergyBreakdown.combine(cloud_e, tx_e, config.tradeoff)
-    return JointSolution(ransol, np.array([a.clone_capacity for a in allocs]),
-                         energy, [energy.total], [], ransol.status,
-                         ransol.iterations, ransol.converged)
+    energy, trace = None, []
+    if np.all(ransol.rates[bits > 0] > 0):  # a failed conic step leaves no rates
+        energy = EnergyBreakdown.combine(
+            alloc.exec_energy, _transmit_energy(bits, ransol.rates, ransol.powers),
+            config.tradeoff)
+        trace = [energy.total]
+    return JointSolution(ransol, alloc.clone_capacity, energy, trace, [],
+                         ransol.status, ransol.iterations, ransol.converged)

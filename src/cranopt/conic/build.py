@@ -61,19 +61,19 @@ def _norm_le(entries, bound):
     return np.vstack([np.zeros(entries.shape[1]), entries]), consts
 
 
-def _combined_rows(channels, ue, stream, cols, nv):
-    """Rows of Re and Im of sum_j h~[ue,j]^H v[stream,j], noise-normalized."""
-    k = channels.gains.shape[2]
-    sigma = np.sqrt(channels.noise_power[ue])
-    re, im = np.zeros(nv), np.zeros(nv)
-    for j in np.flatnonzero(cols[stream] >= 0):
-        ht = channels.gains[ue, j] / sigma
-        col = cols[stream, j]
-        re[col:col + k] += ht.real
-        re[col + k:col + 2 * k] += ht.imag
-        im[col:col + k] -= ht.imag
-        im[col + k:col + 2 * k] += ht.real
-    return re, im
+def _combined_rows(channels, ue, cols, nv):
+    """(N, 2, nv) Re and Im rows of sum_j h~[ue,j]^H v[stream,j], noise-normalized."""
+    n, _, k = channels.gains.shape
+    ht = channels.gains[ue] / np.sqrt(channels.noise_power[ue])
+    streams, rrhs = np.nonzero(cols >= 0)
+    re_cols = cols[streams, rrhs][:, None] + np.arange(k)
+    at, h = streams[:, None], ht[rrhs]
+    rows = np.zeros((n, 2, nv))
+    rows[at, 0, re_cols] += h.real
+    rows[at, 0, re_cols + k] += h.imag
+    rows[at, 1, re_cols] -= h.imag
+    rows[at, 1, re_cols + k] += h.real
+    return rows
 
 
 def _power_quadratic(weights, support, k):
@@ -93,9 +93,8 @@ def _rrh_power(nv, cols, support, k, power_limits):
 
 def _stream_rows(channels, needed, cols, nv):
     """`_combined_rows` of every stream at each needed UE, None elsewhere."""
-    n = channels.num_ue
-    return [[_combined_rows(channels, i, stream, cols, nv) for stream in range(n)]
-            if needed[i] else None for i in range(n)]
+    return [_combined_rows(channels, i, cols, nv) if needed[i] else None
+            for i in range(channels.num_ue)]
 
 
 def _rate_socs(rate_floors, bandwidths, ue_rows, nv):
@@ -111,12 +110,12 @@ def _rate_socs(rate_floors, bandwidths, ue_rows, nv):
             continue
         gamma = 2.0 ** (rate_floors[i] / bandwidths[i]) - 1.0
         coef = float(np.sqrt(gamma / (1.0 + gamma)))
-        entries = [coef * row for pair in rows for row in pair]
         # The last entry is the normalized noise term.
         consts = np.zeros(2 * n + 2)
         consts[-1] = coef
-        blocks.append((np.vstack([rows[i][0], *entries, np.zeros(nv)]), consts))
-        eq_rows.append(rows[i][1])
+        blocks.append((np.vstack([rows[i, 0], coef * rows.reshape(2 * n, nv),
+                                  np.zeros(nv)]), consts))
+        eq_rows.append(rows[i, 1])
     return blocks, eq_rows
 
 
@@ -128,18 +127,13 @@ def _fronthaul(nv, cols, support, k, rho, frozen_rates, fronthaul_limits):
     """
     if rho is None:
         return []
-    n, l = support.shape
     blocks = []
-    for j in range(l):
-        starts, roots = [], []
-        for i in range(n):
-            scale = rho[i, j] * frozen_rates[i] / fronthaul_limits[j]
-            if support[i, j] and scale > 0:
-                starts.append(cols[i, j])
-                roots.append(float(np.sqrt(scale)))
-        if starts:
-            entries = _selector(nv, _block_columns(starts, k),
-                                np.repeat(roots, 2 * k))
+    for j in range(support.shape[1]):
+        scale = rho[:, j] * np.asarray(frozen_rates) / fronthaul_limits[j]
+        rows = support[:, j] & (scale > 0)
+        if rows.any():
+            entries = _selector(nv, _block_columns(cols[rows, j], k),
+                                np.repeat(np.sqrt(scale[rows]), 2 * k))
             blocks.append(_norm_le(entries, 1.0))
     return blocks
 
@@ -223,10 +217,9 @@ def build_wmmse_step_socp(channels, mse_weights, receivers, objective_weights,
             continue
         # e_i = |u~|^2 (sum_k |m~_ik|^2 + 1) - 2 Re(u~* m~_ii) + 1, u~ = sigma u.
         ut = sigma[i] * u[i]
-        rows = ue_rows[i]
-        entries = np.vstack([row for pair in rows for row in pair])
+        entries = ue_rows[i].reshape(2 * n, nv)
         quad += (2.0 * phi[i] * abs(ut) ** 2) * (entries.T @ entries)
-        re_own, im_own = rows[i]
+        re_own, im_own = ue_rows[i][i]
         c -= (2.0 * phi[i]) * (ut.real * re_own + ut.imag * im_own)
         const += phi[i] * (abs(ut) ** 2 + 1.0)
 

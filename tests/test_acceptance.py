@@ -70,14 +70,13 @@ def test_criterion_1_cloud_closed_form():
         kappa = rng.uniform(1e-12, 1e-10)
         nu = rng.uniform(1.0, 4.0)
         cap = cycles / deadline * rng.uniform(1.0, 3.0)
-        task = Task(cpu_cycles=cycles, result_bits=0.0, deadline=1.0)
-        [alloc] = solve_cloud_allocation([task], deadline, cap, kappa, nu)
+        [energy] = solve_cloud_allocation([cycles], deadline, cap, kappa, nu).exec_energy
         closed = kappa * cycles ** nu / deadline ** (nu - 1.0)
-        worst = max(worst, abs(alloc.exec_energy - closed) / closed)
+        worst = max(worst, abs(energy - closed) / closed)
         speeds = np.linspace(cap / 1e4, cap, 10000)
         feasible = speeds[cycles / speeds <= deadline]
         grid = kappa * feasible ** (nu - 1.0) * cycles
-        if np.any(grid < alloc.exec_energy * (1.0 - 1e-12)):
+        if np.any(grid < energy * (1.0 - 1e-12)):
             report(1, "cloud closed form", False, "grid search beat the closed form")
     report(1, "cloud closed form", worst <= 1e-12,
            f"max relative deviation {worst:.2e}")
@@ -160,7 +159,8 @@ def test_criterion_4_wmmse_kernel_identities():
         e = rng.uniform(0.05, 0.95)
         if bandwidth * math.log2(1.0 / e) < 1.05 * floor:
             continue
-        phi = mse_weight(e, task, bandwidth, 1e-11, nu, cap)
+        phi = float(mse_weight(e, task.cpu_cycles, task.result_bits, task.deadline,
+                               bandwidth, 1e-11, nu, cap))
         fd = finite_difference_weight(e, task, bandwidth, 1e-11, nu, cap)
         worst = max(worst, abs(phi - fd) / abs(fd))
         checked += 1

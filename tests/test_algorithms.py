@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cranopt import ran
+from cranopt import algorithms, ran
 from cranopt.algorithms import (
     BaselineInfeasibleError,
     constraint_violations,
@@ -197,6 +197,27 @@ class TestSeparateBaseline:
         with pytest.raises(BaselineInfeasibleError) as err:
             split_deadline_baseline(config, tasks, channels, 0.99)
         assert err.value.side == "cloud"
+
+    def test_transmit_side_infeasible(self):
+        config, tasks = default_config(rrh_power_limit=1e-6)
+        channels = generate_channels(config, 42)
+        with pytest.raises(BaselineInfeasibleError) as err:
+            split_deadline_baseline(config, tasks, channels, 0.5)
+        assert err.value.side == "transmit"
+
+    def test_failed_transmit_step_keeps_its_status(self, smallcell, monkeypatch):
+        # A conic step that stops short is not a certificate of infeasibility:
+        # its status comes through, with no energy since it left no rates.
+        real_solve = algorithms.solve
+
+        def stopped(problem, **kw):
+            return dataclasses.replace(real_solve(problem, **kw), status="max_iterations",
+                                       message="iteration limit reached")
+        monkeypatch.setattr(algorithms, "solve", stopped)
+        config, tasks = smallcell
+        sol = split_deadline_baseline(config, tasks, generate_channels(config, 42), 0.5)
+        assert sol.status == "max_iterations" and not sol.converged
+        assert sol.energy is None
 
     def test_joint_beats_each_split(self, smallcell):
         config, tasks = smallcell

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cranopt.algorithms import mse
+from cranopt.conic import build
 from cranopt.conic import (
     build_power_min_socp,
     build_wmmse_step_socp,
@@ -185,3 +186,41 @@ class TestQuadraticObjective:
         assert P.shape == (problem.num_vars, problem.num_vars)
         assert np.array_equal(P, P.T)
         assert np.linalg.eigvalsh(P).min() >= -1e-12 * np.abs(P).max()
+
+
+def combined_rows_reference(channels, ue, cols, nv):
+    """Re/Im rows of sum_j h~[ue,j]^H v[stream,j], filled one stream and RRH at a time."""
+    k = channels.gains.shape[2]
+    sigma = np.sqrt(channels.noise_power[ue])
+    rows = []
+    for stream in range(channels.num_ue):
+        re, im = np.zeros(nv), np.zeros(nv)
+        for j in np.flatnonzero(cols[stream] >= 0):
+            ht = channels.gains[ue, j] / sigma
+            col = cols[stream, j]
+            re[col:col + k] += ht.real
+            re[col + k:col + 2 * k] += ht.imag
+            im[col:col + k] -= ht.imag
+            im[col + k:col + 2 * k] += ht.real
+        rows.append((re, im))
+    return np.array(rows)
+
+
+class TestCombinedRows:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bytes_match_the_per_stream_fill(self, seed):
+        rng = np.random.default_rng(40 + seed)
+        n, l, k = 4, 3, 2
+        ch = random_channels(rng, n, l, k)
+        # Signed zeros in the channel must come out as the += fill leaves them.
+        gains = ch.gains.copy()
+        gains[0, 0] = [0.0 + 0.0j, complex(-0.0, -0.0)]
+        ch = ChannelState(gains=gains, noise_power=ch.noise_power.copy())
+        support = rng.random((n, l)) < 0.7
+        support[0, 0] = True
+        cols = build._pair_columns(support, k)
+        nv = 2 * k * int(support.sum())
+        for ue in range(n):
+            got = build._combined_rows(ch, ue, cols, nv)
+            assert got.shape == (n, 2, nv)
+            assert got.tobytes() == combined_rows_reference(ch, ue, cols, nv).tobytes()

@@ -105,6 +105,23 @@ class TestQuadraticObjective:
             assert max(report.duality_gap, report.primal_residual,
                        report.dual_residual) <= 1e-13
 
+    def test_polish_projects_onto_the_lorentz_cone(self):
+        # min ||x - p||^2 / 2 s.t. x in the cone: for |p0| < ||p1|| the
+        # answer ((p0 + ||p1||) / 2)(1, p1 / ||p1||) is on the boundary with
+        # the head row of G = -I in play, so the polish's Newton Hessian has
+        # to weight the block's tail rows only.
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            d = int(rng.integers(2, 8))
+            p = rng.standard_normal(d)
+            norm1 = np.linalg.norm(p[1:])
+            p[0] = rng.uniform(-0.9, 0.9) * norm1
+            report = solve(conic(-p, -np.eye(d), np.zeros(d), [("soc", d)],
+                                 P=np.eye(d)))
+            assert report.optimal
+            expect = (p[0] + norm1) / 2.0 * np.concatenate([[1.0], p[1:] / norm1])
+            assert report.x == pytest.approx(expect, abs=1e-13)
+
     def test_polish_accepts_a_zero_multiplier(self):
         # min (x - 1)^2 / 2 s.t. x <= 1: the bound holds at the optimum with
         # multiplier 0, where the iterate is still O(sqrt(gap)) short of 1.

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import cranopt
+from cranopt import algorithms
 from cranopt.experiments import (
     CSV_HEADER,
     SolutionRecord,
@@ -74,6 +76,17 @@ class TestRunSingle:
     def test_extreme_split_reports_cloud_infeasible(self):
         record = run_single(str(SCENARIO), "separate:0.99", 42)
         assert record.status == "infeasible-cloud"
+        assert record.energy_total_j is None
+
+    def test_unfinished_transmit_side_keeps_its_status(self, monkeypatch):
+        # A transmit side that runs out of rounds is recorded as such, not as
+        # infeasible.
+        one_round = functools.partial(algorithms.ran_power_minimization,
+                                      max_iterations=1)
+        monkeypatch.setattr(algorithms, "ran_power_minimization", one_round)
+        record = run_single(str(SCENARIO), "separate:0.5", 42)
+        assert record.status == "max_iterations"
+        assert record.iterations == 1
         assert record.energy_total_j is None
 
     def test_record_schema(self):

@@ -12,11 +12,11 @@ Two entry points:
   round.
 
 Both return solutions with serving clusters extracted and a final refit on
-the reduced support, so returned iterates replay cleanly against the model
-constraints.  Every per-UE quantity (rate floors, clone speeds, cloud
-energies, MSE weights) is computed on whole per-UE arrays: each entry point
-turns its task list into (F, D, T) arrays once, and the kernels broadcast
-scalars against them.
+the reduced support, and replay an "optimal" answer against the model
+constraints (`constraint_violations`) before returning it.  Every per-UE
+quantity (rate floors, clone speeds, cloud energies, MSE weights) is
+computed on whole per-UE arrays: each entry point turns its task list into
+(F, D, T) arrays once, and the kernels broadcast scalars against them.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ CLUSTER_THRESHOLD = 1e-6   # of P_j, on ||v_ij||^2
 CULL_THRESHOLD = 1e-8      # of P_j: blocks this weak leave the working support
 FRONTHAUL_MARGIN = 0.9     # keep surrogate rows only where the l0 load could bind
 REFIT_FLOOR_SLACK = 1e-4   # relative rate slack allowed when refitting on a support
+REPLAY_TOL = 1e-6          # relative constraint miss an "optimal" answer may replay with
 SOLVE_KW = dict(gap_tol=1e-8, feas_tol=1e-7, max_iter=200)
 
 
@@ -300,6 +301,27 @@ def constraint_violations(config, tasks, channels, solution,
     return out
 
 
+def _replay_checked(config, tasks, channels, solution, deadline_total=None):
+    """Restamp an "optimal" `solution` "replay_failed" if it misses a constraint.
+
+    Each violation is taken relative as the benchmark gate takes it: power
+    to the largest P_j, fronthaul to the largest C_j and lateness to the
+    shortest deadline; more than REPLAY_TOL on any of them fails.
+    """
+    if solution.status != "optimal":
+        return solution
+    viol = constraint_violations(config, tasks, channels, solution, deadline_total)
+    scale = {"power": max(config.rrh_power_limit), "rate_rel": 1.0,
+             "fronthaul": max(config.fronthaul_limit),
+             "deadline": min(t.deadline for t in tasks)}
+    missed = [f"{k} {v / scale[k]:+.2e}" for k, v in viol.items()
+              if not v / scale[k] <= REPLAY_TOL]
+    if missed:
+        solution.status, solution.converged = "replay_failed", False
+        solution.message = "returned solution violates " + ", ".join(missed)
+    return solution
+
+
 # ---------------------------------------------------------------------------
 # Transmit-side minimization under fixed rate floors.
 
@@ -363,9 +385,8 @@ def ran_power_minimization(config: SystemConfig, tasks: list[Task],
     bf, rates, powers, clusters = _refit_on_support(
         config, channels, BeamformerSet(v), floors,
         np.where(floors > 0, 1.0, 0.0) * _safe_div(bits, bound), support)
-    return RanSolution(bf, rates, clusters, powers, floors, trace,
-                       status if converged else "max_iterations",
-                       it, converged)
+    return _replay_checked(config, tasks, channels, RanSolution(
+        bf, rates, clusters, powers, floors, trace, status, it, converged))
 
 
 def _safe_div(a, b):
@@ -574,14 +595,16 @@ def joint_energy_minimization(config: SystemConfig, tasks: list[Task],
             config, channels, powers, support)), 0.0), support)
     speeds, cloud_e, tx_e = recover_cloud(rates, powers)
     energy = EnergyBreakdown.combine(cloud_e, tx_e, eta)
-    ransol = RanSolution(bf, rates, clusters, powers, floors, energy_trace,
-                         status if converged else "max_iterations", it, converged)
+    with np.errstate(divide="ignore"):  # lateness at the rates bf gives, not `rates`
+        finish = cycles / speeds + np.where(bits > 0, bits / ran.rate(channels, bf, bw), 0.0)
+    ransol = _replay_checked(config, tasks, channels, RanSolution(
+        bf, rates, clusters, powers, floors, energy_trace, status, it, converged), finish)
     receivers = mmse_receiver(channels, bf)
     mses = np.clip(mse(channels, bf.vectors, receivers), 1e-300, 1.0)
     weights_out = mse_weight(np.minimum(mses, 1.0 - 1e-15), cycles, bits, deadlines,
                              bw, kappa, nu, fmax)
     return JointSolution(ransol, speeds, energy, energy_trace, surrogate_trace,
-                         status if converged else "max_iterations", it, converged,
+                         ransol.status, it, ransol.converged,
                          mse_state=MseState(receivers, mses, weights_out))
 
 

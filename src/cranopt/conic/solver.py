@@ -17,12 +17,15 @@ Cone blocks are segments of the slack vector, kept in the caller's row
 order (see `_Cones`): each cone operation is a fixed number of array
 operations over all blocks, and the Nesterov-Todd scaling is applied as a
 rank-one update per block (see `_Scaling`), as in CVXOPT and ECOS.  Each
-Newton system is reduced to a dense Cholesky factorization (see
-`_KktSolver`), as in CVXOPT's coneqp (Vandenberghe 2010).
+Newton system is reduced to a saddle-point system [[H, A'], [A, 0]] and
+solved by one dense Cholesky-plus-Schur-complement routine (`_Saddle`), the
+"chol2" reduction of CVXOPT's coneqp (Vandenberghe 2010).
 
 An optimal answer is then polished by Newton's method on the KKT system of
 its active cone blocks, which the interior-point iterate only approaches as
-the square root of its duality gap.
+the square root of its duality gap.  Each polish step solves its Newton
+system with the same `_Saddle` routine, and the active set grows by every
+block that a settled polish point leaves.
 
 The solver knows variables only by position: a `ConicProblem` holds the
 arrays above and no names.  `SolveReport.x` comes back in the caller's
@@ -46,6 +49,8 @@ __all__ = ["ConicProblem", "SolveReport", "SolverError", "solve"]
 PRESOLVE_TOL = 1e-10   # dependent equality rows dropped below this
 STEP_BACKOFF = 0.99
 REG = 1e-9             # static KKT regularization (undone by refinement)
+REFINE_STEPS = 4       # iterative-refinement steps per KKT solve, at most
+RUIZ_ITERS = 8         # equilibration sweeps
 POLISH_STEPS = 8       # Newton steps before a polish is given up
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
@@ -151,10 +156,14 @@ class _Cones:
         """u1'v1 per block, the inner product of the rows below the heads."""
         return np.add.reduceat(u * v * self.tail, self.starts)
 
+    def margins(self, v):
+        """v0 - ||v1|| per block; > 0 iff v is strictly inside the block."""
+        return v[self.starts] - np.sqrt(self.tail_dot(v, v))
+
 
 def _cone_margin(v, cones):
     """Smallest interior margin; > 0 iff strictly inside every block."""
-    return np.min(v[cones.starts] - np.sqrt(cones.tail_dot(v, v)))
+    return np.min(cones.margins(v))
 
 
 def _max_step(v, dv, cones):
@@ -242,7 +251,7 @@ class _Scaling:
 # Equilibration and presolve.
 
 
-def _ruiz_equilibrate(c, P, G, h, A, b, cones, iters=8):
+def _ruiz_equilibrate(c, P, G, h, A, b, cones):
     """Row/column scaling; SOC row blocks share one scale to keep cone shape.
 
     The column scaling D, taken over the columns of P, A and G, scales the
@@ -255,7 +264,7 @@ def _ruiz_equilibrate(c, P, G, h, A, b, cones, iters=8):
     dr_g = np.ones(m)
     dc = np.ones(n)
     Ps, As, Gs = P.copy(), A.copy(), G.copy()
-    for _ in range(iters):
+    for _ in range(RUIZ_ITERS):
         ra = np.maximum(np.sqrt(np.abs(As).max(axis=1)), 1e-8)
         rg = np.sqrt(np.maximum(np.abs(Gs).max(axis=1), 1e-16))
         rg = np.maximum(np.maximum.reduceat(rg, cones.starts)[cones.owner], 1e-8)
@@ -303,22 +312,42 @@ def _polish(P, c, G, h, A, b, cones, x, y, z, feas_tol):
 
     An interior-point iterate at duality gap g can sit O(sqrt(g)) from the
     solution along the boundary of an active cone (the primal and dual
-    blocks are not yet exactly opposite).  Holding each block k whose z_k0
-    exceeds the margin s_k0 - ||s_k1|| of s = h - G x on its boundary, with
-    z_k = nu_k (1, -s_k1 / ||s_k1||), Newton's method on stationarity,
-    A x = b and those boundaries converges to working precision.  Returns
-    the polished (x, y, z), or None when Newton does not settle, a
-    multiplier nu_k falls below -feas_tol (a block held on its boundary
-    with nu_k = 0 is weakly active) or a block leaves its cone.
+    blocks are not yet exactly opposite).  Holding each active block k on
+    its boundary with z_k = nu_k (1, -s_k1 / ||s_k1||), s = h - G x,
+    Newton's method on stationarity, A x = b and those boundaries converges
+    to working precision.  The active set starts as the blocks whose z_k0
+    exceeds the margin s_k0 - ||s_k1||; a block that the settled point
+    leaves by more than feas_tol joins it, and Newton restarts from
+    (x, y, z).  Returns the polished (x, y, z), or None when Newton does not
+    settle or a multiplier nu_k falls below -feas_tol (a block held on its
+    boundary with nu_k = 0 is weakly active).
     """
-    slack = h - G @ x
     heads = cones.starts
-    active = z[heads] > slack[heads] - np.sqrt(cones.tail_dot(slack, slack))
+    active = z[heads] > cones.margins(h - G @ x)
+    while True:
+        settled = _boundary_newton(P, c, G, h, A, b, cones, active, x, y, z[heads[active]])
+        if settled is None:
+            return None
+        xp, yp, zp, nu = settled
+        margins = cones.margins(h - G @ xp)
+        left = ~active & (margins <= -feas_tol)
+        if not left.any():
+            break
+        active |= left
+    if np.all(nu > -feas_tol) and margins.min() > -feas_tol:
+        return xp, yp, zp
+    return None
+
+
+def _boundary_newton(P, c, G, h, A, b, cones, active, x, y, nu):
+    """Newton from (x, y, nu) with the `active` blocks on their boundaries.
+
+    Returns (x, y, z, nu) once the KKT residual is below 1e-13, or None.
+    """
     act = _Cones([("soc", d) for d in cones.dims[active]])
     rows = active[cones.owner]
     Ga, ha = G[rows], h[rows]
-    n, p, q = x.size, y.size, act.degree
-    nu = z[heads[active]]
+    n, p = x.size, y.size
     for step in range(POLISH_STEPS + 1):
         s = ha - Ga @ x
         norm1 = np.maximum(np.sqrt(act.tail_dot(s, s)), 1e-300)
@@ -332,24 +361,19 @@ def _polish(P, c, G, h, A, b, cones, x, y, z, feas_tol):
             - (g1u * weight[:, None]).T @ g1u
         grads = g1u + Ga[act.starts]
         resid = norm1 - s[act.starts]
-        zp = np.zeros_like(z)
-        zp[rows] = nu[act.owner] * u
-        f = np.concatenate([P @ x + c + A.T @ y + G.T @ zp, A @ x - b, resid])
+        z = np.zeros(G.shape[0])
+        z[rows] = nu[act.owner] * u
+        f = np.concatenate([P @ x + c + A.T @ y + G.T @ z, A @ x - b, resid])
         if np.max(np.abs(f)) <= 1e-13:
-            break
+            return x, y, z, nu
         if step == POLISH_STEPS:
             return None
-        kkt = np.block([[hess, A.T, grads.T],
-                        [A, np.zeros((p, p + q))],
-                        [grads, np.zeros((q, p + q))]])
+        # The boundary gradients are equality rows under A.
         try:
-            dxyn = np.linalg.solve(kkt, -f)
-        except np.linalg.LinAlgError:
+            dx, dyn = _Saddle(hess, np.vstack([A, grads])).solve(-f[:n], -f[n:])
+        except ValueError:  # np.linalg.LinAlgError, or non-finite entries
             return None
-        x, y, nu = x + dxyn[:n], y + dxyn[n:n + p], nu + dxyn[n + p:]
-    if np.all(nu > -feas_tol) and _cone_margin(h - G @ x, cones) > -feas_tol:
-        return x, y, zp
-    return None
+        x, y, nu = x + dx, y + dyn[:p], nu + dyn[p:]
 
 
 # ---------------------------------------------------------------------------
@@ -357,20 +381,48 @@ def _polish(P, c, G, h, A, b, cones, x, y, z, feas_tol):
 
 
 def _cho_solve(upper, rhs):
-    """Solve with an upper Cholesky factor from `scipy.linalg.cho_factor`."""
-    return scipy.linalg.lapack.dpotrs(upper, rhs)[0]
+    """Solve with an upper Cholesky factor from `scipy.linalg.cho_factor`.
+
+    LAPACK's dpotrs rejects a 0 x 0 factor, the Schur complement of a
+    problem without equality rows; its empty right side is the solution.
+    """
+    return scipy.linalg.lapack.dpotrs(upper, rhs)[0] if upper.size else rhs
+
+
+class _Saddle:
+    """Factors of the saddle-point matrix [[H, A'], [A, 0]], H symmetric PSD.
+
+    Dense Cholesky factors of H + REG I and of the Schur complement
+    A (H + REG I)^{-1} A' + REG I: the "chol2" reduction of CVXOPT's coneqp.
+    H's diagonal is shifted in place.  Raises np.linalg.LinAlgError when
+    either matrix is not definite.
+    """
+
+    def __init__(self, h, A):
+        h.flat[::h.shape[0] + 1] += REG
+        self.A = A
+        self.h_factor = scipy.linalg.cho_factor(h)[0]
+        self.h_at = _cho_solve(self.h_factor, A.T)
+        schur = A @ self.h_at
+        schur.flat[::A.shape[0] + 1] += REG
+        self.schur_factor = scipy.linalg.cho_factor(schur)[0]
+
+    def solve(self, rx, ry):
+        """(x, y) with H x + A'y = rx and A x = ry, up to the regularization."""
+        x = _cho_solve(self.h_factor, rx)
+        y = _cho_solve(self.schur_factor, self.A @ x - ry)
+        x -= self.h_at @ y
+        return x, y
 
 
 class _KktSolver:
     """Solve [[P A' G'], [A 0 0], [G 0 -W^2]] (x, y, z) = (rx, ry, rz), reduced.
 
     The cone rows give z = W^{-2}(G x - rz).  With Ghat = W^{-1} G what
-    remains is [[H, A'], [A, 0]] for H = P + Ghat'Ghat, and `factor` takes
-    dense Cholesky factors of H + REG I and, when there are equality rows,
-    of the Schur complement A (H + REG I)^{-1} A' + REG I (the "chol2"
-    reduction of CVXOPT's coneqp).  J G is kept for the whole solve, so
-    Ghat is one rank-one update per block of it.  `solve` refines against
-    the full, unregularized system, which takes the regularization back out.
+    remains is [[H, A'], [A, 0]] for H = P + Ghat'Ghat, which `factor`
+    hands to `_Saddle`.  J G is kept for the whole solve, so Ghat is one
+    rank-one update per block of it.  `solve` refines against the full,
+    unregularized system, which takes the regularization back out.
     """
 
     def __init__(self, P, A, G, cones):
@@ -381,23 +433,12 @@ class _KktSolver:
     def factor(self, scaling: _Scaling):
         """Raises np.linalg.LinAlgError when a reduced matrix is not definite."""
         ghat = scaling.winv_of_j(self._jg)
-        h = self.P + ghat.T @ ghat
-        h.flat[::self.n + 1] += REG
-        self._h = scipy.linalg.cho_factor(h)[0]
-        if self.p:
-            self._h_at = _cho_solve(self._h, self.A.T)
-            schur = self.A @ self._h_at
-            schur.flat[::self.p + 1] += REG
-            self._schur = scipy.linalg.cho_factor(schur)[0]
+        self._saddle = _Saddle(self.P + ghat.T @ ghat, self.A)
         self._ghat, self._scaling = ghat, scaling
 
     def _solve_reduced(self, rx, ry, rz):
         winv_rz = self._scaling.mul_winv(rz)
-        x = _cho_solve(self._h, rx + self._ghat.T @ winv_rz)
-        y = np.zeros(0)
-        if self.p:
-            y = _cho_solve(self._schur, self.A @ x - ry)
-            x -= self._h_at @ y
+        x, y = self._saddle.solve(rx + self._ghat.T @ winv_rz, ry)
         z = self._scaling.mul_winv(self._ghat @ x - winv_rz)
         return np.concatenate([x, y, z])
 
@@ -409,7 +450,7 @@ class _KktSolver:
         bot = self.G @ x - self._scaling.mul_w2(z)
         return np.concatenate([top, mid, bot])
 
-    def solve(self, rx, ry, rz, refine=4):
+    def solve(self, rx, ry, rz):
         """Refine until the residual's max-norm stops halving; keep the best."""
         n, p = self.n, self.p
         rhs = np.concatenate([rx, ry, rz])
@@ -417,7 +458,7 @@ class _KktSolver:
         u = self._solve_reduced(rx, ry, rz)
         resid = rhs - self._apply_unreg(u)
         err = np.max(np.abs(resid))
-        for _ in range(refine):
+        for _ in range(REFINE_STEPS):
             if err < tol:
                 break
             step = u + self._solve_reduced(resid[:n], resid[n:n + p], resid[n + p:])
@@ -606,11 +647,9 @@ def _solve_impl(problem: ConicProblem, gap_tol: float, feas_tol: float,
         gap_rep, pres_rep, dres_rep = (trace[-1]["gap"], trace[-1]["pres"],
                                        trace[-1]["dres"])
     if status == STATUS_MAXITER and best is not None:
-        # Fall back to the best iterate seen; grade it against the tolerances.
+        # Report the best iterate seen; it met no stopping test, or the
+        # loop would have stopped there as optimal.
         x, y, z, s, tau, kappa, gap_rep, pres_rep, dres_rep = best
-        if pres_rep <= feas_tol and dres_rep <= feas_tol and gap_rep <= gap_tol:
-            status = STATUS_OPTIMAL
-            message = "converged at best stored iterate"
 
     if status in (STATUS_INFEASIBLE, STATUS_UNBOUNDED):
         xs, ys, zs, ss = x, y, z, s

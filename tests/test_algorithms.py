@@ -219,6 +219,22 @@ class TestSeparateBaseline:
         assert sol.status == "max_iterations" and not sol.converged
         assert sol.energy is None
 
+    def test_polished_steps_meet_working_precision(self, smallcell, monkeypatch):
+        # Seed 51's first step leaves a block out of the polish's first
+        # active-set guess; Newton settles outside it, the block joins the
+        # set, and the retry lands.  Without the retry that step keeps the
+        # interior-point answer, 5.8e-9 off.
+        real_solve, reports = algorithms.solve, []
+        monkeypatch.setattr(algorithms, "solve",
+                            lambda problem, **kw: reports.append(real_solve(problem, **kw))
+                            or reports[-1])
+        config, tasks = smallcell
+        split_deadline_baseline(config, tasks, generate_channels(config, 51), 0.5)
+        assert reports
+        for r in reports:
+            assert r.optimal
+            assert max(r.duality_gap, r.primal_residual, r.dual_residual) <= 1e-12
+
     def test_joint_beats_each_split(self, smallcell):
         config, tasks = smallcell
         for seed in (42, 47, 51):
@@ -227,6 +243,27 @@ class TestSeparateBaseline:
             for alpha in (0.25, 0.5, 0.75):
                 base = split_deadline_baseline(config, tasks, channels, alpha)
                 assert joint.energy.total <= base.energy.total + 1e-9
+
+
+class TestReplayPostcondition:
+    def test_unreplayable_answer_is_not_optimal(self, smallcell, monkeypatch):
+        # A refit whose beamformers miss the rate floors must not come back
+        # "optimal" from either optimizer: the replay names what it misses.
+        real_refit = algorithms._refit_on_support
+
+        def halved(*args):
+            bf, rates, powers, clusters = real_refit(*args)
+            return BeamformerSet(bf.vectors / 2.0), rates, powers, clusters
+        monkeypatch.setattr(algorithms, "_refit_on_support", halved)
+        config, tasks = smallcell
+        channels = generate_channels(config, 42)
+        budgets = [0.5 * t.deadline for t in tasks]
+        joint = joint_energy_minimization(config, tasks, channels)
+        assert joint.status == joint.ran.status == "replay_failed" and not joint.converged
+        assert "deadline" in joint.ran.message   # the slower radio leg runs late
+        alone = ran_power_minimization(config, tasks, channels, budgets)
+        assert alone.status == "replay_failed" and not alone.converged
+        assert "rate_rel" in alone.message
 
 
 class TestClusterExtraction:

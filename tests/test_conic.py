@@ -122,6 +122,26 @@ class TestQuadraticObjective:
             expect = (p[0] + norm1) / 2.0 * np.concatenate([[1.0], p[1:] / norm1])
             assert report.x == pytest.approx(expect, abs=1e-13)
 
+    def test_polish_grows_its_active_set(self):
+        # Project p onto the unit ball starting from a guess with no active
+        # block: Newton settles at p, outside the ball, so the ball's block
+        # joins the active set and the restarted Newton lands on p / ||p||.
+        rng = np.random.default_rng(14)
+        for _ in range(5):
+            d = int(rng.integers(2, 6))
+            p = rng.standard_normal(d)
+            p *= rng.uniform(1.5, 4.0) / np.linalg.norm(p)
+            G = np.vstack([np.zeros(d), -np.eye(d)])
+            h = np.concatenate([[1.0], np.zeros(d)])
+            cones = solver._Cones([("soc", d + 1)])
+            x0 = 0.99 * p / np.linalg.norm(p)
+            polished = solver._polish(np.eye(d), -p, G, h, np.zeros((0, d)), np.zeros(0),
+                                      cones, x0, np.zeros(0), np.zeros(d + 1), 1e-8)
+            assert polished is not None
+            x, _, z = polished
+            assert x == pytest.approx(p / np.linalg.norm(p), abs=1e-13)
+            assert z[0] == pytest.approx(np.linalg.norm(p) - 1.0, abs=1e-12)
+
     def test_polish_accepts_a_zero_multiplier(self):
         # min (x - 1)^2 / 2 s.t. x <= 1: the bound holds at the optimum with
         # multiplier 0, where the iterate is still O(sqrt(gap)) short of 1.

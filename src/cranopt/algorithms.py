@@ -8,8 +8,8 @@ Two entry points:
 * ``joint_energy_minimization`` - block coordinate descent on the
   MSE-reformulated joint cloud+radio energy objective: closed-form receiver
   update, closed-form MSE weight from the cloud-energy utility gradient,
-  then a conic transmit-beamformer step, with rates/weights refreshed each
-  round.
+  then a conic transmit-beamformer step; the fronthaul reweighting and its
+  frozen rates are refreshed only when a round settles.
 
 Both return solutions with serving clusters extracted and a final refit on
 the reduced support, and replay an "optimal" answer against the model
@@ -227,8 +227,7 @@ def _cs_rate_bound(config, channels, ue_powers, support) -> np.ndarray:
 def _clustered(beamformers: BeamformerSet, power_limits):
     """Mask of the blocks ||v_ij||^2 > CLUSTER_THRESHOLD * P_j, and v zeroed off it."""
     v = beamformers.vectors
-    keep = (np.sum(np.abs(v) ** 2, axis=-1)
-            > CLUSTER_THRESHOLD * np.asarray(power_limits, dtype=float)[None, :])
+    keep = ran.block_power(v) > CLUSTER_THRESHOLD * np.asarray(power_limits, dtype=float)[None]
     return keep, BeamformerSet(np.where(keep[:, :, None], v, 0.0))
 
 
@@ -236,11 +235,6 @@ def extract_rrh_clusters(beamformers: BeamformerSet, power_limits):
     """Serving sets C_i = {j : ||v_ij||^2 > CLUSTER_THRESHOLD * P_j}; small blocks zeroed."""
     keep, zeroed = _clustered(beamformers, power_limits)
     return tuple(frozenset(np.flatnonzero(row).tolist()) for row in keep), zeroed
-
-
-def _weighted_fronthaul_ok(config, vectors, rho, frozen_rates, slack=1e-9):
-    load = ran.surrogate_fronthaul_load(BeamformerSet(vectors), frozen_rates, rho)
-    return np.all(load <= np.asarray(config.fronthaul_limit) * (1.0 + slack))
 
 
 def _iterate_feasible(config, bf, rates, floors, slack=1e-9):
@@ -258,7 +252,7 @@ def _fronthaul_rows(config, bf, frozen_rates, support):
     If serving every supported UE at the frozen rates already fits under
     FRONTHAUL_MARGIN * C_j, the surrogate row for RRH j is pure numerical
     load (enormous weights on dying blocks) with no effect, so it is
-    dropped for this round; the hard form is re-checked at exit.
+    dropped for this round; the exit replay checks the hard form.
     """
     rho = ran.fronthaul_weights(bf, config.stability_epsilon)
     caps = np.asarray(config.fronthaul_limit)
@@ -270,7 +264,7 @@ def _fronthaul_rows(config, bf, frozen_rates, support):
 
 def _cull_support(vectors, support, power_limits):
     """Drop blocks far below the extraction threshold (keeping one per UE)."""
-    sq = np.sum(np.abs(vectors) ** 2, axis=-1)
+    sq = ran.block_power(vectors)
     keep = support & (sq > CULL_THRESHOLD * np.asarray(power_limits)[None, :])
     lost = support.any(axis=1) & ~keep.any(axis=1)
     keep[lost, np.argmax(sq[lost], axis=1)] = True
@@ -320,6 +314,12 @@ def _replay_checked(config, tasks, channels, solution, deadline_total=None):
         solution.status, solution.converged = "replay_failed", False
         solution.message = "returned solution violates " + ", ".join(missed)
     return solution
+
+
+def _cap_message(trace, cap):
+    """Why a loop ran out of rounds: the cap and the last round's relative change."""
+    change = abs(trace[-1] - trace[-2]) / max(abs(trace[-2]), 1e-30) if trace[1:] else math.nan
+    return f"no settled round within the {cap}-round cap; last relative change {change:.2e}"
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +386,8 @@ def ran_power_minimization(config: SystemConfig, tasks: list[Task],
         config, channels, BeamformerSet(v), floors,
         np.where(floors > 0, 1.0, 0.0) * _safe_div(bits, bound), support)
     return _replay_checked(config, tasks, channels, RanSolution(
-        bf, rates, clusters, powers, floors, trace, status, it, converged))
+        bf, rates, clusters, powers, floors, trace, status, it, converged,
+        "" if converged else _cap_message(trace, max_iterations)))
 
 
 def _safe_div(a, b):
@@ -401,10 +402,10 @@ def _refit_on_support(config, channels, bf, floors, weights, support):
     Clusters are extracted from `bf` within `support`.  Floors are held at
     max(original floor, achieved rate less a small relative slack): cluster
     extraction may shave a little amplitude, and the refit re-tightens
-    feasibility on the kept blocks only.  Passes repeat until extraction is
-    a no-op and the hard fronthaul form holds.
+    feasibility on the kept blocks only.  Passes repeat while extraction
+    changes the mask; a failed solve ends them at the last clustered point,
+    which the caller's constraint replay judges.
     """
-    n = config.num_ue
     limits = config.rrh_power_limit
     mask, bf = _clustered(bf, limits)
     mask &= support
@@ -416,9 +417,8 @@ def _refit_on_support(config, channels, bf, floors, weights, support):
     obj = np.where(floors > 0, np.maximum(weights, 1e-12), 0.0)
     caps = np.asarray(config.fronthaul_limit)
     for _ in range(10):
-        if not mask.any():
-            zero = BeamformerSet(np.zeros_like(bf.vectors))
-            return zero, np.zeros(n), np.zeros(n), (frozenset(),) * n
+        if not mask.any():   # bf is zero off the mask
+            break
         # Every served UE costs its full rate on the hard per-RRH form, and a
         # power-min refit lands on its targets, so shed targets until the
         # planned load fits each masked RRH.
@@ -438,23 +438,12 @@ def _refit_on_support(config, channels, bf, floors, weights, support):
             fronthaul_limits=config.fronthaul_limit, support=mask)
         report = solve(problem, **SOLVE_KW)
         if not report.optimal:
-            # Retry with slacker targets; bail out once they sit at the floors.
-            if np.all(target <= floors * (1.0 + 1e-12)):
-                break
-            target = np.maximum(floors, target * 0.9)
-            continue
+            break
         vec = extract_beamformers(report.x, mask, config.antennas_per_rrh)
         new_mask, bf = _clustered(BeamformerSet(vec), limits)
-        rates = ran.rate(channels, bf, config.bandwidth)
-        fronthaul_ok = np.all(ran.fronthaul_load(bf, rates) <= caps * (1.0 + 1e-9))
-        if np.array_equal(new_mask, mask) and fronthaul_ok:
+        if np.array_equal(new_mask, mask):
             break
         mask = new_mask
-        if not fronthaul_ok:
-            target = np.where(floors > 0,
-                              np.maximum(floors,
-                                         np.minimum(target, rates)), 0.0)
-            frozen = np.maximum(frozen, rates * (1.0 + 1e-4))
     rates, powers = ran.rate(channels, bf, config.bandwidth), ran.ue_power(bf)
     clusters, bf = extract_rrh_clusters(bf, limits)
     return bf, rates, powers, clusters
@@ -471,11 +460,13 @@ def joint_energy_minimization(config: SystemConfig, tasks: list[Task],
 
     Round n: (1) receivers from the current beamformers, (2) MSE weights
     from the cloud-utility gradient, (3) transmit beamformers by a conic
-    step under rate floors / per-RRH power / fronthaul surrogate, then
-    refresh rates, fronthaul weights and the energy bookkeeping; stop when
-    the total energy settles with no clone at its cap.  On exit clone speeds
-    are recovered from the final rates, making the deadline exactly tight
-    per UE.
+    step under rate floors / per-RRH power / fronthaul surrogate.  A round
+    settles when the total energy does with no clone at its cap.  The first
+    round sets the fronthaul weights and frozen rates; after it they are
+    refreshed only when a round settles, so the descent runs on one fixed
+    surrogate at a time, and a round that settles on fresh weights, or with
+    no fronthaul row active, ends the loop.  On exit clone speeds are
+    recovered from the final rates, making the deadline exactly tight per UE.
     """
     n, l = config.num_ue, config.num_rrh
     kappa = np.asarray(config.switched_capacitance)
@@ -509,7 +500,7 @@ def joint_energy_minimization(config: SystemConfig, tasks: list[Task],
     rates, powers = ran.rate(channels, bf, bw), ran.ue_power(bf)
     rho = frozen = None
     u = None
-    energy_prev = None
+    energy_prev, fresh = None, False
     energy_trace, surrogate_trace = [], []
     status, converged, it = "max_iterations", False, 0
     best_total, best_state = np.inf, None
@@ -523,7 +514,7 @@ def joint_energy_minimization(config: SystemConfig, tasks: list[Task],
         """Clone speeds from the rates (deadline tight), plus both energy legs."""
         speeds = _clone_speed(rates, cycles, bits, deadlines, fmax)
         return (speeds, clone_energy(cycles, speeds, kappa, nu),
-                _transmit_energy(bits, rates, powers))
+                ran.transmit_energy(bits, rates, powers))
 
     for it in range(1, max_iterations + 1):
         # bf, rates and powers hold the current v, measured when it was set.
@@ -566,8 +557,6 @@ def joint_energy_minimization(config: SystemConfig, tasks: list[Task],
         v = np.where(support[:, :, None], v, 0.0)
         bf = BeamformerSet(v)
         rates, powers = ran.rate(channels, bf, bw), ran.ue_power(bf)
-        rho = _fronthaul_rows(config, bf, rates, support)
-        frozen = rates.copy()
 
         speeds, cloud_e, tx_e = recover_cloud(rates, powers)
         total = float(np.sum(cloud_e + eta * tx_e))
@@ -579,10 +568,15 @@ def joint_energy_minimization(config: SystemConfig, tasks: list[Task],
         # such a total absorbs the other UEs' whole energy, or a swap of which
         # UEs sit at their floors, so the round does not count as settled.
         pinned = np.any((bits > 0) & (speeds >= fmax * (1.0 - CONV_REL_TOL)))
-        if energy_prev is not None and not pinned and abs(
-                total - energy_prev) <= CONV_REL_TOL * max(energy_prev, 1e-30):
+        settled = energy_prev is not None and not pinned and abs(
+            total - energy_prev) <= CONV_REL_TOL * max(energy_prev, 1e-30)
+        if settled and (fresh or not np.any(rho)):
             status, converged = "optimal", True
             break
+        fresh = settled or rho is None
+        if fresh:
+            rho = _fronthaul_rows(config, bf, rates, support)
+            frozen = rates.copy()
         energy_prev = total
 
     if best_state is not None:
@@ -598,7 +592,8 @@ def joint_energy_minimization(config: SystemConfig, tasks: list[Task],
     with np.errstate(divide="ignore"):  # lateness at the rates bf gives, not `rates`
         finish = cycles / speeds + np.where(bits > 0, bits / ran.rate(channels, bf, bw), 0.0)
     ransol = _replay_checked(config, tasks, channels, RanSolution(
-        bf, rates, clusters, powers, floors, energy_trace, status, it, converged), finish)
+        bf, rates, clusters, powers, floors, energy_trace, status, it, converged,
+        "" if converged else _cap_message(energy_trace, max_iterations)), finish)
     receivers = mmse_receiver(channels, bf)
     mses = np.clip(mse(channels, bf.vectors, receivers), 1e-300, 1.0)
     weights_out = mse_weight(np.minimum(mses, 1.0 - 1e-15), cycles, bits, deadlines,
@@ -620,7 +615,9 @@ def _surrogate_line_search(config, channels, receivers, weights, v_prev, v_cand,
     dv = v_cand - v_prev
     if not np.any(dv):
         return v_prev, s_incumbent
-    if rho is not None and not _weighted_fronthaul_ok(config, v_prev, rho, frozen):
+    if rho is not None and np.any(
+            ran.surrogate_fronthaul_load(BeamformerSet(v_prev), frozen, rho)
+            > np.asarray(config.fronthaul_limit) * (1.0 + 1e-9)):
         # Incumbent end is outside this round's surrogate set: only the full
         # step is known feasible.
         e1 = np.clip(mse(channels, v_cand, receivers), 1e-300, 1.0 - 1e-15)
@@ -669,11 +666,6 @@ def _surrogate_line_search(config, channels, receivers, weights, v_prev, v_cand,
     return v_prev + best_alpha * dv, best_val
 
 
-def _transmit_energy(bits, rates, powers):
-    """p_i D_i / r_i per UE, zero for a UE without result bits."""
-    return powers * bits / np.where(bits > 0, rates, 1.0)
-
-
 # ---------------------------------------------------------------------------
 # Fixed-split baseline.
 
@@ -704,7 +696,7 @@ def split_deadline_baseline(config: SystemConfig, tasks: list[Task],
     energy, trace = None, []
     if np.all(ransol.rates[bits > 0] > 0):  # a failed conic step leaves no rates
         energy = EnergyBreakdown.combine(
-            alloc.exec_energy, _transmit_energy(bits, ransol.rates, ransol.powers),
+            alloc.exec_energy, ran.transmit_energy(bits, ransol.rates, ransol.powers),
             config.tradeoff)
         trace = [energy.total]
     return JointSolution(ransol, alloc.clone_capacity, energy, trace, [],

@@ -20,9 +20,11 @@ __all__ = [
     "rate",
     "ue_power",
     "rrh_power",
+    "block_power",
     "fronthaul_weights",
     "fronthaul_load",
     "surrogate_fronthaul_load",
+    "transmit_energy",
     "total_energy",
 ]
 
@@ -110,16 +112,16 @@ def rrh_power(beamformers: BeamformerSet) -> np.ndarray:
     return np.sum(np.abs(v.transpose(1, 0, 2).reshape(v.shape[1], -1)) ** 2, axis=1)
 
 
-def _block_power(beamformers: BeamformerSet) -> np.ndarray:
-    """||v[i, j]||^2 per (UE, RRH) pair."""
-    return np.sum(np.abs(beamformers.vectors) ** 2, axis=-1)
+def block_power(vectors) -> np.ndarray:
+    """||v[i, j]||^2 per (UE, RRH) pair of a (num_ue, num_rrh, antennas) array."""
+    return np.sum(np.abs(vectors) ** 2, axis=-1)
 
 
 def fronthaul_weights(beamformers: BeamformerSet, epsilon: float) -> np.ndarray:
     """Reweighting factors rho[i, j] = 1 / (||v[i, j]||^2 + epsilon)."""
     if epsilon <= 0:
         raise ValueError("stability epsilon must be > 0")
-    return 1.0 / (_block_power(beamformers) + epsilon)
+    return 1.0 / (block_power(beamformers.vectors) + epsilon)
 
 
 def fronthaul_load(beamformers: BeamformerSet, rates, zero_threshold=0.0) -> np.ndarray:
@@ -128,7 +130,7 @@ def fronthaul_load(beamformers: BeamformerSet, rates, zero_threshold=0.0) -> np.
     Counts the full rate of every UE whose block at the RRH is above
     `zero_threshold` in squared norm (one threshold, or one per RRH).
     """
-    active = _block_power(beamformers) > zero_threshold
+    active = block_power(beamformers.vectors) > zero_threshold
     return np.sum(np.asarray(rates, dtype=float)[:, None] * active, axis=0)
 
 
@@ -138,7 +140,12 @@ def surrogate_fronthaul_load(beamformers: BeamformerSet, rates, weights) -> np.n
     sum_i rho[i, j] ||v[i, j]||^2 r_i, with `weights` rho from `fronthaul_weights`.
     """
     rates = np.asarray(rates, dtype=float)
-    return np.sum(weights * _block_power(beamformers) * rates[:, None], axis=0)
+    return np.sum(weights * block_power(beamformers.vectors) * rates[:, None], axis=0)
+
+
+def transmit_energy(bits, rates, powers) -> np.ndarray:
+    """p_i D_i / r_i per UE, zero for a UE without result bits."""
+    return powers * bits / np.where(bits > 0, rates, 1.0)
 
 
 def total_energy(config: SystemConfig, tasks: list[Task], cloud_energies,
@@ -149,5 +156,5 @@ def total_energy(config: SystemConfig, tasks: list[Task], cloud_energies,
     stalled = np.flatnonzero((bits > 0) & (rates <= 0))
     if stalled.size:
         raise RateInfeasibleError(int(stalled[0]), "zero rate with bits pending")
-    transmit = ue_power(beamformers) * bits / np.where(bits > 0, rates, 1.0)
-    return EnergyBreakdown.combine(cloud_energies, transmit, config.tradeoff)
+    return EnergyBreakdown.combine(
+        cloud_energies, transmit_energy(bits, rates, ue_power(beamformers)), config.tradeoff)

@@ -104,28 +104,25 @@ class JointSolution:
 # MSE kernels.
 
 
-def _combined_amplitudes(channels: ChannelState, vectors: np.ndarray) -> np.ndarray:
-    """amps[i, k] = sum_j h[i,j]^H v[k,j]."""
-    return np.einsum("ijc,kjc->ik", np.conj(channels.gains), vectors)
-
-
 def mmse_receiver(channels: ChannelState, beamformers: BeamformerSet) -> np.ndarray:
     """Scalar receivers u_i = m_ii / (sum_k |m_ik|^2 + sigma_i^2)."""
-    amps = _combined_amplitudes(channels, beamformers.vectors)
+    amps = ran.amplitudes(channels, beamformers.vectors)
     denom = np.sum(np.abs(amps) ** 2, axis=1) + channels.noise_power
     return np.diag(amps) / denom
 
 
 def mse(channels: ChannelState, vectors: np.ndarray, receivers) -> np.ndarray:
-    """Receive MSE per UE at (N, L, K) beamformers and one receiver per UE.
+    """Receive MSE per UE at (N, L, K) beamformers and one receiver per UE."""
+    return _mse_of_amplitudes(channels, ran.amplitudes(channels, vectors), receivers)
 
-    e_i = |u_i|^2 (sum_k |m_ik|^2 + sigma_i^2) - 2 Re(u_i* m_ii) + 1.
-    """
-    amps = _combined_amplitudes(channels, vectors)
-    total = np.sum(np.abs(amps) ** 2, axis=1) + channels.noise_power
-    own = np.diag(amps)
+
+def _mse_of_amplitudes(channels, amps, receivers) -> np.ndarray:
+    """e_i = |u_i|^2 (sum_k |m_ik|^2 + sigma_i^2) - 2 Re(u_i* m_ii) + 1."""
+    # add.reduce and .diagonal() skip np.sum's and np.diag's call overhead:
+    # every trial step of the line search runs this.
+    total = np.add.reduce(np.abs(amps) ** 2, axis=1) + channels.noise_power
     return (np.abs(receivers) ** 2 * total
-            - 2.0 * np.real(np.conj(receivers) * own) + 1.0)
+            - 2.0 * (np.conj(receivers) * amps.diagonal()).real + 1.0)
 
 
 def _task_arrays(tasks: list[Task]):
@@ -218,8 +215,7 @@ def _cs_rate_bound(config, channels, ue_powers, support) -> np.ndarray:
     B log2(1 + sum_j ||h_ij||^2 p_i / sigma_i^2), the concave envelope used
     as the frozen denominator of the transmit-energy surrogate.
     """
-    gain = np.sum(np.abs(channels.gains) ** 2, axis=2)  # (N, L)
-    gain = np.where(support, gain, 0.0).sum(axis=1)
+    gain = np.where(support, ran.block_power(channels.gains), 0.0).sum(axis=1)
     b = np.asarray(config.bandwidth)
     return b * np.log2(1.0 + gain * ue_powers / channels.noise_power)
 
@@ -590,7 +586,8 @@ def joint_energy_minimization(config: SystemConfig, tasks: list[Task],
     speeds, cloud_e, tx_e = recover_cloud(rates, powers)
     energy = EnergyBreakdown.combine(cloud_e, tx_e, eta)
     with np.errstate(divide="ignore"):  # lateness at the rates bf gives, not `rates`
-        finish = cycles / speeds + np.where(bits > 0, bits / ran.rate(channels, bf, bw), 0.0)
+        finish = cycles / speeds + np.divide(bits, ran.rate(channels, bf, bw),
+                                             where=bits > 0, out=np.zeros(n))
     ransol = _replay_checked(config, tasks, channels, RanSolution(
         bf, rates, clusters, powers, floors, energy_trace, status, it, converged,
         "" if converged else _cap_message(energy_trace, max_iterations)), finish)
@@ -608,13 +605,11 @@ def _surrogate_line_search(config, channels, receivers, weights, v_prev, v_cand,
     """Step from v_prev toward the conic candidate, minimizing the true surrogate.
 
     Along the segment every constraint stays satisfied (the feasible set is
-    convex and both ends are feasible), the per-UE MSE and power are
-    quadratics in the step length, and the surrogate is convex, so a golden
-    section bracket finds the minimum.  Returns the new point and its value.
+    convex and both ends are feasible) and the surrogate is convex, so a
+    golden section bracket finds the minimum.  The received amplitudes are
+    affine in the step length, so each trial evaluates the MSE on a + alpha b.
+    Returns the new point and its value.
     """
-    dv = v_cand - v_prev
-    if not np.any(dv):
-        return v_prev, s_incumbent
     if rho is not None and np.any(
             ran.surrogate_fronthaul_load(BeamformerSet(v_prev), frozen, rho)
             > np.asarray(config.fronthaul_limit) * (1.0 + 1e-9)):
@@ -624,23 +619,17 @@ def _surrogate_line_search(config, channels, receivers, weights, v_prev, v_cand,
         p1 = np.sum(np.abs(v_cand) ** 2, axis=(1, 2))
         return v_cand, surrogate_fn(e1, p1, weights)
 
-    a = _combined_amplitudes(channels, v_prev)
-    b = _combined_amplitudes(channels, dv)
-    u2 = np.abs(receivers) ** 2
-    # e_i(alpha) and p_i(alpha) as quadratics in the step length.
-    e2 = u2 * np.sum(np.abs(b) ** 2, axis=1)
-    e1c = u2 * 2.0 * np.sum(np.real(np.conj(a) * b), axis=1) \
-        - 2.0 * np.real(np.conj(receivers) * np.diag(b))
-    e0 = (u2 * (np.sum(np.abs(a) ** 2, axis=1) + channels.noise_power)
-          - 2.0 * np.real(np.conj(receivers) * np.diag(a)) + 1.0)
+    dv = v_cand - v_prev
+    a = ran.amplitudes(channels, v_prev)
+    b = ran.amplitudes(channels, dv)
     p2 = np.sum(np.abs(dv) ** 2, axis=(1, 2))
     p1c = 2.0 * np.sum(np.real(np.conj(v_prev) * dv), axis=(1, 2))
     p0 = np.sum(np.abs(v_prev) ** 2, axis=(1, 2))
 
     def value(alpha):
-        e = np.clip(e0 + e1c * alpha + e2 * alpha * alpha, 1e-300, 1.0 - 1e-15)
+        e = _mse_of_amplitudes(channels, a + alpha * b, receivers)
         p = p0 + p1c * alpha + p2 * alpha * alpha
-        return surrogate_fn(e, p, weights)
+        return surrogate_fn(e.clip(1e-300, 1.0 - 1e-15), p, weights)
 
     lo, hi = 0.0, 1.0
     golden = (math.sqrt(5.0) - 1.0) / 2.0
@@ -661,8 +650,6 @@ def _surrogate_line_search(config, channels, receivers, weights, v_prev, v_cand,
     candidates = [(s_incumbent, 0.0), (value(1.0), 1.0),
                   (f1, x1), (f2, x2)]
     best_val, best_alpha = min(candidates, key=lambda t: t[0])
-    if best_alpha == 0.0:
-        return v_prev, s_incumbent
     return v_prev + best_alpha * dv, best_val
 
 

@@ -95,8 +95,9 @@ def build_wmmse_step_socp(channels, mse_weights, receivers, objective_weights,
 
     * ||(v_1j, ..., v_Nj)|| <= sqrt(P_j) per RRH j with a supported pair;
     * sqrt(1 - 2^(-R_i/B_i)) ||(m_1..m_N, sigma)|| <= Re(m_ii) per served
-      UE with a rate floor R_i > 0, whose phase the equality row
-      Im(m_ii) = 0 pins;
+      UE with a rate floor R_i > 0: as |m_ii| >= Re(m_ii) it implies the
+      SINR floor with no row pinning m_ii's phase, which a power objective
+      leaves free (rotating stream i changes no power and no constraint);
     * when `rho` is given, the reweighted fronthaul surrogate
       sum_i rho_ij r_i ||v_ij||^2 <= C_j at the frozen rates r, one SOC per
       RRH with active rows, as ||E x|| <= 1 with E holding
@@ -120,7 +121,6 @@ def build_wmmse_step_socp(channels, mse_weights, receivers, objective_weights,
 
     blocks = [_pairs_norm_le(nv, cols[support[:, j], j], k, float(np.sqrt(power_limits[j])))
               for j in range(l) if support[:, j].any()]
-    eq_rows = []
     c = np.zeros(nv)
     # Transmit power: 2 w_i on each of UE i's reals.
     quad = np.diag(2.0 * np.repeat(w[np.nonzero(support)[0]], 2 * k))
@@ -144,7 +144,6 @@ def build_wmmse_step_socp(channels, mse_weights, receivers, objective_weights,
             consts = np.zeros(2 * n + 2)
             consts[-1] = coef   # the normalized noise term
             blocks.append((np.vstack([rows[i, 0], coef * entries, np.zeros(nv)]), consts))
-            eq_rows.append(rows[i, 1])
 
     for j in range(l if rho is not None else 0):
         scale = rho[:, j] * np.asarray(frozen_rates) / fronthaul_limits[j]
@@ -158,8 +157,8 @@ def build_wmmse_step_socp(channels, mse_weights, receivers, objective_weights,
         P=quad,
         cone_lhs=-np.vstack([empty, *(rows for rows, _ in blocks)]),
         cone_rhs=np.concatenate([np.zeros(0), *(consts for _, consts in blocks)]),
-        eq_lhs=np.vstack([empty, *eq_rows]),
-        eq_rhs=np.zeros(len(eq_rows)),
+        eq_lhs=empty,
+        eq_rhs=np.zeros(0),
         cones=tuple(("soc", rows.shape[0]) for rows, _ in blocks),
         obj_const=float(const),
     )

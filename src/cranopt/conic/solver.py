@@ -32,9 +32,10 @@ arrays above and no names.  `SolveReport.x` comes back in the caller's
 column order, and `z` and `s` in the caller's cone row order.
 
 Data is Ruiz-equilibrated before solving; the reported residuals and
-duality gap are those of the returned answer (the polished point, else the
-last interior-point iterate) on the normalized problem, while objective
-values are in the caller's units.
+duality gap are those of the returned answer on the normalized problem (the
+polished point, else the iterate that stopped the loop, or at a
+`max_iterations` exit the iterate of least merit max(pres, dres) / feas_tol,
+gap / gap_tol), while objective values are in the caller's units.
 """
 
 from __future__ import annotations

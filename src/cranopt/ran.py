@@ -16,6 +16,7 @@ __all__ = [
     "BeamformerSet",
     "EnergyBreakdown",
     "RateInfeasibleError",
+    "amplitudes",
     "sinr",
     "rate",
     "ue_power",
@@ -80,13 +81,14 @@ class EnergyBreakdown:
         )
 
 
-def sinr(channels: ChannelState, beamformers: BeamformerSet) -> np.ndarray:
-    """Receiver-side SINR per UE: every stream rides the receiving UE's channel.
+def amplitudes(channels: ChannelState, vectors) -> np.ndarray:
+    """Amplitude m[i, k] = sum_j h[i,j]^H v[k,j] of stream k at UE i, v as (N, L, K)."""
+    return np.sum(np.conj(channels.gains)[:, None] * vectors[None], axis=(2, 3))
 
-    Stream k reaches UE i with amplitude sum_j h[i,j]^H v[k,j].
-    """
-    h, v = channels.gains, beamformers.vectors
-    power = np.abs(np.sum(np.conj(h)[:, None] * v[None], axis=(2, 3))) ** 2
+
+def sinr(channels: ChannelState, beamformers: BeamformerSet) -> np.ndarray:
+    """Receiver-side SINR |m_ii|^2 / (sum_{k != i} |m_ik|^2 + sigma_i^2) per UE."""
+    power = np.abs(amplitudes(channels, beamformers.vectors)) ** 2
     signal = np.diag(power)
     interference = np.sum(power, axis=1) - signal
     return signal / (interference + channels.noise_power)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -91,6 +92,18 @@ class TestJointEnergyMinimization:
         expect = sum(1e-11 * t.cpu_cycles ** 3 / t.deadline ** 2 for t in tasks)
         assert sol.energy.total == pytest.approx(expect, rel=1e-12)
         assert sol.energy.total_transmit == 0.0
+
+    def test_ues_without_payload_raise_no_warning(self, smallcell):
+        # Two of five UEs return no bits and get no beamformer: their radio
+        # rate is 0, and their lateness must not divide 0 bits by it.
+        config, tasks = smallcell
+        tasks = [dataclasses.replace(t, result_bits=0.0) if i in (1, 3) else t
+                 for i, t in enumerate(tasks)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sol = joint_energy_minimization(config, tasks, generate_channels(config, 42))
+        assert sol.status == "optimal"
+        assert np.all(sol.ran.rates[[1, 3]] == 0.0)
 
     def test_deadline_precondition(self, smallcell):
         config, _ = smallcell

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cranopt import algorithms
 from cranopt.algorithms import mse
 from cranopt.conic import build
 from cranopt.conic import (
@@ -11,8 +12,8 @@ from cranopt.conic import (
     extract_beamformers,
     solve,
 )
-from cranopt.ran import BeamformerSet, rrh_power, ue_power
-from cranopt.scenario import ChannelState
+from cranopt.ran import BeamformerSet, amplitudes, rate, rrh_power, ue_power
+from cranopt.scenario import ChannelState, default_config, generate_channels
 
 
 def single_link_channels(gain, sigma2=1e-6):
@@ -28,10 +29,10 @@ class TestPowerMinStructure:
             rho=np.array([[1.0]]), frozen_rates=np.array([1.0]),
             fronthaul_limits=[1e7])
         # The 2 beamformer reals only; SOC blocks: RRH power, rate floor,
-        # fronthaul; one phase equality.
+        # fronthaul; no equality rows (the rate SOC leaves m_ii's phase free).
         assert problem.num_vars == 2
         assert problem.cones == (("soc", 3), ("soc", 4), ("soc", 3))
-        assert problem.eq_lhs.shape == (1, 2)
+        assert problem.eq_lhs.shape == (0, 2)
 
     def test_decision_reals_scale_with_dims(self):
         rng = np.random.default_rng(0)
@@ -44,6 +45,39 @@ class TestPowerMinStructure:
         assert problem.num_vars == 2 * n * l * k
         assert problem.cones == ((("soc", 1 + 2 * n * k),) * l
                                  + (("soc", 2 + 2 * n),) * n)
+
+
+class TestUnpinnedRateFloors:
+    def test_stock_problems_have_no_equality_rows(self, monkeypatch):
+        # Power-min steps and their refit (split baseline), WMMSE steps and
+        # their refit (joint run): every problem the package solves.
+        real_solve, problems = algorithms.solve, []
+        monkeypatch.setattr(algorithms, "solve",
+                            lambda problem, **kw: problems.append(problem)
+                            or real_solve(problem, **kw))
+        config, tasks = default_config()
+        channels = generate_channels(config, 42)
+        algorithms.split_deadline_baseline(config, tasks, channels, 0.5)
+        algorithms.joint_energy_minimization(config, tasks, channels)
+        assert len(problems) >= 4
+        assert all(problem.eq_lhs.shape[0] == 0 for problem in problems)
+
+    def test_power_min_step_meets_floors_with_real_amplitudes(self):
+        # Rotating stream i changes no power, so the minimum of the unpinned
+        # step has a real m_ii, and the SOC on Re(m_ii) meets each floor.
+        config, tasks = default_config()
+        channels = generate_channels(config, 42)
+        floors = np.array([t.result_bits / (0.5 * t.deadline) for t in tasks])
+        problem = build_power_min_socp(channels, floors, config.bandwidth,
+                                       config.rrh_power_limit)
+        report = solve(problem, **algorithms.SOLVE_KW)
+        assert report.optimal
+        beams = BeamformerSet(extract_beamformers(
+            report.x, np.ones((config.num_ue, config.num_rrh), bool),
+            config.antennas_per_rrh))
+        own = np.diag(amplitudes(channels, beams.vectors))
+        assert np.all(np.abs(own.imag) <= 1e-9 * np.abs(own))
+        assert np.all(rate(channels, beams, config.bandwidth) >= floors * (1.0 - 1e-6))
 
 
 class TestBeamformerLayout:

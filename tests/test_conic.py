@@ -276,6 +276,19 @@ class TestRandomAgainstOracle:
             oracle = brute_force_oracle(c, cons, n)
             assert report.primal_objective == pytest.approx(oracle, abs=1e-4)
 
+    def test_iteration_limit_reports_the_best_merit_iterate(self):
+        # Seed 7's third iterate scores worse than its second: an exit at the
+        # iteration limit reports the iterate of least merit
+        # max(pres, dres) / feas_tol, gap / gap_tol, not the last one.
+        prob, _, _ = random_socp(np.random.default_rng(7), 3)
+        report = solve(prob, gap_tol=1e-8, feas_tol=1e-8, max_iter=3)
+        assert report.status == "max_iterations" and len(report.trace) == 3
+        merits = [max(t["pres"], t["dres"], t["gap"]) / 1e-8 for t in report.trace]
+        best = report.trace[int(np.argmin(merits))]
+        assert best is not report.trace[-1]
+        assert (report.duality_gap, report.primal_residual, report.dual_residual) == (
+            best["gap"], best["pres"], best["dres"])
+
     def test_weak_duality_along_iterates(self):
         rng = np.random.default_rng(5)
         for _ in range(5):

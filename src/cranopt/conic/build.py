@@ -1,11 +1,11 @@
 """Builders that write beamforming subproblems straight into conic form.
 
-Each builder fills ``c, P, G, h, A, b`` and the cone list of a
-`ConicProblem` from the channel arrays.  x is the beamformer block and
-nothing else: one complex K-vector v[i, j] per supported (UE i, RRH j) pair,
-in row-major order of the (N, L) `support` mask, each stored as its K real
-parts followed by its K imaginary parts, so ``x.size == 2 * K *
-support.sum()`` (`extract_beamformers` scatters x back).
+Each builder fills ``c, P, G, h`` and the cone list of a `ConicProblem`
+from the channel arrays.  x is the beamformer block and nothing else: one
+complex K-vector v[i, j] per supported (UE i, RRH j) pair, in row-major
+order of the (N, L) `support` mask, each stored as its K real parts
+followed by its K imaginary parts, so ``x.size == 2 * K * support.sum()``
+(`extract_beamformers` scatters x back).
 
 Under this embedding squared norms are quadratic forms in x and
 ``Re(h^H v)``, ``Im(h^H v)`` are linear ones, so transmit power and receive
@@ -151,14 +151,11 @@ def build_wmmse_step_socp(channels, mse_weights, receivers, objective_weights,
         if on.any():
             blocks.append(_pairs_norm_le(nv, cols[on, j], k, 1.0,
                                          np.repeat(np.sqrt(scale[on]), 2 * k)))
-    empty = np.zeros((0, nv))
     return ConicProblem(
         c=c,
         P=quad,
-        cone_lhs=-np.vstack([empty, *(rows for rows, _ in blocks)]),
+        cone_lhs=-np.vstack([np.zeros((0, nv)), *(rows for rows, _ in blocks)]),
         cone_rhs=np.concatenate([np.zeros(0), *(consts for _, consts in blocks)]),
-        eq_lhs=empty,
-        eq_rhs=np.zeros(0),
         cones=tuple(("soc", rows.shape[0]) for rows, _ in blocks),
         obj_const=float(const),
     )

@@ -3,8 +3,7 @@
 Problem form:
 
     minimize    (1/2) x'P x + c'x
-    subject to  A x = b                      (equality rows)
-                G x + s = h,   s in K        (cone rows)
+    subject to  G x + s = h,   s in K        (cone rows)
 
 where P is symmetric positive semidefinite (zero for an LP or SOCP) and K is
 an ordered product of nonnegative-orthant blocks and second-order cone
@@ -17,15 +16,16 @@ Cone blocks are segments of the slack vector, kept in the caller's row
 order (see `_Cones`): each cone operation is a fixed number of array
 operations over all blocks, and the Nesterov-Todd scaling is applied as a
 rank-one update per block (see `_Scaling`), as in CVXOPT and ECOS.  Each
-Newton system is reduced to a saddle-point system [[H, A'], [A, 0]] and
-solved by one dense Cholesky-plus-Schur-complement routine (`_Saddle`), the
-"chol2" reduction of CVXOPT's coneqp (Vandenberghe 2010).
+Newton system is reduced to a definite system H x = r and solved by one
+dense Cholesky routine (`_Saddle`).
 
 An optimal answer is then polished by Newton's method on the KKT system of
 its active cone blocks, which the interior-point iterate only approaches as
 the square root of its duality gap.  Each polish step solves its Newton
-system with the same `_Saddle` routine, and the active set grows by every
-block that a settled polish point leaves.
+system with the same `_Saddle` routine, its boundary gradients as the
+equality rows A of a saddle-point system [[H, A'], [A, 0]] (the "chol2"
+reduction of CVXOPT's coneqp, Vandenberghe 2010), and the active set grows
+by every block that a settled polish point leaves.
 
 The solver knows variables only by position: a `ConicProblem` holds the
 arrays above and no names.  `SolveReport.x` comes back in the caller's
@@ -47,7 +47,6 @@ import scipy.linalg
 
 __all__ = ["ConicProblem", "SolveReport", "SolverError", "solve"]
 
-PRESOLVE_TOL = 1e-10   # dependent equality rows dropped below this
 STEP_BACKOFF = 0.99
 REG = 1e-9             # static KKT regularization (undone by refinement)
 REFINE_STEPS = 4       # iterative-refinement steps per KKT solve, at most
@@ -77,22 +76,18 @@ class ConicProblem:
     P: np.ndarray          # (n, n), symmetric PSD
     cone_lhs: np.ndarray   # G, (m, n)
     cone_rhs: np.ndarray   # h, (m,)
-    eq_lhs: np.ndarray     # A, (p, n)
-    eq_rhs: np.ndarray     # b, (p,)
     cones: tuple[tuple[str, int], ...]
     obj_const: float = 0.0
 
     def __post_init__(self):
         n = self.c.shape[0]
-        m, p = self.cone_lhs.shape[0], self.eq_lhs.shape[0]
+        m = self.cone_lhs.shape[0]
         if self.P.shape != (n, n):
             raise SolverError("quadratic term shape mismatch")
         if not np.array_equal(self.P, self.P.T):
             raise SolverError("quadratic term must be symmetric")
         if self.cone_lhs.shape != (m, n) or self.cone_rhs.shape != (m,):
             raise SolverError("cone system shape mismatch")
-        if self.eq_lhs.shape != (p, n) or self.eq_rhs.shape != (p,):
-            raise SolverError("equality system shape mismatch")
         if sum(d for _, d in self.cones) != m:
             raise SolverError("cone dims must sum to the slack dimension")
         for kind, d in self.cones:
@@ -105,12 +100,19 @@ class ConicProblem:
     def num_vars(self) -> int:
         return self.c.shape[0]
 
+    @property
+    def eq_lhs(self) -> np.ndarray:
+        """The (0, n) equality system: the form has no equality rows.
+
+        `perfbench/tracing.py` reads its row count as the trace's ``p``.
+        """
+        return np.zeros((0, self.num_vars))
+
 
 @dataclass
 class SolveReport:
     status: str
     x: np.ndarray
-    y: np.ndarray
     z: np.ndarray
     s: np.ndarray
     primal_objective: float
@@ -249,106 +251,80 @@ class _Scaling:
 
 
 # ---------------------------------------------------------------------------
-# Equilibration and presolve.
+# Equilibration.
 
 
-def _ruiz_equilibrate(c, P, G, h, A, b, cones):
+def _ruiz_equilibrate(c, P, G, h, cones):
     """Row/column scaling; SOC row blocks share one scale to keep cone shape.
 
-    The column scaling D, taken over the columns of P, A and G, scales the
+    The column scaling D, taken over the columns of P and G, scales the
     objective to D P D and D c; one cost scale then brings both to at most
     unit size.
     """
-    p, n = A.shape
-    m = G.shape[0]
-    dr_a = np.ones(p)
+    m, n = G.shape
     dr_g = np.ones(m)
     dc = np.ones(n)
-    Ps, As, Gs = P.copy(), A.copy(), G.copy()
+    Ps, Gs = P.copy(), G.copy()
     for _ in range(RUIZ_ITERS):
-        ra = np.maximum(np.sqrt(np.abs(As).max(axis=1)), 1e-8)
         rg = np.sqrt(np.maximum(np.abs(Gs).max(axis=1), 1e-16))
         rg = np.maximum(np.maximum.reduceat(rg, cones.starts)[cones.owner], 1e-8)
-        As /= ra[:, None]
-        dr_a /= ra
         Gs /= rg[:, None]
         dr_g /= rg
-        colmax = np.max([np.abs(M).max(axis=0, initial=0.0) for M in (Ps, As, Gs)], axis=0)
+        colmax = np.maximum(np.abs(Ps).max(axis=0, initial=0.0), np.abs(Gs).max(axis=0))
         cnorm = np.maximum(np.sqrt(np.maximum(colmax, 1e-16)), 1e-8)
         Ps /= np.outer(cnorm, cnorm)
-        As /= cnorm[None, :]
         Gs /= cnorm[None, :]
         dc /= cnorm
     cs = c * dc
     cost_scale = max(1.0, np.abs(cs).max(initial=0.0), np.abs(Ps).max(initial=0.0))
-    return (cs / cost_scale, Ps / cost_scale, Gs, h * dr_g, As, b * dr_a,
-            dc, dr_a, dr_g, cost_scale)
-
-
-def _presolve_equalities(A, b):
-    """Drop numerically dependent equality rows; flag inconsistency."""
-    p = A.shape[0]
-    if p == 0:
-        return A, b, [], False
-    q, r, piv = scipy.linalg.qr(A.T, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    scale = diag.max() if diag.size and diag.max() > 0 else 1.0
-    rank = int(np.sum(diag > PRESOLVE_TOL * scale))
-    if rank == p:
-        return A, b, [], False
-    keep = sorted(piv[:rank])
-    x_ls, *_ = np.linalg.lstsq(A, b, rcond=None)
-    resid = A @ x_ls - b
-    inconsistent = bool(np.max(np.abs(resid)) > 1e-8 * max(1.0, np.abs(b).max()))
-    dropped = sorted(set(range(p)) - set(keep))
-    return A[keep], b[keep], dropped, inconsistent
+    return cs / cost_scale, Ps / cost_scale, Gs, h * dr_g, dc, dr_g, cost_scale
 
 
 # ---------------------------------------------------------------------------
 # Polishing.
 
 
-def _polish(P, c, G, h, A, b, cones, x, y, z, feas_tol):
+def _polish(P, c, G, h, cones, x, z, feas_tol):
     """Newton's method on the KKT system of the blocks active at (x, z).
 
     An interior-point iterate at duality gap g can sit O(sqrt(g)) from the
     solution along the boundary of an active cone (the primal and dual
     blocks are not yet exactly opposite).  Holding each active block k on
     its boundary with z_k = nu_k (1, -s_k1 / ||s_k1||), s = h - G x,
-    Newton's method on stationarity, A x = b and those boundaries converges
-    to working precision.  The active set starts as the blocks whose z_k0
+    Newton's method on stationarity and those boundaries converges to
+    working precision.  The active set starts as the blocks whose z_k0
     exceeds the margin s_k0 - ||s_k1||; a block that the settled point
-    leaves by more than feas_tol joins it, and Newton restarts from
-    (x, y, z).  Returns the polished (x, y, z), or None when Newton does not
-    settle or a multiplier nu_k falls below -feas_tol (a block held on its
-    boundary with nu_k = 0 is weakly active).
+    leaves by more than feas_tol joins it, and Newton restarts from (x, z).
+    Returns the polished (x, z), or None when Newton does not settle or a
+    multiplier nu_k falls below -feas_tol (a block held on its boundary
+    with nu_k = 0 is weakly active).
     """
     heads = cones.starts
     active = z[heads] > cones.margins(h - G @ x)
     while True:
-        settled = _boundary_newton(P, c, G, h, A, b, cones, active, x, y, z[heads[active]])
+        settled = _boundary_newton(P, c, G, h, cones, active, x, z[heads[active]])
         if settled is None:
             return None
-        xp, yp, zp, nu = settled
+        xp, zp, nu = settled
         margins = cones.margins(h - G @ xp)
         left = ~active & (margins <= -feas_tol)
         if not left.any():
             break
         active |= left
     if np.all(nu > -feas_tol) and margins.min() > -feas_tol:
-        return xp, yp, zp
+        return xp, zp
     return None
 
 
-def _boundary_newton(P, c, G, h, A, b, cones, active, x, y, nu):
-    """Newton from (x, y, nu) with the `active` blocks on their boundaries.
+def _boundary_newton(P, c, G, h, cones, active, x, nu):
+    """Newton from (x, nu) with the `active` blocks on their boundaries.
 
-    Returns (x, y, z, nu) once the KKT residual is below 1e-13, or None.
+    Returns (x, z, nu) once the KKT residual is below 1e-13, or None.
     """
     act = _Cones([("soc", d) for d in cones.dims[active]])
     rows = active[cones.owner]
     Ga, ha = G[rows], h[rows]
-    n, p = x.size, y.size
+    n = x.size
     for step in range(POLISH_STEPS + 1):
         s = ha - Ga @ x
         norm1 = np.maximum(np.sqrt(act.tail_dot(s, s)), 1e-300)
@@ -364,17 +340,16 @@ def _boundary_newton(P, c, G, h, A, b, cones, active, x, y, nu):
         resid = norm1 - s[act.starts]
         z = np.zeros(G.shape[0])
         z[rows] = nu[act.owner] * u
-        f = np.concatenate([P @ x + c + A.T @ y + G.T @ z, A @ x - b, resid])
+        f = np.concatenate([P @ x + c + G.T @ z, resid])
         if np.max(np.abs(f)) <= 1e-13:
-            return x, y, z, nu
+            return x, z, nu
         if step == POLISH_STEPS:
             return None
-        # The boundary gradients are equality rows under A.
         try:
-            dx, dyn = _Saddle(hess, np.vstack([A, grads])).solve(-f[:n], -f[n:])
+            dx, dnu = _Saddle(hess, grads).solve(-f[:n], -f[n:])
         except ValueError:  # np.linalg.LinAlgError, or non-finite entries
             return None
-        x, y, nu = x + dx, y + dyn[:p], nu + dyn[p:]
+        x, nu = x + dx, nu + dnu
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +360,7 @@ def _cho_solve(upper, rhs):
     """Solve with an upper Cholesky factor from `scipy.linalg.cho_factor`.
 
     LAPACK's dpotrs rejects a 0 x 0 factor, the Schur complement of a
-    problem without equality rows; its empty right side is the solution.
+    system without equality rows; its empty right side is the solution.
     """
     return scipy.linalg.lapack.dpotrs(upper, rhs)[0] if upper.size else rhs
 
@@ -395,8 +370,9 @@ class _Saddle:
 
     Dense Cholesky factors of H + REG I and of the Schur complement
     A (H + REG I)^{-1} A' + REG I: the "chol2" reduction of CVXOPT's coneqp.
-    H's diagonal is shifted in place.  Raises np.linalg.LinAlgError when
-    either matrix is not definite.
+    The interior-point method passes A with no rows, the polish its
+    boundary gradients.  H's diagonal is shifted in place.  Raises
+    np.linalg.LinAlgError when either matrix is not definite.
     """
 
     def __init__(self, h, A):
@@ -417,52 +393,51 @@ class _Saddle:
 
 
 class _KktSolver:
-    """Solve [[P A' G'], [A 0 0], [G 0 -W^2]] (x, y, z) = (rx, ry, rz), reduced.
+    """Solve [[P G'], [G -W^2]] (x, z) = (rx, rz), reduced.
 
     The cone rows give z = W^{-2}(G x - rz).  With Ghat = W^{-1} G what
-    remains is [[H, A'], [A, 0]] for H = P + Ghat'Ghat, which `factor`
-    hands to `_Saddle`.  J G is kept for the whole solve, so Ghat is one
-    rank-one update per block of it.  `solve` refines against the full,
-    unregularized system, which takes the regularization back out.
+    remains is H x = rx + Ghat'W^{-1} rz for H = P + Ghat'Ghat, which
+    `factor` hands to `_Saddle`.  J G is kept for the whole solve, so Ghat
+    is one rank-one update per block of it.  `solve` refines against the
+    full, unregularized system, which takes the regularization back out.
     """
 
-    def __init__(self, P, A, G, cones):
-        self.P, self.A, self.G = P, A, G
-        self.p, self.n = A.shape
+    def __init__(self, P, G, cones):
+        self.P, self.G = P, G
+        self.n = G.shape[1]
+        self._no_rows = np.zeros((0, self.n))
         self._jg = cones.sign[:, None] * G
 
     def factor(self, scaling: _Scaling):
-        """Raises np.linalg.LinAlgError when a reduced matrix is not definite."""
+        """Raises np.linalg.LinAlgError when the reduced matrix is not definite."""
         ghat = scaling.winv_of_j(self._jg)
-        self._saddle = _Saddle(self.P + ghat.T @ ghat, self.A)
+        self._saddle = _Saddle(self.P + ghat.T @ ghat, self._no_rows)
         self._ghat, self._scaling = ghat, scaling
 
-    def _solve_reduced(self, rx, ry, rz):
+    def _solve_reduced(self, rx, rz):
         winv_rz = self._scaling.mul_winv(rz)
-        x, y = self._saddle.solve(rx + self._ghat.T @ winv_rz, ry)
+        x, _ = self._saddle.solve(rx + self._ghat.T @ winv_rz, np.zeros(0))
         z = self._scaling.mul_winv(self._ghat @ x - winv_rz)
-        return np.concatenate([x, y, z])
+        return np.concatenate([x, z])
 
     def _apply_unreg(self, u):
-        n, p = self.n, self.p
-        x, y, z = u[:n], u[n:n + p], u[n + p:]
-        top = self.P @ x + self.A.T @ y + self.G.T @ z
-        mid = self.A @ x
+        x, z = u[:self.n], u[self.n:]
+        top = self.P @ x + self.G.T @ z
         bot = self.G @ x - self._scaling.mul_w2(z)
-        return np.concatenate([top, mid, bot])
+        return np.concatenate([top, bot])
 
-    def solve(self, rx, ry, rz):
+    def solve(self, rx, rz):
         """Refine until the residual's max-norm stops halving; keep the best."""
-        n, p = self.n, self.p
-        rhs = np.concatenate([rx, ry, rz])
+        n = self.n
+        rhs = np.concatenate([rx, rz])
         tol = 1e-14 * max(1.0, np.max(np.abs(rhs)))
-        u = self._solve_reduced(rx, ry, rz)
+        u = self._solve_reduced(rx, rz)
         resid = rhs - self._apply_unreg(u)
         err = np.max(np.abs(resid))
         for _ in range(REFINE_STEPS):
             if err < tol:
                 break
-            step = u + self._solve_reduced(resid[:n], resid[n:n + p], resid[n + p:])
+            step = u + self._solve_reduced(resid[:n], resid[n:])
             step_resid = rhs - self._apply_unreg(step)
             step_err = np.max(np.abs(step_resid))
             if step_err < err:
@@ -470,7 +445,7 @@ class _KktSolver:
             if not step_err <= 0.5 * err:
                 break
             err = step_err
-        return u[:n], u[n:n + p], u[n + p:]
+        return u[:n], u[n:]
 
 
 def solve(problem: ConicProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8,
@@ -483,23 +458,16 @@ def solve(problem: ConicProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8,
 def _solve_impl(problem: ConicProblem, gap_tol: float, feas_tol: float,
                 max_iter: int) -> SolveReport:
     cones = _Cones(problem.cones)
-    A0, b0, dropped, inconsistent = _presolve_equalities(problem.eq_lhs, problem.eq_rhs)
-    if inconsistent:
-        return _report(problem, STATUS_INFEASIBLE,
-                       message="equality system inconsistent at presolve tolerance",
-                       iterations=0)
-
-    c, P, G, h, A, b, dc, dra, drg, cost_scale = _ruiz_equilibrate(
-        problem.c, problem.P, problem.cone_lhs, problem.cone_rhs, A0, b0, cones)
-    n, p, m = c.shape[0], A.shape[0], G.shape[0]
+    c, P, G, h, dc, drg, cost_scale = _ruiz_equilibrate(
+        problem.c, problem.P, problem.cone_lhs, problem.cone_rhs, cones)
+    n, m = c.shape[0], G.shape[0]
     e = np.zeros(m)
     e[cones.starts] = 1.0
     deg = cones.degree
-    norm_b = max(1.0, np.linalg.norm(b))
     norm_h = max(1.0, np.linalg.norm(h))
     norm_c = max(1.0, np.linalg.norm(c))
 
-    kkt = _KktSolver(P, A, G, cones)
+    kkt = _KktSolver(P, G, cones)
 
     # Initial point: least-squares style starts shifted into the cone.
     try:
@@ -507,12 +475,12 @@ def _solve_impl(problem: ConicProblem, gap_tol: float, feas_tol: float,
     except ValueError:  # np.linalg.LinAlgError, or non-finite entries
         return _report(problem, STATUS_MAXITER, message="KKT factorization failed",
                        iterations=0)
-    x, _, z_init = kkt.solve(np.zeros(n), b.copy(), h.copy())
+    x, z_init = kkt.solve(np.zeros(n), h.copy())
     s = -z_init
     margin = _cone_margin(s, cones)
     if margin <= 0:
         s = s + (1.0 - margin) * e
-    _, y, z = kkt.solve(-c, np.zeros(p), np.zeros(m))
+    _, z = kkt.solve(-c, np.zeros(m))
     margin = _cone_margin(z, cones)
     if margin <= 0:
         z = z + (1.0 - margin) * e
@@ -530,19 +498,18 @@ def _solve_impl(problem: ConicProblem, gap_tol: float, feas_tol: float,
             break
         px = P @ x
         xpx = x @ px
-        rx = px + A.T @ y + G.T @ z + c * tau
-        ry = A @ x - b * tau
+        rx = px + G.T @ z + c * tau
         rz = G @ x + s - h * tau
-        rt = kappa + c @ x + b @ y + h @ z + xpx / tau
+        rt = kappa + c @ x + h @ z + xpx / tau
         mu = (s @ z + tau * kappa) / (deg + 1)
 
         # The quadratic adds +-(1/2) x'P x / tau^2 to the two objectives.
         pcost = (c @ x + 0.5 * xpx / tau) / tau
-        dcost = -(b @ y + h @ z + 0.5 * xpx / tau) / tau
+        dcost = -(h @ z + 0.5 * xpx / tau) / tau
         # Normalized duality gap: absolute complementarity on the equilibrated
         # problem, relative once the objective exceeds unit scale.
         gap = (s @ z / tau ** 2) / max(1.0, abs(pcost))
-        pres = max(np.linalg.norm(ry) / norm_b, np.linalg.norm(rz) / norm_h) / tau
+        pres = np.linalg.norm(rz) / norm_h / tau
         dres = np.linalg.norm(rx) / norm_c / tau
         trace.append({"pcost": pcost, "dcost": dcost, "gap": gap,
                       "pres": pres, "dres": dres, "mu": mu})
@@ -550,25 +517,22 @@ def _solve_impl(problem: ConicProblem, gap_tol: float, feas_tol: float,
         merit = max(pres / feas_tol, dres / feas_tol, gap / gap_tol)
         if np.isfinite(merit) and merit < best_merit:
             best_merit = merit
-            best = (x.copy(), y.copy(), z.copy(), s.copy(), tau, kappa,
-                    gap, pres, dres)
+            best = (x.copy(), z.copy(), s.copy(), tau, kappa, gap, pres, dres)
 
         if pres <= feas_tol and dres <= feas_tol and gap <= gap_tol:
             status, message = STATUS_OPTIMAL, ""
             break
 
-        by_hz = b @ y + h @ z
-        if by_hz < -1e-12:
-            cert = np.linalg.norm(A.T @ y + G.T @ z) / norm_c
-            if cert / (-by_hz) <= feas_tol and _cone_margin(z, cones) > -feas_tol:
-                scale_cert = -by_hz
-                y, z = y / scale_cert, z / scale_cert
+        hz = h @ z
+        if hz < -1e-12:
+            cert = np.linalg.norm(G.T @ z) / norm_c
+            if cert / (-hz) <= feas_tol and _cone_margin(z, cones) > -feas_tol:
+                z = z / (-hz)
                 status, message = STATUS_INFEASIBLE, "primal infeasibility certified"
                 break
         cx = c @ x
         if cx < -1e-12:
-            resid = max(np.linalg.norm(A @ x) / norm_b,
-                        np.linalg.norm(G @ x + s) / norm_h,
+            resid = max(np.linalg.norm(G @ x + s) / norm_h,
                         np.linalg.norm(px) / norm_c)
             if resid / (-cx) <= feas_tol and _cone_margin(s, cones) > -feas_tol:
                 x, s = x / (-cx), s / (-cx)
@@ -582,11 +546,11 @@ def _solve_impl(problem: ConicProblem, gap_tol: float, feas_tol: float,
         except ValueError:  # np.linalg.LinAlgError, or non-finite entries
             status, message = STATUS_MAXITER, "KKT factorization failed"
             break
-        x1, y1, z1 = kkt.solve(-c, b.copy(), h.copy())
+        x1, z1 = kkt.solve(-c, h.copy())
         # The tau row linearizes to (c + 2 P xi)'dx - xi'P xi dtau + ... with
         # xi = x / tau.  At the exact KKT solution (c + 2 P xi)'x1 - xi'P xi
-        # + b'y1 + h'z1 equals -(x1 - xi)'P(x1 - xi) - ||W z1||^2; the
-        # identity form keeps den strictly negative under round-off.
+        # + h'z1 equals -(x1 - xi)'P(x1 - xi) - ||W z1||^2; the identity
+        # form keeps den strictly negative under round-off.
         xi = x / tau
         c_tau = c + 2.0 * (P @ xi)
         dxi = x1 - xi
@@ -598,19 +562,18 @@ def _solve_impl(problem: ConicProblem, gap_tol: float, feas_tol: float,
         def direction(eta, d_s, d_kappa):
             wl = scaling.mul_w(_jordan_solve(lam, d_s, cones))
             bz = -eta * rz + wl
-            x2, y2, z2 = kkt.solve(-eta * rx, -eta * ry, bz)
-            num = -eta * rt + d_kappa / tau - (c_tau @ x2 + b @ y2 + h @ z2)
+            x2, z2 = kkt.solve(-eta * rx, bz)
+            num = -eta * rt + d_kappa / tau - (c_tau @ x2 + h @ z2)
             dtau = num / den
             dx = x2 + dtau * x1
-            dy = y2 + dtau * y1
             dz = z2 + dtau * z1
             ds = -(wl + scaling.mul_w2(dz))
             dkappa = -(d_kappa + kappa * dtau) / tau
-            return dx, dy, dz, ds, dtau, dkappa
+            return dx, dz, ds, dtau, dkappa
 
         # Predictor.
         d_s_aff = _jordan_mul(lam, lam, cones)
-        dxa, dya, dza, dsa, dta, dka = direction(1.0, d_s_aff, tau * kappa)
+        dxa, dza, dsa, dta, dka = direction(1.0, d_s_aff, tau * kappa)
         alpha_aff = min(1.0, _max_step(s, dsa, cones), _max_step(z, dza, cones))
         if dta < 0:
             alpha_aff = min(alpha_aff, -tau / dta)
@@ -624,7 +587,7 @@ def _solve_impl(problem: ConicProblem, gap_tol: float, feas_tol: float,
         corr = _jordan_mul(scaling.mul_winv(dsa), scaling.mul_w(dza), cones)
         d_s = d_s_aff + corr - sigma * mu * e
         d_kappa = tau * kappa + dta * dka - sigma * mu
-        dx, dy, dz, ds, dtau, dkappa = direction(1.0 - sigma, d_s, d_kappa)
+        dx, dz, ds, dtau, dkappa = direction(1.0 - sigma, d_s, d_kappa)
 
         alpha = min(_max_step(s, ds, cones), _max_step(z, dz, cones))
         if dtau < 0:
@@ -637,7 +600,6 @@ def _solve_impl(problem: ConicProblem, gap_tol: float, feas_tol: float,
             break
 
         x += alpha * dx
-        y += alpha * dy
         z += alpha * dz
         s += alpha * ds
         tau += alpha * dtau
@@ -650,36 +612,35 @@ def _solve_impl(problem: ConicProblem, gap_tol: float, feas_tol: float,
     if status == STATUS_MAXITER and best is not None:
         # Report the best iterate seen; it met no stopping test, or the
         # loop would have stopped there as optimal.
-        x, y, z, s, tau, kappa, gap_rep, pres_rep, dres_rep = best
+        x, z, s, tau, kappa, gap_rep, pres_rep, dres_rep = best
 
     if status in (STATUS_INFEASIBLE, STATUS_UNBOUNDED):
-        xs, ys, zs, ss = x, y, z, s
+        xs, zs, ss = x, z, s
     else:
         t = tau if tau > 1e-300 else 1.0
-        xs, ys, zs, ss = x / t, y / t, z / t, s / t
+        xs, zs, ss = x / t, z / t, s / t
         if status == STATUS_OPTIMAL:
-            polished = _polish(P, c, G, h, A, b, cones, xs, ys, zs, feas_tol)
+            polished = _polish(P, c, G, h, cones, xs, zs, feas_tol)
             if polished is not None:
-                # Report the polished point's own residuals and gap.
-                xs, ys, zs = polished
+                # Report the polished point's own residuals and gap; a point
+                # strictly inside every block has no primal residual.
+                xs, zs = polished
                 ss = h - G @ xs
                 gap_rep = abs(ss @ zs) / max(1.0, abs(c @ xs + 0.5 * xs @ P @ xs))
-                pres_rep = max(np.linalg.norm(A @ xs - b) / norm_b,
-                               -_cone_margin(ss, cones) / norm_h)
-                dres_rep = np.linalg.norm(P @ xs + c + A.T @ ys + G.T @ zs) / norm_c
+                pres_rep = max(0.0, -_cone_margin(ss, cones) / norm_h)
+                dres_rep = np.linalg.norm(P @ xs + c + G.T @ zs) / norm_c
 
     # Undo equilibration.
     x_orig = dc * xs
-    y_orig = cost_scale * dra * ys
     z_orig = cost_scale * drg * zs
     s_orig = ss / drg
 
     quad = 0.5 * float(xs @ P @ xs)
     pcost = (float(c @ xs) + quad) * cost_scale
-    dcost = (float(-(b @ ys + h @ zs)) - quad) * cost_scale
-    report = SolveReport(
+    dcost = (float(-(h @ zs)) - quad) * cost_scale
+    return SolveReport(
         status=status,
-        x=x_orig, y=y_orig, z=z_orig, s=s_orig,
+        x=x_orig, z=z_orig, s=s_orig,
         primal_objective=pcost + problem.obj_const,
         dual_objective=dcost + problem.obj_const,
         duality_gap=float(gap_rep),
@@ -689,19 +650,14 @@ def _solve_impl(problem: ConicProblem, gap_tol: float, feas_tol: float,
         message=message,
         trace=trace,
     )
-    if dropped:
-        report.message = (report.message + f" (presolve dropped rows {dropped})").strip()
-    return report
 
 
 def _report(problem, status, message, iterations):
     n = problem.num_vars
     m = problem.cone_lhs.shape[0]
-    p = problem.eq_lhs.shape[0]
     return SolveReport(
         status=status,
-        x=np.zeros(n),
-        y=np.zeros(p), z=np.zeros(m), s=np.zeros(m),
+        x=np.zeros(n), z=np.zeros(m), s=np.zeros(m),
         primal_objective=np.nan, dual_objective=np.nan,
         duality_gap=np.nan, primal_residual=np.nan, dual_residual=np.nan,
         iterations=iterations, message=message,

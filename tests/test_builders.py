@@ -29,10 +29,9 @@ class TestPowerMinStructure:
             rho=np.array([[1.0]]), frozen_rates=np.array([1.0]),
             fronthaul_limits=[1e7])
         # The 2 beamformer reals only; SOC blocks: RRH power, rate floor,
-        # fronthaul; no equality rows (the rate SOC leaves m_ii's phase free).
+        # fronthaul.
         assert problem.num_vars == 2
         assert problem.cones == (("soc", 3), ("soc", 4), ("soc", 3))
-        assert problem.eq_lhs.shape == (0, 2)
 
     def test_decision_reals_scale_with_dims(self):
         rng = np.random.default_rng(0)
@@ -48,20 +47,6 @@ class TestPowerMinStructure:
 
 
 class TestUnpinnedRateFloors:
-    def test_stock_problems_have_no_equality_rows(self, monkeypatch):
-        # Power-min steps and their refit (split baseline), WMMSE steps and
-        # their refit (joint run): every problem the package solves.
-        real_solve, problems = algorithms.solve, []
-        monkeypatch.setattr(algorithms, "solve",
-                            lambda problem, **kw: problems.append(problem)
-                            or real_solve(problem, **kw))
-        config, tasks = default_config()
-        channels = generate_channels(config, 42)
-        algorithms.split_deadline_baseline(config, tasks, channels, 0.5)
-        algorithms.joint_energy_minimization(config, tasks, channels)
-        assert len(problems) >= 4
-        assert all(problem.eq_lhs.shape[0] == 0 for problem in problems)
-
     def test_power_min_step_meets_floors_with_real_amplitudes(self):
         # Rotating stream i changes no power, so the minimum of the unpinned
         # step has a real m_ii, and the SOC on Re(m_ii) meets each floor.

@@ -33,7 +33,6 @@ from .ran import BeamformerSet, EnergyBreakdown, RateInfeasibleError
 from .scenario import ChannelState, SystemConfig, Task
 
 __all__ = [
-    "MseState",
     "RanSolution",
     "JointSolution",
     "BaselineInfeasibleError",
@@ -67,13 +66,6 @@ class BaselineInfeasibleError(ValueError):
 
 
 @dataclass
-class MseState:
-    receivers: np.ndarray   # complex scalar per UE
-    mse: np.ndarray         # in (0, 1] with MMSE receivers
-    weights: np.ndarray     # >= 0
-
-
-@dataclass
 class RanSolution:
     beamformers: BeamformerSet
     rates: np.ndarray
@@ -97,7 +89,6 @@ class JointSolution:
     status: str = "optimal"
     iterations: int = 0
     converged: bool = True
-    mse_state: MseState | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -591,13 +582,8 @@ def joint_energy_minimization(config: SystemConfig, tasks: list[Task],
     ransol = _replay_checked(config, tasks, channels, RanSolution(
         bf, rates, clusters, powers, floors, energy_trace, status, it, converged,
         "" if converged else _cap_message(energy_trace, max_iterations)), finish)
-    receivers = mmse_receiver(channels, bf)
-    mses = np.clip(mse(channels, bf.vectors, receivers), 1e-300, 1.0)
-    weights_out = mse_weight(np.minimum(mses, 1.0 - 1e-15), cycles, bits, deadlines,
-                             bw, kappa, nu, fmax)
     return JointSolution(ransol, speeds, energy, energy_trace, surrogate_trace,
-                         ransol.status, it, ransol.converged,
-                         mse_state=MseState(receivers, mses, weights_out))
+                         ransol.status, it, ransol.converged)
 
 
 def _surrogate_line_search(config, channels, receivers, weights, v_prev, v_cand,

@@ -16,16 +16,16 @@ Cone blocks are segments of the slack vector, kept in the caller's row
 order (see `_Cones`): each cone operation is a fixed number of array
 operations over all blocks, and the Nesterov-Todd scaling is applied as a
 rank-one update per block (see `_Scaling`), as in CVXOPT and ECOS.  Each
-Newton system is reduced to a definite system H x = r and solved by one
-dense Cholesky routine (`_Saddle`).
+Newton system is reduced to a definite system H x = r and solved with one
+dense Cholesky factor (`_KktSolver`).
 
 An optimal answer is then polished by Newton's method on the KKT system of
 its active cone blocks, which the interior-point iterate only approaches as
-the square root of its duality gap.  Each polish step solves its Newton
-system with the same `_Saddle` routine, its boundary gradients as the
-equality rows A of a saddle-point system [[H, A'], [A, 0]] (the "chol2"
-reduction of CVXOPT's coneqp, Vandenberghe 2010), and the active set grows
-by every block that a settled polish point leaves.
+the square root of its duality gap.  Each polish step solves the
+regularized saddle-point system [[H + REG I, A'], [A, -REG I]] of its
+boundary gradients A, which is quasi-definite (Vanderbei 1995), with one
+dense LU solve, and the active set grows by every block that a settled
+polish point leaves.
 
 The solver knows variables only by position: a `ConicProblem` holds the
 arrays above and no names.  `SolveReport.x` comes back in the caller's
@@ -345,51 +345,21 @@ def _boundary_newton(P, c, G, h, cones, active, x, nu):
             return x, z, nu
         if step == POLISH_STEPS:
             return None
+        # With hess + REG I definite, the -REG I block keeps the bordered
+        # matrix nonsingular even when the active gradients are dependent.
+        hess.flat[::n + 1] += REG
+        kkt = np.block([[hess, grads.T], [grads, -REG * np.eye(grads.shape[0])]])
         try:
-            dx, dnu = _Saddle(hess, grads).solve(-f[:n], -f[n:])
-        except ValueError:  # np.linalg.LinAlgError, or non-finite entries
+            delta = np.linalg.solve(kkt, -f)
+        except np.linalg.LinAlgError:
             return None
-        x, nu = x + dx, nu + dnu
+        if not np.all(np.isfinite(delta)):  # a non-finite system solves silently
+            return None
+        x, nu = x + delta[:n], nu + delta[n:]
 
 
 # ---------------------------------------------------------------------------
 # KKT assembly and solution.
-
-
-def _cho_solve(upper, rhs):
-    """Solve with an upper Cholesky factor from `scipy.linalg.cho_factor`.
-
-    LAPACK's dpotrs rejects a 0 x 0 factor, the Schur complement of a
-    system without equality rows; its empty right side is the solution.
-    """
-    return scipy.linalg.lapack.dpotrs(upper, rhs)[0] if upper.size else rhs
-
-
-class _Saddle:
-    """Factors of the saddle-point matrix [[H, A'], [A, 0]], H symmetric PSD.
-
-    Dense Cholesky factors of H + REG I and of the Schur complement
-    A (H + REG I)^{-1} A' + REG I: the "chol2" reduction of CVXOPT's coneqp.
-    The interior-point method passes A with no rows, the polish its
-    boundary gradients.  H's diagonal is shifted in place.  Raises
-    np.linalg.LinAlgError when either matrix is not definite.
-    """
-
-    def __init__(self, h, A):
-        h.flat[::h.shape[0] + 1] += REG
-        self.A = A
-        self.h_factor = scipy.linalg.cho_factor(h)[0]
-        self.h_at = _cho_solve(self.h_factor, A.T)
-        schur = A @ self.h_at
-        schur.flat[::A.shape[0] + 1] += REG
-        self.schur_factor = scipy.linalg.cho_factor(schur)[0]
-
-    def solve(self, rx, ry):
-        """(x, y) with H x + A'y = rx and A x = ry, up to the regularization."""
-        x = _cho_solve(self.h_factor, rx)
-        y = _cho_solve(self.schur_factor, self.A @ x - ry)
-        x -= self.h_at @ y
-        return x, y
 
 
 class _KktSolver:
@@ -397,26 +367,28 @@ class _KktSolver:
 
     The cone rows give z = W^{-2}(G x - rz).  With Ghat = W^{-1} G what
     remains is H x = rx + Ghat'W^{-1} rz for H = P + Ghat'Ghat, which
-    `factor` hands to `_Saddle`.  J G is kept for the whole solve, so Ghat
-    is one rank-one update per block of it.  `solve` refines against the
-    full, unregularized system, which takes the regularization back out.
+    `factor` shifts by REG I and Cholesky-factors once.  J G is kept for the
+    whole solve, so Ghat is one rank-one update per block of it.  `solve`
+    refines against the full, unregularized system, which takes the
+    regularization back out.
     """
 
     def __init__(self, P, G, cones):
         self.P, self.G = P, G
         self.n = G.shape[1]
-        self._no_rows = np.zeros((0, self.n))
         self._jg = cones.sign[:, None] * G
 
     def factor(self, scaling: _Scaling):
         """Raises np.linalg.LinAlgError when the reduced matrix is not definite."""
         ghat = scaling.winv_of_j(self._jg)
-        self._saddle = _Saddle(self.P + ghat.T @ ghat, self._no_rows)
+        h = self.P + ghat.T @ ghat
+        h.flat[::self.n + 1] += REG
+        self._factor = scipy.linalg.cho_factor(h)[0]
         self._ghat, self._scaling = ghat, scaling
 
     def _solve_reduced(self, rx, rz):
         winv_rz = self._scaling.mul_winv(rz)
-        x, _ = self._saddle.solve(rx + self._ghat.T @ winv_rz, np.zeros(0))
+        x = scipy.linalg.lapack.dpotrs(self._factor, rx + self._ghat.T @ winv_rz)[0]
         z = self._scaling.mul_winv(self._ghat @ x - winv_rz)
         return np.concatenate([x, z])
 

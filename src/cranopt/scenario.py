@@ -284,7 +284,7 @@ def _build_tasks(spec, num_ue: int) -> list[Task]:
 
 
 def load_config(source) -> tuple[SystemConfig, list[Task]]:
-    """Parse a scenario from a JSON string, dict, or file path.
+    """Parse a scenario from a dict or a JSON file path.
 
     Top-level keys: ``system``, ``tasks``, ``geometry``, ``seed``; every
     absent field falls back to the stock defaults above.
@@ -292,12 +292,8 @@ def load_config(source) -> tuple[SystemConfig, list[Task]]:
     if isinstance(source, dict):
         doc = source
     else:
-        text = str(source)
-        if "{" not in text:
-            with open(text, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        else:
-            doc = json.loads(text)
+        with open(source, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValidationError("document", "scenario must be a JSON object")
 

@@ -15,7 +15,6 @@ from cranopt.algorithms import (
     split_deadline_baseline,
 )
 from cranopt.ran import BeamformerSet, RateInfeasibleError
-from cranopt.ran import sinr
 from cranopt.scenario import ChannelState, default_config, generate_channels, load_config
 
 
@@ -161,14 +160,6 @@ class TestJointEnergyMinimization:
         assert replay.total == pytest.approx(sol.energy.total, rel=1e-9)
         assert replay.total_transmit == pytest.approx(
             sol.energy.total_transmit, rel=1e-9)
-
-    def test_mse_state_invariant(self, joint_seed42):
-        _, _, channels, sol = joint_seed42
-        state = sol.mse_state
-        assert np.all(state.weights >= 0.0)
-        assert np.all((0.0 < state.mse) & (state.mse <= 1.0))
-        s = sinr(channels, sol.ran.beamformers)
-        assert 1.0 / state.mse == pytest.approx(1.0 + s, rel=1e-9)
 
     def test_constraint_replay(self, joint_seed42):
         config, tasks, channels, sol = joint_seed42

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from cranopt.conic import ConicProblem, SolverError, solve, solver
@@ -547,6 +548,27 @@ class TestReducedKkt:
         assert resid(got) > 1e-14 * np.abs(full_rhs).max()   # never converged
         assert 2 <= len(seen) < 5   # the first solve and 1-3 refinement steps
         assert resid(got) == min(seen) <= resid(reduced(*rhs))
+
+    def test_one_factorization_per_newton_system(self, monkeypatch):
+        # Each interior-point Newton system is factored once, and the polish
+        # factors nothing through scipy.
+        calls = {"cho_factor": 0, "factor": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor",
+                            counted("cho_factor", scipy.linalg.cho_factor))
+        monkeypatch.setattr(solver._KktSolver, "factor",
+                            counted("factor", solver._KktSolver.factor))
+        p = np.array([2.0, 1.0, -1.0])
+        report = solve(ball(-p, np.eye(3), 1.0))
+        assert report.x == pytest.approx(p / np.linalg.norm(p), abs=1e-12)
+        assert calls["factor"] > 0
+        assert calls["cho_factor"] == calls["factor"]
 
 
 def test_import_leaves_scipy_sparse_unloaded():

@@ -1,5 +1,7 @@
 import json
 import math
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,11 +66,20 @@ class TestLoadConfig:
         assert config.cloud_exponent == (3.0,) * 5
         assert config.switched_capacitance == (1e-11,) * 5
 
-    def test_json_string_and_unknown_field(self):
-        config, _ = load_config(json.dumps({"system": {"num_rrh": 2}}))
+    def test_system_override_and_unknown_field(self):
+        config, _ = load_config({"system": {"num_rrh": 2}})
         assert config.num_rrh == 2
         with pytest.raises(ValidationError):
             load_config({"system": {"bogus_field": 1}})
+
+    def test_path_with_braces(self, tmp_path):
+        source = Path(__file__).resolve().parents[1] / "scenarios" / "smallcell.json"
+        target = tmp_path / "a{b}" / "s.json"
+        target.parent.mkdir()
+        shutil.copy(source, target)
+        expected = load_config(json.loads(source.read_text(encoding="utf-8")))
+        assert load_config(str(target)) == expected
+        assert load_config(target) == expected
 
     def test_task_validation(self):
         with pytest.raises(ValidationError):

@@ -16,8 +16,9 @@ Cone blocks are segments of the slack vector, kept in the caller's row
 order (see `_Cones`): each cone operation is a fixed number of array
 operations over all blocks, and the Nesterov-Todd scaling is applied as a
 rank-one update per block (see `_Scaling`), as in CVXOPT and ECOS.  Each
-Newton system is reduced to a definite system H x = r and solved with one
-dense Cholesky factor (`_KktSolver`).
+Newton system is reduced to a definite system H x = r.  H is Cholesky-
+factored as L L' and L is inverted once, so that every solve with H is two
+matrix-vector products (`_KktSolver`).
 
 An optimal answer is then polished by Newton's method on the KKT system of
 its active cone blocks, which the interior-point iterate only approaches as
@@ -43,7 +44,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 __all__ = ["ConicProblem", "SolveReport", "SolverError", "solve"]
 
@@ -362,15 +362,41 @@ def _boundary_newton(P, c, G, h, cones, active, x, nu):
 # KKT assembly and solution.
 
 
+def _chol_inv(H):
+    """inv(L) for the Cholesky factor L of a definite H = L L', by halves.
+
+    With H = [[A, B'], [B, C]], A = L1 L1', M = B inv(L1)' and
+    C - M M' = L2 L2': L = [[L1, 0], [M, L2]], and
+    inv(L) = [[inv(L1), 0], [-inv(L2) M inv(L1), inv(L2)]].  Blocks of at
+    most 32 rows go to np.linalg.cholesky, which raises
+    np.linalg.LinAlgError on one that is not definite, and to np.linalg.inv.
+    The rest is matrix products, which from about 128 rows up take less time
+    than np.linalg.cholesky alone takes on the whole of H.
+    """
+    n = H.shape[0]
+    if n <= 32:
+        return np.linalg.inv(np.linalg.cholesky(H))
+    k = n // 2
+    a_inv = _chol_inv(H[:k, :k])
+    m = H[k:, :k] @ a_inv.T
+    c_inv = _chol_inv(H[k:, k:] - m @ m.T)
+    out = np.zeros_like(H)
+    out[:k, :k] = a_inv
+    out[k:, k:] = c_inv
+    out[k:, :k] = -c_inv @ (m @ a_inv)
+    return out
+
+
 class _KktSolver:
     """Solve [[P G'], [G -W^2]] (x, z) = (rx, rz), reduced.
 
     The cone rows give z = W^{-2}(G x - rz).  With Ghat = W^{-1} G what
     remains is H x = rx + Ghat'W^{-1} rz for H = P + Ghat'Ghat, which
-    `factor` shifts by REG I and Cholesky-factors once.  J G is kept for the
-    whole solve, so Ghat is one rank-one update per block of it.  `solve`
-    refines against the full, unregularized system, which takes the
-    regularization back out.
+    `factor` shifts by REG I and Cholesky-factors once, as H + REG I = L L'.
+    It keeps inv(L), so each reduced solve is two matrix-vector products,
+    x = inv(L)' (inv(L) r).  J G is kept for the whole solve, so Ghat is one
+    rank-one update per block of it.  `solve` refines against the full,
+    unregularized system, which takes the regularization back out.
     """
 
     def __init__(self, P, G, cones):
@@ -379,16 +405,19 @@ class _KktSolver:
         self._jg = cones.sign[:, None] * G
 
     def factor(self, scaling: _Scaling):
-        """Raises np.linalg.LinAlgError when the reduced matrix is not definite."""
+        """Raises np.linalg.LinAlgError when the reduced matrix is not finite and definite."""
         ghat = scaling.winv_of_j(self._jg)
         h = self.P + ghat.T @ ghat
         h.flat[::self.n + 1] += REG
-        self._factor = scipy.linalg.cho_factor(h)[0]
+        # np.linalg.cholesky factors a matrix with NaN or inf entries silently.
+        if not np.isfinite(h).all():
+            raise np.linalg.LinAlgError("reduced KKT matrix has non-finite entries")
+        self._linv = _chol_inv(h)
         self._ghat, self._scaling = ghat, scaling
 
     def _solve_reduced(self, rx, rz):
         winv_rz = self._scaling.mul_winv(rz)
-        x = scipy.linalg.lapack.dpotrs(self._factor, rx + self._ghat.T @ winv_rz)[0]
+        x = (self._linv @ (rx + self._ghat.T @ winv_rz)) @ self._linv
         z = self._scaling.mul_winv(self._ghat @ x - winv_rz)
         return np.concatenate([x, z])
 
@@ -444,7 +473,7 @@ def _solve_impl(problem: ConicProblem, gap_tol: float, feas_tol: float,
     # Initial point: least-squares style starts shifted into the cone.
     try:
         kkt.factor(_Scaling(e, e, cones))
-    except ValueError:  # np.linalg.LinAlgError, or non-finite entries
+    except np.linalg.LinAlgError:
         return _report(problem, STATUS_MAXITER, message="KKT factorization failed",
                        iterations=0)
     x, z_init = kkt.solve(np.zeros(n), h.copy())
@@ -515,7 +544,7 @@ def _solve_impl(problem: ConicProblem, gap_tol: float, feas_tol: float,
         lam = scaling.mul_w(z)
         try:
             kkt.factor(scaling)
-        except ValueError:  # np.linalg.LinAlgError, or non-finite entries
+        except np.linalg.LinAlgError:
             status, message = STATUS_MAXITER, "KKT factorization failed"
             break
         x1, z1 = kkt.solve(-c, h.copy())

@@ -5,7 +5,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from cranopt.conic import ConicProblem, SolverError, solve, solver
@@ -360,6 +359,14 @@ class TestMalformedData:
         assert report.message == "KKT factorization failed"
         assert report.iterations == 0
 
+    def test_non_finite_reduced_matrix_reported(self):
+        # An infinite P leaves NaN in the equilibrated reduced KKT matrix,
+        # which np.linalg.cholesky would factor without complaint.
+        report = solve(conic([1.0], [[-1.0]], [-1.0], [NONNEG], P=[[np.inf]]))
+        assert report.status == "max_iterations"
+        assert report.message == "KKT factorization failed"
+        assert report.iterations == 0
+
 
 # ---------------------------------------------------------------------------
 # The segment cone kernels and the reduced KKT solve, against per-block
@@ -550,9 +557,9 @@ class TestReducedKkt:
         assert resid(got) == min(seen) <= resid(reduced(*rhs))
 
     def test_one_factorization_per_newton_system(self, monkeypatch):
-        # Each interior-point Newton system is factored once, and the polish
-        # factors nothing through scipy.
-        calls = {"cho_factor": 0, "factor": 0}
+        # Each interior-point Newton system is factored once (one Cholesky
+        # block at n = 3), and the polish takes no Cholesky factor.
+        calls = {"cholesky": 0, "factor": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -560,22 +567,77 @@ class TestReducedKkt:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(scipy.linalg, "cho_factor",
-                            counted("cho_factor", scipy.linalg.cho_factor))
+        monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
         monkeypatch.setattr(solver._KktSolver, "factor",
                             counted("factor", solver._KktSolver.factor))
         p = np.array([2.0, 1.0, -1.0])
         report = solve(ball(-p, np.eye(3), 1.0))
         assert report.x == pytest.approx(p / np.linalg.norm(p), abs=1e-12)
         assert calls["factor"] > 0
-        assert calls["cho_factor"] == calls["factor"]
+        assert calls["cholesky"] == calls["factor"]
+
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 63, 64, 65, 80, 256, 384])
+    def test_cholesky_inverse_as_accurate_as_lapack(self, n):
+        # Sizes on both sides of the 32-row leaf and up to four levels above
+        # it.  inv(L) H inv(L)' = I, against np.linalg's factor and inverse.
+        rng = np.random.default_rng(n)
+        B = rng.standard_normal((n, n))
+        H = B @ B.T / n + 1e-3 * np.eye(n)
+        err = lambda inv: np.abs(inv @ H @ inv.T - np.eye(n)).max()
+        lapack = err(np.linalg.inv(np.linalg.cholesky(H)))
+        assert err(solver._chol_inv(H)) <= 8 * max(lapack, np.finfo(float).eps)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ill_conditioned_solve_matches_a_dense_solve(self, seed):
+        # H = P + G'G with eigenvalues of P from 1e6 down to 1e-4 (cond
+        # about 1e10), far above REG, so refinement can take REG back out.
+        # Both solves are backward stable; their residuals differ by rounding.
+        n, m = 80, 20
+        rng = np.random.default_rng(seed)
+        Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        P = (Q * np.logspace(6, -4, n)) @ Q.T
+        P = (P + P.T) / 2
+        G = rng.standard_normal((m, n))
+        cone_list = (("nonneg", m),)
+        cones, e = solver._Cones(cone_list), np.ones(m)
+        kkt = solver._KktSolver(P, G, cones)
+        kkt.factor(solver._Scaling(e, e, cones))
+        full = full_kkt(P, G, nt_matrix(e, e, cone_list))
+        rhs = rng.standard_normal(n + m)
+        resid = lambda u: np.abs(rhs - full @ u).max()
+        got = np.concatenate(kkt.solve(rhs[:n], rhs[n:]))
+        assert resid(got) <= 2 * resid(np.linalg.solve(full, rhs))
 
 
-def test_import_leaves_scipy_sparse_unloaded():
+def run_fresh(code):
+    """Stdout of `code` run in a fresh interpreter that imports this checkout's cranopt."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    code = "import sys, cranopt; print('scipy.sparse' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip()
+
+
+def test_import_leaves_scipy_unloaded():
+    assert run_fresh("import sys, cranopt; print('scipy' in sys.modules)") == "False"
+
+
+def test_joint_solve_runs_without_scipy():
+    # Every scipy import fails, as on an install with the runtime
+    # dependencies alone.
+    code = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is not installed")
+
+sys.meta_path.insert(0, NoScipy())
+from cranopt import default_config, generate_channels, joint_energy_minimization
+
+config, tasks = default_config()
+print(joint_energy_minimization(config, tasks, generate_channels(config, seed=42)).status)
+"""
+    assert run_fresh(code) == "optimal"

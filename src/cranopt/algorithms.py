@@ -72,7 +72,6 @@ class RanSolution:
     clusters: tuple
     powers: np.ndarray          # per-UE transmit power over the serving set
     floors: np.ndarray
-    objective_trace: list = field(default_factory=list)
     status: str = "optimal"
     iterations: int = 0
     converged: bool = True
@@ -330,7 +329,7 @@ def ran_power_minimization(config: SystemConfig, tasks: list[Task],
     if not support.any():
         zero = BeamformerSet(np.zeros_like(channels.gains))
         return RanSolution(zero, np.zeros(n), (frozenset(),) * n,
-                           np.zeros(n), floors, [0.0], "optimal", 0, True)
+                           np.zeros(n), floors, "optimal", 0, True)
 
     v = _initial_beamformers(config, channels, support)
     powers = ran.ue_power(BeamformerSet(v))
@@ -350,7 +349,7 @@ def ran_power_minimization(config: SystemConfig, tasks: list[Task],
         report = solve(problem, **SOLVE_KW)
         if not report.optimal:
             return RanSolution(BeamformerSet(v), np.zeros(n), (frozenset(),) * n,
-                               powers, floors, trace, report.status, it, False,
+                               powers, floors, report.status, it, False,
                                f"conic step failed: {report.message or report.status}; "
                                f"floors={floors.tolist()}")
         v = extract_beamformers(report.x, support, config.antennas_per_rrh)
@@ -373,7 +372,7 @@ def ran_power_minimization(config: SystemConfig, tasks: list[Task],
         config, channels, BeamformerSet(v), floors,
         np.where(floors > 0, 1.0, 0.0) * _safe_div(bits, bound), support)
     return _replay_checked(config, tasks, channels, RanSolution(
-        bf, rates, clusters, powers, floors, trace, status, it, converged,
+        bf, rates, clusters, powers, floors, status, it, converged,
         "" if converged else _cap_message(trace, max_iterations)))
 
 
@@ -478,7 +477,7 @@ def joint_energy_minimization(config: SystemConfig, tasks: list[Task],
         energy = EnergyBreakdown.combine(alloc.exec_energy, np.zeros(n), eta)
         zero = BeamformerSet(np.zeros_like(channels.gains))
         ransol = RanSolution(zero, np.zeros(n), (frozenset(),) * n,
-                             np.zeros(n), floors, [], "optimal", 0, True)
+                             np.zeros(n), floors, "optimal", 0, True)
         return JointSolution(ransol, alloc.clone_capacity,
                              energy, [energy.total], [], "optimal", 0, True)
 
@@ -527,7 +526,7 @@ def joint_energy_minimization(config: SystemConfig, tasks: list[Task],
         report = solve(problem, **SOLVE_KW)
         if not report.optimal:
             ransol = RanSolution(bf, rates, (frozenset(),) * n, powers,
-                                 floors, [], report.status, it, False,
+                                 floors, report.status, it, False,
                                  f"conic step failed: {report.message or report.status}")
             return JointSolution(ransol, np.zeros(n), None, energy_trace,
                                  surrogate_trace, report.status, it, False)
@@ -580,7 +579,7 @@ def joint_energy_minimization(config: SystemConfig, tasks: list[Task],
         finish = cycles / speeds + np.divide(bits, ran.rate(channels, bf, bw),
                                              where=bits > 0, out=np.zeros(n))
     ransol = _replay_checked(config, tasks, channels, RanSolution(
-        bf, rates, clusters, powers, floors, energy_trace, status, it, converged,
+        bf, rates, clusters, powers, floors, status, it, converged,
         "" if converged else _cap_message(energy_trace, max_iterations)), finish)
     return JointSolution(ransol, speeds, energy, energy_trace, surrogate_trace,
                          ransol.status, it, ransol.converged)

@@ -17,8 +17,9 @@ order (see `_Cones`): each cone operation is a fixed number of array
 operations over all blocks, and the Nesterov-Todd scaling is applied as a
 rank-one update per block (see `_Scaling`), as in CVXOPT and ECOS.  Each
 Newton system is reduced to a definite system H x = r.  H is Cholesky-
-factored as L L' and L is inverted once, so that every solve with H is two
-matrix-vector products (`_KktSolver`).
+factored as L L' and L is inverted once; each solve applies inv(L)'inv(L),
+refines once against H, and corrects once against the full system
+(`_KktSolver`).
 
 An optimal answer is then polished by Newton's method on the KKT system of
 its active cone blocks, which the interior-point iterate only approaches as
@@ -48,8 +49,7 @@ import numpy as np
 __all__ = ["ConicProblem", "SolveReport", "SolverError", "solve"]
 
 STEP_BACKOFF = 0.99
-REG = 1e-9             # static KKT regularization (undone by refinement)
-REFINE_STEPS = 4       # iterative-refinement steps per KKT solve, at most
+REG = 1e-9             # static KKT regularization (undone by the full-system correction)
 RUIZ_ITERS = 8         # equilibration sweeps
 POLISH_STEPS = 8       # Newton steps before a polish is given up
 STATUS_OPTIMAL = "optimal"
@@ -393,10 +393,12 @@ class _KktSolver:
     The cone rows give z = W^{-2}(G x - rz).  With Ghat = W^{-1} G what
     remains is H x = rx + Ghat'W^{-1} rz for H = P + Ghat'Ghat, which
     `factor` shifts by REG I and Cholesky-factors once, as H + REG I = L L'.
-    It keeps inv(L), so each reduced solve is two matrix-vector products,
-    x = inv(L)' (inv(L) r).  J G is kept for the whole solve, so Ghat is one
-    rank-one update per block of it.  `solve` refines against the full,
-    unregularized system, which takes the regularization back out.
+    It keeps that shifted H and inv(L).  A reduced solve applies inv(L)'
+    inv(L) and refines once against the shifted H, which makes the
+    explicit-inverse solve backward stable (Skeel 1980).  `solve` then
+    corrects once against the full, unregularized system, which takes REG
+    back out.  J G is kept for the whole solve, so Ghat is one rank-one
+    update per block of it.
     """
 
     def __init__(self, P, G, cones):
@@ -413,40 +415,21 @@ class _KktSolver:
         if not np.isfinite(h).all():
             raise np.linalg.LinAlgError("reduced KKT matrix has non-finite entries")
         self._linv = _chol_inv(h)
-        self._ghat, self._scaling = ghat, scaling
+        self._h, self._ghat, self._scaling = h, ghat, scaling
 
     def _solve_reduced(self, rx, rz):
         winv_rz = self._scaling.mul_winv(rz)
-        x = (self._linv @ (rx + self._ghat.T @ winv_rz)) @ self._linv
-        z = self._scaling.mul_winv(self._ghat @ x - winv_rz)
-        return np.concatenate([x, z])
-
-    def _apply_unreg(self, u):
-        x, z = u[:self.n], u[self.n:]
-        top = self.P @ x + self.G.T @ z
-        bot = self.G @ x - self._scaling.mul_w2(z)
-        return np.concatenate([top, bot])
+        r = rx + self._ghat.T @ winv_rz
+        x = (self._linv @ r) @ self._linv
+        x += (self._linv @ (r - self._h @ x)) @ self._linv
+        return x, self._scaling.mul_winv(self._ghat @ x - winv_rz)
 
     def solve(self, rx, rz):
-        """Refine until the residual's max-norm stops halving; keep the best."""
-        n = self.n
-        rhs = np.concatenate([rx, rz])
-        tol = 1e-14 * max(1.0, np.max(np.abs(rhs)))
-        u = self._solve_reduced(rx, rz)
-        resid = rhs - self._apply_unreg(u)
-        err = np.max(np.abs(resid))
-        for _ in range(REFINE_STEPS):
-            if err < tol:
-                break
-            step = u + self._solve_reduced(resid[:n], resid[n:])
-            step_resid = rhs - self._apply_unreg(step)
-            step_err = np.max(np.abs(step_resid))
-            if step_err < err:
-                u, resid = step, step_resid
-            if not step_err <= 0.5 * err:
-                break
-            err = step_err
-        return u[:n], u[n:]
+        """The reduced solve plus one correction against the full system."""
+        x, z = self._solve_reduced(rx, rz)
+        dx, dz = self._solve_reduced(rx - self.P @ x - self.G.T @ z,
+                                     rz - self.G @ x + self._scaling.mul_w2(z))
+        return x + dx, z + dz
 
 
 def solve(problem: ConicProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8,

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import ChannelState, SystemConfig, Task
+from .scenario import ChannelState
 
 __all__ = [
     "BeamformerSet",
@@ -26,7 +26,6 @@ __all__ = [
     "fronthaul_load",
     "surrogate_fronthaul_load",
     "transmit_energy",
-    "total_energy",
 ]
 
 
@@ -148,15 +147,3 @@ def surrogate_fronthaul_load(beamformers: BeamformerSet, rates, weights) -> np.n
 def transmit_energy(bits, rates, powers) -> np.ndarray:
     """p_i D_i / r_i per UE, zero for a UE without result bits."""
     return powers * bits / np.where(bits > 0, rates, 1.0)
-
-
-def total_energy(config: SystemConfig, tasks: list[Task], cloud_energies,
-                 beamformers: BeamformerSet, rates) -> EnergyBreakdown:
-    """Weighted system energy: E_i = E_i^cloud + eta_i * p_i * D_i / r_i."""
-    rates = np.asarray(rates, dtype=float)
-    bits = np.array([t.result_bits for t in tasks], dtype=float)
-    stalled = np.flatnonzero((bits > 0) & (rates <= 0))
-    if stalled.size:
-        raise RateInfeasibleError(int(stalled[0]), "zero rate with bits pending")
-    return EnergyBreakdown.combine(
-        cloud_energies, transmit_energy(bits, rates, ue_power(beamformers)), config.tradeoff)

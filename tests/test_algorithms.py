@@ -1,6 +1,8 @@
 import dataclasses
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from cranopt.algorithms import (
 )
 from cranopt.ran import BeamformerSet, RateInfeasibleError
 from cranopt.scenario import ChannelState, default_config, generate_channels, load_config
+
+SCENARIO = Path(__file__).resolve().parents[1] / "scenarios" / "smallcell.json"
 
 
 def single_link_setup(gain=1e-8, cycles=1500.0, bits=1000.0, deadline=0.1):
@@ -155,8 +159,10 @@ class TestJointEnergyMinimization:
         nu = config.cloud_exponent
         cloud = [kappa[i] * sol.clone_capacity[i] ** (nu[i] - 1.0)
                  * tasks[i].cpu_cycles for i in range(config.num_ue)]
-        replay = ran.total_energy(config, tasks, cloud, sol.ran.beamformers,
-                                  sol.ran.rates)
+        bits = np.array([t.result_bits for t in tasks])
+        replay = ran.EnergyBreakdown.combine(
+            cloud, ran.transmit_energy(bits, sol.ran.rates, ran.ue_power(sol.ran.beamformers)),
+            config.tradeoff)
         assert replay.total == pytest.approx(sol.energy.total, rel=1e-9)
         assert replay.total_transmit == pytest.approx(
             sol.energy.total_transmit, rel=1e-9)
@@ -198,6 +204,19 @@ class TestJointEnergyMinimization:
         assert viol["power"] <= 1e-6 and viol["rate_rel"] <= 1e-6
         assert viol["fronthaul"] <= 1e-6 * max(config.fronthaul_limit)
         assert viol["deadline"] <= 1e-6 * min(t.deadline for t in tasks)
+
+    def test_more_ues_than_antennas_converges(self):
+        # 2 RRHs x 1 antenna x 5 UEs at F = 1500, seed 45.  Round 2's conic
+        # step factors an H of condition about 1e10; an explicit-inverse
+        # reduced solve without a refinement step against H wandered there
+        # until H was no longer definite ("KKT factorization failed").
+        doc = json.loads(SCENARIO.read_text(encoding="utf-8"))
+        doc["system"].update(num_rrh=2, antennas_per_rrh=1)
+        doc["tasks"]["cpu_cycles"] = 1500.0
+        config, tasks = load_config(doc)
+        sol = joint_energy_minimization(config, tasks, generate_channels(config, 45))
+        assert sol.status == "optimal" and sol.converged, sol.ran.message
+        assert sol.energy.total == pytest.approx(61.0965, rel=1e-5)
 
     def test_binding_fronthaul_leaves_no_pinned_orbit(self):
         # A clone pinned at f_max costs ~15,000 J; seed 42 returned 60,003 J

@@ -529,32 +529,28 @@ class TestReducedKkt:
         got = np.concatenate(kkt.solve(*rhs))
         expect = np.linalg.solve(full_kkt(P, G, nt_matrix(s, z, cone_list)),
                                  np.concatenate(rhs))
-        # Refinement takes the regularization out: without it the error
-        # here is 1e-11 to 1e-8.
+        # The correction against the full system takes the regularization
+        # out: without it the error here is 1e-11 to 1e-8.
         np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12 * np.abs(expect).max())
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_refinement_stops_when_it_stalls(self, seed):
+    @pytest.mark.parametrize("seed", range(8))
+    def test_stalled_systems_solve_as_accurately_as_a_dense_solve(self, seed):
         # s and z 1e-8 inside opposite sides of each block, as near the end
-        # of a solve: W^2 is so ill-conditioned that refinement stalls far
-        # above its 1e-14 target.  It stops before its 4 steps and returns
-        # the iterate with the smallest residual, so no worse than the first
-        # reduced solve.
+        # of a solve: W^2 is so ill-conditioned that no refinement reaches
+        # working precision.  The solve's residual on the full system stays
+        # within a small multiple of a dense LU solve's (3.6x at worst over
+        # seeds 0-199, at seed 7).
         cone_list = (("soc", 12), ("nonneg", 3), ("soc", 5), ("soc", 21))
         rng = np.random.default_rng(seed)
         s = rng.standard_normal(41)
         for r in blocks(cone_list):
             s[r.start] = np.linalg.norm(s[r.start + 1:r.stop]) + 1e-8
         z = s * solver._Cones(cone_list).sign
-        kkt, _, rhs = kkt_system(rng, cone_list, s, z)
-        full_rhs = np.concatenate(rhs)
-        reduced, apply_unreg, seen = kkt._solve_reduced, kkt._apply_unreg, []
-        resid = lambda u: np.max(np.abs(full_rhs - apply_unreg(u)))
-        kkt._apply_unreg = lambda u: seen.append(resid(u)) or apply_unreg(u)
+        kkt, (P, G), rhs = kkt_system(rng, cone_list, s, z)
+        full, full_rhs = full_kkt(P, G, nt_matrix(s, z, cone_list)), np.concatenate(rhs)
+        resid = lambda u: np.abs(full_rhs - full @ u).max()
         got = np.concatenate(kkt.solve(*rhs))
-        assert resid(got) > 1e-14 * np.abs(full_rhs).max()   # never converged
-        assert 2 <= len(seen) < 5   # the first solve and 1-3 refinement steps
-        assert resid(got) == min(seen) <= resid(reduced(*rhs))
+        assert resid(got) <= 4 * resid(np.linalg.solve(full, full_rhs))
 
     def test_one_factorization_per_newton_system(self, monkeypatch):
         # Each interior-point Newton system is factored once (one Cholesky
@@ -590,7 +586,8 @@ class TestReducedKkt:
     @pytest.mark.parametrize("seed", range(4))
     def test_ill_conditioned_solve_matches_a_dense_solve(self, seed):
         # H = P + G'G with eigenvalues of P from 1e6 down to 1e-4 (cond
-        # about 1e10), far above REG, so refinement can take REG back out.
+        # about 1e10), far above REG, so the full-system correction can take
+        # REG back out.
         # Both solves are backward stable; their residuals differ by rounding.
         n, m = 80, 20
         rng = np.random.default_rng(seed)

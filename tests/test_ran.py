@@ -14,7 +14,7 @@ from cranopt.ran import (
     rrh_power,
     sinr,
     surrogate_fronthaul_load,
-    total_energy,
+    transmit_energy,
     ue_power,
 )
 from cranopt.scenario import ChannelState, Task, default_config, generate_channels
@@ -84,12 +84,9 @@ class TestCostsAndLoads:
     def test_transmit_cost(self):
         # p D / r: 0.01 W pushing 1000 bits at 2e4 bit/s (0.05 s) is 5e-4 J;
         # a UE with no result bits spends nothing.
-        config, _ = default_config(num_rrh=1, num_ue=2, antennas_per_rrh=1)
-        tasks = [Task(cpu_cycles=1500.0, result_bits=1000.0, deadline=0.1),
-                 Task(cpu_cycles=1500.0, result_bits=0.0, deadline=0.1)]
-        out = total_energy(config, tasks, [0.0, 0.0], bf(np.full((2, 1, 1), 0.1)),
-                           [2e4, 123.0])
-        assert out.transmit == pytest.approx([5e-4, 0.0])
+        out = transmit_energy(np.array([1000.0, 0.0]), np.array([2e4, 123.0]),
+                              ue_power(bf(np.full((2, 1, 1), 0.1))))
+        assert out == pytest.approx([5e-4, 0.0])
 
     def test_rrh_power(self):
         zero = bf(np.zeros((2, 1, 2)))
@@ -234,16 +231,20 @@ class TestTotalEnergy:
     def test_weighted_sum(self):
         config, tasks = default_config(num_rrh=1, num_ue=1, antennas_per_rrh=1)
         # Choose beamformer/rate so p * D / r = 0.05 J: p = 1, r = D / 0.05.
-        ch = generate_channels(config, 1)
-        beams = bf([[[1.0]]])
-        out = total_energy(config, tasks, [13.5], beams, [tasks[0].result_bits / 0.05])
+        bits = np.array([tasks[0].result_bits])
+        out = EnergyBreakdown.combine(
+            [13.5], transmit_energy(bits, bits / 0.05, ue_power(bf([[[1.0]]]))),
+            config.tradeoff)
         assert out.weighted[0] == pytest.approx(14.0)
         assert out.total == pytest.approx(14.0)
 
     def test_tradeoff_off(self):
         config, tasks = default_config(num_rrh=1, num_ue=1, antennas_per_rrh=1,
                                        tradeoff=0.0)
-        out = total_energy(config, tasks, [13.5], bf([[[1.0]]]), [2e4])
+        bits = np.array([tasks[0].result_bits])
+        out = EnergyBreakdown.combine(
+            [13.5], transmit_energy(bits, np.array([2e4]), ue_power(bf([[[1.0]]]))),
+            config.tradeoff)
         assert out.total == pytest.approx(13.5)
 
     def test_totals_are_sums(self):
@@ -251,11 +252,6 @@ class TestTotalEnergy:
         assert breakdown.weighted[0] == pytest.approx(14.0)
         assert breakdown.weighted[1] == pytest.approx(1.0)
         assert breakdown.total == pytest.approx(15.0)
-
-    def test_zero_rate_with_bits_rejected(self):
-        config, tasks = default_config(num_rrh=1, num_ue=1, antennas_per_rrh=1)
-        with pytest.raises(RateInfeasibleError):
-            total_energy(config, tasks, [1.0], bf([[[1.0]]]), [0.0])
 
 
 class TestPhaseInvariance:
@@ -275,9 +271,11 @@ class TestPhaseInvariance:
         assert rrh_power(b) == pytest.approx(rrh_power(a), rel=1e-12)
         assert fronthaul_load(b, rates_b) == pytest.approx(
             fronthaul_load(a, rates_a), rel=1e-12)
-        cloud = np.ones(5)
-        ea = total_energy(config, tasks, cloud, a, rates_a)
-        eb = total_energy(config, tasks, cloud, b, rates_b)
+        cloud, bits = np.ones(5), np.array([t.result_bits for t in tasks])
+        ea = EnergyBreakdown.combine(cloud, transmit_energy(bits, rates_a, ue_power(a)),
+                                     config.tradeoff)
+        eb = EnergyBreakdown.combine(cloud, transmit_energy(bits, rates_b, ue_power(b)),
+                                     config.tradeoff)
         assert eb.total == pytest.approx(ea.total, rel=1e-12)
 
 

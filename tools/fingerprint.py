@@ -6,25 +6,35 @@ Usage, from the root of a checkout:
     python3 tools/fingerprint.py OUT.json [--tree DIR]
     python3 tools/fingerprint.py --compare OLD.json NEW.json
 
-The first form runs ``joint`` and ``separate:0.5`` on 23 points of
-``scenarios/smallcell.json`` (46 runs) with one BLAS thread:
+The first form runs ``joint`` and ``separate:0.5`` on 43 points of
+``scenarios/smallcell.json`` (86 runs) with one BLAS thread:
 
 - stock cell at F in {1000, 1500, 2000}, seeds 42-44
 - 8 RRHs x 2 antennas x 8 UEs, fronthaul 1e9, at F = 1000, seeds 42-43
 - fronthaul at C/10 (1e6) at F in {1000, 1500, 2000}, seeds 42-45
+- 2 RRHs x 1 antenna (more UEs than antennas) at F = 1500, seeds 42-51
+- RRH power at P/100 (1e-2) at F = 1500, seeds 42-51
 
 For each run it writes the status, the BCD round count, the energy's
 ``repr`` and the (status, interior-point iterations) of every conic solve.
-``--tree DIR`` runs the cranopt and scenario of another checkout, such as
-a parent commit.  ``--compare`` prints every difference between two such
-files and exits 1 if there is one.  Energy changes of the C/10 runs are
-listed apart: a binding fronthaul amplifies last-bit changes, so there they
-can stem from rounding alone.
+It then runs the perturbation probe: the round-2 conic problem of the
+2 x 1 x 5 joint run at seed 45 (n = 20, m = 82), and 30 copies of it with
+c scaled elementwise by 1 + 1e-15 N(0, 1).  A solver whose outcome flips on
+such a perturbation makes every comparison of two trees flaky, so all 31
+must reach one status and one iteration count; the tool says so when they
+do not.  ``--tree DIR`` runs the cranopt and scenario of another checkout,
+such as a parent commit.  ``--compare`` prints every difference between
+two such files, the new file's probe spread among them, and exits 1 if
+there is one.  Energy changes of the C/10, 2 x 1 x 5 and P/100 runs are
+listed apart: there last-bit changes are amplified (a binding fronthaul,
+or round counts that hinge on last bits), so they can stem from rounding
+alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -37,14 +47,21 @@ CELLS = (
     ("stock", {}, (1000.0, 1500.0, 2000.0), (42, 43, 44)),
     ("8x2x8", {"num_rrh": 8, "num_ue": 8, "fronthaul_limit": 1e9}, (1000.0,), (42, 43)),
     ("C/10", {"fronthaul_limit": 1e6}, (1000.0, 1500.0, 2000.0), (42, 43, 44, 45)),
+    ("2x1x5", {"num_rrh": 2, "antennas_per_rrh": 1}, (1500.0,), tuple(range(42, 52))),
+    ("P/100", {"rrh_power_limit": 1e-2}, (1500.0,), tuple(range(42, 52))),
 )
-AMPLIFYING_CELL = "C/10"
+AMPLIFYING_CELLS = ("C/10", "2x1x5", "P/100")
+# The probe's source: (cell, F, seed, method) and the index of its conic call.
+PROBE_RUN, PROBE_CALL = ("2x1x5", 1500.0, 45, "joint"), 1
+PROBE_COPIES = 30
 
 
-def run_grid(tree: Path) -> list[dict]:
+def run_grid(tree: Path) -> tuple[list[dict], list[list]]:
+    """The runs of the grid and the (status, iterations) of each probe problem."""
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"   # before numpy loads BLAS
     sys.path.insert(0, str(tree / "src"))
+    import numpy as np
     from cranopt import algorithms, experiments
 
     base = json.loads((tree / "scenarios" / "smallcell.json").read_text(encoding="utf-8"))
@@ -53,11 +70,11 @@ def run_grid(tree: Path) -> list[dict]:
 
     def recorded(*args, **kwargs):
         report = solve(*args, **kwargs)
-        calls.append([report.status, report.iterations])
+        calls.append(([report.status, report.iterations], args, kwargs))
         return report
 
     algorithms.solve = recorded
-    runs = []
+    runs, probe_call = [], None
     try:
         for cell, system, sizes, seeds in CELLS:
             for value in sizes:
@@ -71,10 +88,26 @@ def run_grid(tree: Path) -> list[dict]:
                                      "method": method, "status": record.status,
                                      "rounds": record.iterations,
                                      "energy": repr(record.energy_total_j),
-                                     "calls": list(calls)})
+                                     "calls": [outcome for outcome, _, _ in calls]})
+                        if (cell, value, seed, method) == PROBE_RUN:
+                            probe_call = calls[PROBE_CALL]
     finally:
         algorithms.solve = solve
-    return runs
+    _, (problem, *args), kwargs = probe_call
+    rng = np.random.default_rng(0)
+    scales = [1.0] + [1.0 + 1e-15 * rng.standard_normal(problem.c.size)
+                      for _ in range(PROBE_COPIES)]
+    reports = [solve(dataclasses.replace(problem, c=problem.c * scale), *args, **kwargs)
+               for scale in scales]
+    return runs, [[report.status, report.iterations] for report in reports]
+
+
+def probe_summary(probe: list[list]) -> tuple[bool, str]:
+    """(whether every probe problem reached one status and iteration count, a summary)."""
+    outcomes = sorted({tuple(p) for p in probe})
+    summary = ", ".join(f"{sum(tuple(p) == o for p in probe)} {o[0]} at {o[1]}"
+                        for o in outcomes)
+    return len(outcomes) == 1, f"{summary} iterations"
 
 
 def _label(run: dict) -> str:
@@ -82,7 +115,7 @@ def _label(run: dict) -> str:
 
 
 def compare(old: list[dict], new: list[dict]) -> tuple[list[str], list[str]]:
-    """(differences, C/10 energy differences) between two fingerprints."""
+    """(differences, amplifying cells' energy differences) between two fingerprints."""
     diffs, amplified = [], []
     new_by_label = {_label(run): run for run in new}
     for run in old:
@@ -94,7 +127,7 @@ def compare(old: list[dict], new: list[dict]) -> tuple[list[str], list[str]]:
         for key in ("status", "rounds", "energy"):
             if run[key] != other[key]:
                 line = f"{label}: {key} {run[key]} -> {other[key]}"
-                (amplified if key == "energy" and run["cell"] == AMPLIFYING_CELL
+                (amplified if key == "energy" and run["cell"] in AMPLIFYING_CELLS
                  else diffs).append(line)
         if run["calls"] != other["calls"]:
             changed = sum(a != b for a, b in zip(run["calls"], other["calls"]))
@@ -112,22 +145,30 @@ def main(argv=None) -> int:
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("OLD", "NEW"))
     args = parser.parse_args(argv)
     if args.compare:
-        old, new = (json.loads(p.read_text(encoding="utf-8"))["runs"] for p in args.compare)
-        diffs, amplified = compare(old, new)
+        old, new = (json.loads(p.read_text(encoding="utf-8")) for p in args.compare)
+        diffs, amplified = compare(old["runs"], new["runs"])
+        uniform, summary = probe_summary(new["probe"])
+        if old["probe"] != new["probe"]:
+            diffs.append(f"probe: {probe_summary(old['probe'])[1]} -> {summary}")
+        if not uniform:
+            diffs.append(f"probe: not one outcome: {summary}")
         for line in diffs:
             print(line)
         if amplified:
-            print(f"{AMPLIFYING_CELL} energies (last-bit changes are amplified there):")
+            print(f"{', '.join(AMPLIFYING_CELLS)} energies (last-bit changes are amplified there):")
             for line in amplified:
                 print("  " + line)
-        print(f"{len(diffs)} differences, {len(amplified)} {AMPLIFYING_CELL} energy "
-              f"differences over {len(old)} runs")
+        print(f"{len(diffs)} differences, {len(amplified)} amplified energy "
+              f"differences over {len(old['runs'])} runs")
         return 1 if diffs or amplified else 0
     if args.out is None:
         parser.error("give an output file or --compare OLD NEW")
-    runs = run_grid(args.tree.resolve())
-    args.out.write_text(json.dumps({"runs": runs}, indent=1) + "\n", encoding="utf-8")
+    runs, probe = run_grid(args.tree.resolve())
+    args.out.write_text(json.dumps({"runs": runs, "probe": probe}, indent=1) + "\n",
+                        encoding="utf-8")
     print(f"{len(runs)} runs, {sum(len(r['calls']) for r in runs)} conic calls -> {args.out}")
+    uniform, summary = probe_summary(probe)
+    print(f"probe: {summary}" + ("" if uniform else " -- not one outcome"))
     return 0
 
 

@@ -16,28 +16,32 @@ Cone blocks are segments of the slack vector, kept in the caller's row
 order (see `_Cones`): each cone operation is a fixed number of array
 operations over all blocks, and the Nesterov-Todd scaling is applied as a
 rank-one update per block (see `_Scaling`), as in CVXOPT and ECOS.  Each
-Newton system is reduced to a definite system H x = r.  H is Cholesky-
-factored as L L' and L is inverted once; each solve applies inv(L)'inv(L),
-refines once against H, and corrects once against the full system
-(`_KktSolver`).
+Newton system is reduced to a definite system H x = r with
+H = P + G'W^{-2} G.  G is read once per solve from its nonzeros
+(`_ConeRows`): H is P, a weighted sum of each block's fixed tail Gram and
+the products of a few rows per block, with no dense product over G.  H is
+Cholesky-factored as L L' and L is inverted once; each solve applies G and
+W^{-1} to vectors and inv(L)'inv(L), refines once against H, and corrects
+the stationarity rows once against the full system (`_KktSolver`).
 
 An optimal answer is then polished by Newton's method on the KKT system of
 its active cone blocks, which the interior-point iterate only approaches as
 the square root of its duality gap.  Each polish step solves the
 regularized saddle-point system [[H + REG I, A'], [A, -REG I]] of its
 boundary gradients A, which is quasi-definite (Vanderbei 1995), with one
-dense LU solve, and the active set grows by every block that a settled
-polish point leaves.
+dense LU solve; its Hessian H takes the same tail Grams.  The active set
+grows by every block that a settled polish point leaves.
 
 The solver knows variables only by position: a `ConicProblem` holds the
 arrays above and no names.  `SolveReport.x` comes back in the caller's
 column order, and `z` and `s` in the caller's cone row order.
 
-Data is Ruiz-equilibrated before solving; the reported residuals and
-duality gap are those of the returned answer on the normalized problem (the
-polished point, else the iterate that stopped the loop, or at a
-`max_iterations` exit the iterate of least merit max(pres, dres) / feas_tol,
-gap / gap_tol), while objective values are in the caller's units.
+Data is Ruiz-equilibrated, over the nonzeros of P and G, before solving;
+the reported residuals and duality gap are those of the returned answer on
+the normalized problem (the polished point, else the iterate that stopped
+the loop, or at a `max_iterations` exit the iterate of least merit
+max(pres, dres) / feas_tol, gap / gap_tol), while objective values are in
+the caller's units.
 """
 
 from __future__ import annotations
@@ -233,25 +237,28 @@ class _Scaling:
         return self.beta * (self.u * coef[self.cones.owner] - self.cones.sign * v)
 
     def mul_winv(self, v):
-        return self.winv_of_j(self.cones.sign * v)
+        jv = self.cones.sign * v
+        coef = np.add.reduceat(self.u * jv, self.cones.starts) / self.u0
+        return (self.ju * coef[self.cones.owner] - jv) / self.beta
 
     def mul_w2(self, v):
         return self.mul_w(self.mul_w(v))
 
-    def winv_of_j(self, jv):
-        """W^{-1} v = (Ju (u'Jv)/u0 - Jv) / beta from Jv, an (m,) or (m, r) array."""
-        col = (slice(None),) + (None,) * (jv.ndim - 1)
-        coef = np.add.reduceat(self.u[col] * jv, self.cones.starts, axis=0)
-        coef /= self.u0[col]
-        out = coef[self.cones.owner]
-        out *= self.ju[col]
-        out -= jv
-        out /= self.beta[col]
-        return out
-
 
 # ---------------------------------------------------------------------------
 # Equilibration.
+
+
+def _runs(keys):
+    """(first index, value) of each run of equal values in the sorted `keys`."""
+    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    return first, keys[first]
+
+
+def _nonzeros(A):
+    """Row, column and value of each nonzero of A, in row-major order."""
+    at = np.flatnonzero(A != 0)   # faster than np.flatnonzero(A)
+    return *np.divmod(at, A.shape[1]), A.ravel()[at]
 
 
 def _ruiz_equilibrate(c, P, G, h, cones):
@@ -259,32 +266,114 @@ def _ruiz_equilibrate(c, P, G, h, cones):
 
     The column scaling D, taken over the columns of P and G, scales the
     objective to D P D and D c; one cost scale then brings both to at most
-    unit size.
+    unit size.  The sweeps run over the nonzeros of P and G alone and do the
+    arithmetic of dense sweeps on each entry; P is symmetric, so its column
+    maxima are its row maxima.
     """
     m, n = G.shape
     dr_g = np.ones(m)
     dc = np.ones(n)
-    Ps, Gs = P.copy(), G.copy()
+    gr, gc, gv = _nonzeros(G)
+    pr, pc, pv = _nonzeros(P)
+    bycol = np.argsort(gc, kind="stable")
+    g_rows, g_cols, p_rows = _runs(gr), _runs(gc[bycol]), _runs(pr)
     for _ in range(RUIZ_ITERS):
-        rg = np.sqrt(np.maximum(np.abs(Gs).max(axis=1), 1e-16))
+        rowmax = np.zeros(m)
+        rowmax[g_rows[1]] = np.maximum.reduceat(np.abs(gv), g_rows[0])
+        rg = np.sqrt(np.maximum(rowmax, 1e-16))
         rg = np.maximum(np.maximum.reduceat(rg, cones.starts)[cones.owner], 1e-8)
-        Gs /= rg[:, None]
+        gv /= rg[gr]
         dr_g /= rg
-        colmax = np.maximum(np.abs(Ps).max(axis=0, initial=0.0), np.abs(Gs).max(axis=0))
+        colmax = np.zeros(n)
+        colmax[p_rows[1]] = np.maximum.reduceat(np.abs(pv), p_rows[0])
+        colmax[g_cols[1]] = np.maximum(colmax[g_cols[1]],
+                                       np.maximum.reduceat(np.abs(gv)[bycol], g_cols[0]))
         cnorm = np.maximum(np.sqrt(np.maximum(colmax, 1e-16)), 1e-8)
-        Ps /= np.outer(cnorm, cnorm)
-        Gs /= cnorm[None, :]
+        pv /= cnorm[pr] * cnorm[pc]
+        gv /= cnorm[gc]
         dc /= cnorm
     cs = c * dc
-    cost_scale = max(1.0, np.abs(cs).max(initial=0.0), np.abs(Ps).max(initial=0.0))
-    return cs / cost_scale, Ps / cost_scale, Gs, h * dr_g, dc, dr_g, cost_scale
+    cost_scale = max(1.0, np.abs(cs).max(initial=0.0), np.abs(pv).max(initial=0.0))
+    Ps, Gs = np.zeros((n, n)), np.zeros((m, n))
+    Ps[pr, pc] = pv / cost_scale
+    Gs[gr, gc] = gv
+    return cs / cost_scale, Ps, Gs, h * dr_g, dc, dr_g, cost_scale
+
+
+# ---------------------------------------------------------------------------
+# The rows of G by cone block.
+
+
+class _ConeRows:
+    """G read by cone block, from its nonzero pattern, once per solve.
+
+    Block k has head row g0 (``heads[k]``) and tail rows G1.  The KKT
+    matrix and the polish Hessian need each block's tail Gram G1'G1, which
+    is fixed during a solve, and per-block sums u1'G1 of the tail rows.  The
+    Grams are kept on the upper triangle of the union of their nonzero
+    patterns (flat indices ``pattern``), one row of ``grams`` per block with
+    a tail: a tail row with k nonzeros adds its k x k outer product, and
+    rows with equal k are batched, so the set-up costs the sum over tail
+    rows of k^2 / 2 products.
+    """
+
+    def __init__(self, G, cones):
+        n = G.shape[1]
+        self.G, self.cones = G, cones
+        self.heads = G[cones.starts]
+        rows, cols, vals = _nonzeros(G)
+        in_tail = cones.tail[rows] > 0
+        self._rows, cols, self._vals = rows[in_tail], cols[in_tail], vals[in_tail]
+        self._block_col = cones.owner[self._rows] * n + cols
+        self._with_tail = cones.dims > 1
+        block = (np.cumsum(self._with_tail) - 1)[cones.owner[self._rows]]
+        first = _runs(self._rows)[0]
+        count = np.diff(first, append=self._rows.size)
+        # Batch the rows by their number k of nonzeros.  Per batch: each
+        # distinct column set once, which set each row has, its block and
+        # its outer product.
+        batches = []
+        for k in np.flatnonzero(np.bincount(count)):   # np.unique would load numpy.ma
+            start = first[count == k]
+            entries = start[:, None] + np.arange(k)
+            sets, which = np.unique(cols[entries].view(f"V{cols.itemsize * k}"), return_inverse=True)
+            sets = sets.view(cols.dtype).reshape(-1, k)
+            v = self._vals[entries]
+            i, j = np.triu_indices(k)
+            batches.append((sets[:, i] * n + sets[:, j], which.ravel(), block[start],
+                            (v[:, i] * v[:, j]).ravel()))
+        used = np.zeros(n * n, dtype=bool)
+        for pairs, *_ in batches:
+            used[pairs] = True
+        self.pattern = np.flatnonzero(used)
+        row, col = np.divmod(self.pattern, n)
+        self._off = row != col
+        self._lower = (col * n + row)[self._off]
+        size, ntail = self.pattern.size, np.count_nonzero(self._with_tail)
+        slots = [(owner[:, None] * size + np.searchsorted(self.pattern, pairs)[which]).ravel()
+                 for pairs, which, owner, _ in batches]
+        self.grams = np.bincount(np.concatenate([np.zeros(0, dtype=np.intp), *slots]),
+                                 weights=np.concatenate([np.zeros(0), *(b[3] for b in batches)]),
+                                 minlength=ntail * size).reshape(ntail, size)
+
+    def tail_sums(self, u):
+        """(K, n) array of u1'G1 per block."""
+        k, n = self.heads.shape
+        return np.bincount(self._block_col, weights=u[self._rows] * self._vals,
+                           minlength=k * n).reshape(k, n)
+
+    def add_grams(self, H, weights):
+        """H += sum_k weights[k] G1_k'G1_k, in place, for a C-contiguous H."""
+        upper, flat = weights[self._with_tail] @ self.grams, H.reshape(-1)
+        flat[self.pattern] += upper
+        flat[self._lower] += upper[self._off]
 
 
 # ---------------------------------------------------------------------------
 # Polishing.
 
 
-def _polish(P, c, G, h, cones, x, z, feas_tol):
+def _polish(P, c, rows, h, x, z, feas_tol):
     """Newton's method on the KKT system of the blocks active at (x, z).
 
     An interior-point iterate at duality gap g can sit O(sqrt(g)) from the
@@ -299,10 +388,11 @@ def _polish(P, c, G, h, cones, x, z, feas_tol):
     multiplier nu_k falls below -feas_tol (a block held on its boundary
     with nu_k = 0 is weakly active).
     """
+    G, cones = rows.G, rows.cones
     heads = cones.starts
     active = z[heads] > cones.margins(h - G @ x)
     while True:
-        settled = _boundary_newton(P, c, G, h, cones, active, x, z[heads[active]])
+        settled = _boundary_newton(P, c, rows, h, active, x, z[heads[active]])
         if settled is None:
             return None
         xp, zp, nu = settled
@@ -316,35 +406,36 @@ def _polish(P, c, G, h, cones, x, z, feas_tol):
     return None
 
 
-def _boundary_newton(P, c, G, h, cones, active, x, nu):
+def _boundary_newton(P, c, rows, h, active, x, nu):
     """Newton from (x, nu) with the `active` blocks on their boundaries.
 
     Returns (x, z, nu) once the KKT residual is below 1e-13, or None.
     """
-    act = _Cones([("soc", d) for d in cones.dims[active]])
-    rows = active[cones.owner]
-    Ga, ha = G[rows], h[rows]
+    G, cones = rows.G, rows.cones
+    on = active[cones.owner]
     n = x.size
+    nu_all = np.zeros(cones.degree)
     for step in range(POLISH_STEPS + 1):
-        s = ha - Ga @ x
-        norm1 = np.maximum(np.sqrt(act.tail_dot(s, s)), 1e-300)
-        u = -s / norm1[act.owner]
-        u[act.starts] = 1.0
-        # Block k adds nu_k (g1'g1 - g1'u1 u1'g1) / ||s_k1|| to the Hessian,
-        # where g1 is its tail rows of G; a dimension-1 block has no tail.
-        g1u = np.add.reduceat((act.tail * u)[:, None] * Ga, act.starts, axis=0)
-        weight = np.where(act.dims > 1, nu / norm1, 0.0)
-        hess = P + (Ga * (act.tail * weight[act.owner])[:, None]).T @ Ga \
-            - (g1u * weight[:, None]).T @ g1u
-        grads = g1u + Ga[act.starts]
-        resid = norm1 - s[act.starts]
+        s = h - G @ x
+        norm1 = np.maximum(np.sqrt(cones.tail_dot(s, s)), 1e-300)
+        u = -s / norm1[cones.owner]
+        u[cones.starts] = 1.0
+        nu_all[active] = nu
         z = np.zeros(G.shape[0])
-        z[rows] = nu[act.owner] * u
+        z[on] = (nu_all[cones.owner] * u)[on]
+        resid = (norm1 - s[cones.starts])[active]
         f = np.concatenate([P @ x + c + G.T @ z, resid])
         if np.max(np.abs(f)) <= 1e-13:
             return x, z, nu
         if step == POLISH_STEPS:
             return None
+        # Block k adds nu_k (g1'g1 - g1'u1 u1'g1) / ||s_k1|| to the Hessian,
+        # where g1 is its tail rows of G; a dimension-1 block has no tail.
+        weight = np.where(cones.dims > 1, nu_all / norm1, 0.0)
+        g1u = rows.tail_sums(u)[active]
+        hess = P - (g1u * weight[active, None]).T @ g1u
+        rows.add_grams(hess, weight)
+        grads = g1u + rows.heads[active]
         # With hess + REG I definite, the -REG I block keeps the bordered
         # matrix nonsingular even when the active gradients are dependent.
         hess.flat[::n + 1] += REG
@@ -390,46 +481,67 @@ def _chol_inv(H):
 class _KktSolver:
     """Solve [[P G'], [G -W^2]] (x, z) = (rx, rz), reduced.
 
-    The cone rows give z = W^{-2}(G x - rz).  With Ghat = W^{-1} G what
-    remains is H x = rx + Ghat'W^{-1} rz for H = P + Ghat'Ghat, which
+    The cone rows give W z = W^{-1}(G x - rz).  What remains is
+    H x = rx + Ghat'W^{-1} rz for H = P + Ghat'Ghat, Ghat = W^{-1} G, which
     `factor` shifts by REG I and Cholesky-factors once, as H + REG I = L L'.
-    It keeps that shifted H and inv(L).  A reduced solve applies inv(L)'
-    inv(L) and refines once against the shifted H, which makes the
-    explicit-inverse solve backward stable (Skeel 1980).  `solve` then
-    corrects once against the full, unregularized system, which takes REG
-    back out.  J G is kept for the whole solve, so Ghat is one rank-one
-    update per block of it.
+    Ghat is never formed.  With u and beta of block k's scaling, head row
+    g0 and tail rows G1, t = u1'G1, v0 = (u0 - 1) g0 - t and
+    v1 = t/|u1| - |u1| (g0 - t/u0):
+
+        beta^2 Ghat_k'Ghat_k = v0 v0' + v1 v1' + (G1'G1 - t t'/|u1|^2),
+
+    so H is P, a weighted sum of the tail Grams G1'G1, which `_ConeRows`
+    computes once per solve, and the products of a few rows per block; v1
+    and t drop out where u1 = 0.  `factor` keeps the shifted H and inv(L).
+    A reduced solve applies inv(L)'inv(L) and refines once against the
+    shifted H, which makes the explicit-inverse solve backward stable
+    (Skeel 1980).  `solve` applies G, G' and W^{-1} to vectors, as
+    Ghat'y = G'W^{-1} y, and corrects the stationarity rows once against
+    the full, unregularized system, which takes REG back out.
     """
 
-    def __init__(self, P, G, cones):
-        self.P, self.G = P, G
-        self.n = G.shape[1]
-        self._jg = cones.sign[:, None] * G
+    def __init__(self, P, rows):
+        self.P, self.G, self.rows = P, rows.G, rows
+        self.n = P.shape[0]
 
     def factor(self, scaling: _Scaling):
         """Raises np.linalg.LinAlgError when the reduced matrix is not finite and definite."""
-        ghat = scaling.winv_of_j(self._jg)
-        h = self.P + ghat.T @ ghat
+        cones = self.rows.cones
+        u0, g0 = scaling.u0[:, None], self.rows.heads
+        beta = scaling.beta[cones.starts][:, None]
+        norm1 = np.sqrt(cones.tail_dot(scaling.u, scaling.u))[:, None]
+        t = self.rows.tail_sums(scaling.u)
+        tail = norm1[:, 0] > 0
+        proj = t[tail] / norm1[tail]
+        v1 = proj - norm1[tail] * (g0[tail] - t[tail] / u0[tail])
+        plus = np.vstack([(u0 - 1.0) * g0 - t, v1]) / np.vstack([beta, beta[tail]])
+        minus = proj / beta[tail]
+        h = plus.T @ plus
+        h -= minus.T @ minus
+        h += self.P
+        self.rows.add_grams(h, 1.0 / beta[:, 0] ** 2)
         h.flat[::self.n + 1] += REG
         # np.linalg.cholesky factors a matrix with NaN or inf entries silently.
         if not np.isfinite(h).all():
             raise np.linalg.LinAlgError("reduced KKT matrix has non-finite entries")
         self._linv = _chol_inv(h)
-        self._h, self._ghat, self._scaling = h, ghat, scaling
+        self._h, self._scaling = h, scaling
 
-    def _solve_reduced(self, rx, rz):
-        winv_rz = self._scaling.mul_winv(rz)
-        r = rx + self._ghat.T @ winv_rz
+    def _solve_reduced(self, r):
         x = (self._linv @ r) @ self._linv
         x += (self._linv @ (r - self._h @ x)) @ self._linv
-        return x, self._scaling.mul_winv(self._ghat @ x - winv_rz)
+        return x
 
     def solve(self, rx, rz):
-        """The reduced solve plus one correction against the full system."""
-        x, z = self._solve_reduced(rx, rz)
-        dx, dz = self._solve_reduced(rx - self.P @ x - self.G.T @ z,
-                                     rz - self.G @ x + self._scaling.mul_w2(z))
-        return x + dx, z + dz
+        """The reduced solve plus one correction of the stationarity rows."""
+        winv, G = self._scaling.mul_winv, self.G
+        q = winv(rz)
+        x = self._solve_reduced(rx + G.T @ winv(q))
+        wz = winv(G @ x) - q
+        # The cone rows G x - W^2 z = rz hold as W z = W^{-1}(G x - rz) by
+        # construction, so only the stationarity rows carry a residual, REG's.
+        dx = self._solve_reduced(rx - self.P @ x - G.T @ winv(wz))
+        return x + dx, winv(wz + winv(G @ dx))
 
 
 def solve(problem: ConicProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8,
@@ -451,7 +563,8 @@ def _solve_impl(problem: ConicProblem, gap_tol: float, feas_tol: float,
     norm_h = max(1.0, np.linalg.norm(h))
     norm_c = max(1.0, np.linalg.norm(c))
 
-    kkt = _KktSolver(P, G, cones)
+    rows = _ConeRows(G, cones)
+    kkt = _KktSolver(P, rows)
 
     # Initial point: least-squares style starts shifted into the cone.
     try:
@@ -604,7 +717,7 @@ def _solve_impl(problem: ConicProblem, gap_tol: float, feas_tol: float,
         t = tau if tau > 1e-300 else 1.0
         xs, zs, ss = x / t, z / t, s / t
         if status == STATUS_OPTIMAL:
-            polished = _polish(P, c, G, h, cones, xs, zs, feas_tol)
+            polished = _polish(P, c, rows, h, xs, zs, feas_tol)
             if polished is not None:
                 # Report the polished point's own residuals and gap; a point
                 # strictly inside every block has no primal residual.

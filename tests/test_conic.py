@@ -125,7 +125,8 @@ class TestQuadraticObjective:
             h = np.concatenate([[1.0], np.zeros(d)])
             cones = solver._Cones([("soc", d + 1)])
             x0 = 0.99 * p / np.linalg.norm(p)
-            polished = solver._polish(np.eye(d), -p, G, h, cones, x0, np.zeros(d + 1), 1e-8)
+            polished = solver._polish(np.eye(d), -p, solver._ConeRows(G, cones), h, x0,
+                                      np.zeros(d + 1), 1e-8)
             assert polished is not None
             x, z = polished
             assert x == pytest.approx(p / np.linalg.norm(p), abs=1e-13)
@@ -135,8 +136,8 @@ class TestQuadraticObjective:
         # min (x - 0.5)^2 / 2 s.t. x <= 1, started with the bound active: held
         # on the boundary, stationarity needs nu = -0.5 < -feas_tol.
         cones = solver._Cones([NONNEG])
-        assert solver._polish(np.eye(1), np.array([-0.5]), np.eye(1), np.ones(1), cones,
-                              np.array([0.99]), np.ones(1), 1e-8) is None
+        assert solver._polish(np.eye(1), np.array([-0.5]), solver._ConeRows(np.eye(1), cones),
+                              np.ones(1), np.array([0.99]), np.ones(1), 1e-8) is None
 
     def test_rejected_polish_reports_the_last_iterate(self, monkeypatch):
         # With no Newton step allowed the polish never settles; the answer is
@@ -463,9 +464,8 @@ class TestStackedKernels:
         close(scaling.mul_w(v), nt_matrix(s, z, cone_list) @ v, rtol=1e-10, atol=1e-12)
         close(scaling.mul_winv(scaling.mul_w(v)), v, rtol=1e-10, atol=1e-12)
         close(scaling.mul_w2(v), scaling.mul_w(scaling.mul_w(v)), rtol=1e-12, atol=1e-14)
-        mat = rng.standard_normal((s.size, 3))
-        close(scaling.winv_of_j(cones.sign[:, None] * mat),
-              np.linalg.solve(nt_matrix(s, z, cone_list), mat), rtol=1e-9, atol=1e-11)
+        close(scaling.mul_winv(v), np.linalg.solve(nt_matrix(s, z, cone_list), v),
+              rtol=1e-9, atol=1e-11)
         close(solver._jordan_mul(lam, v, cones), jordan_ref(lam, v, cone_list),
               rtol=1e-12, atol=1e-14)
         close(solver._jordan_solve(lam, jordan_ref(lam, v, cone_list), cones), v,
@@ -498,9 +498,72 @@ class TestStackedKernels:
         assert solver._max_step(v, dv, cones) == -value / slope
 
 
+def dense_ruiz(c, P, G, h, cones):
+    """Ruiz equilibration by dense sweeps over P and G, as the solver once did."""
+    m, n = G.shape
+    dr_g = np.ones(m)
+    dc = np.ones(n)
+    Ps, Gs = P.copy(), G.copy()
+    for _ in range(solver.RUIZ_ITERS):
+        rg = np.sqrt(np.maximum(np.abs(Gs).max(axis=1), 1e-16))
+        rg = np.maximum(np.maximum.reduceat(rg, cones.starts)[cones.owner], 1e-8)
+        Gs /= rg[:, None]
+        dr_g /= rg
+        colmax = np.maximum(np.abs(Ps).max(axis=0, initial=0.0), np.abs(Gs).max(axis=0))
+        cnorm = np.maximum(np.sqrt(np.maximum(colmax, 1e-16)), 1e-8)
+        Ps /= np.outer(cnorm, cnorm)
+        Gs /= cnorm[None, :]
+        dc /= cnorm
+    cs = c * dc
+    cost_scale = max(1.0, np.abs(cs).max(initial=0.0), np.abs(Ps).max(initial=0.0))
+    return cs / cost_scale, Ps / cost_scale, Gs, h * dr_g, dc, dr_g, cost_scale
+
+
+class TestEquilibration:
+    @settings(max_examples=40, deadline=None)
+    @given(CONE_LISTS, st.integers(0, 2 ** 32 - 1), st.booleans())
+    def test_sweeps_over_nonzeros_match_dense_sweeps(self, cone_list, seed, zero_p):
+        # Entries over six orders of magnitude, an all-zero row and column of
+        # G, a column that P and G both leave empty, and P = 0.
+        rng = np.random.default_rng(seed)
+        cones = solver._Cones(cone_list)
+        m, n = cones.owner.size, 9
+        G = (rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-3, 3, (m, n))
+             * (rng.random((m, n)) < 0.4))
+        G[rng.integers(m)] = 0.0
+        G[:, rng.integers(n)] = 0.0
+        B = rng.standard_normal((n, 3)) * (rng.random((n, 3)) < 0.6) * (not zero_p)
+        empty = rng.integers(n)
+        B[empty], G[:, empty] = 0.0, 0.0
+        c, h = rng.standard_normal(n), rng.standard_normal(m)
+        got = solver._ruiz_equilibrate(c, B @ B.T, G, h, cones)
+        expect = dense_ruiz(c, B @ B.T, G, h, cones)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expect))
+
+
 def full_kkt(P, G, w):
     """The unreduced [[P, G'], [G, -W^2]]."""
     return np.block([[P, G.T], [G, -w @ w]])
+
+
+def nt_inverse(s, z, cone_list):
+    """W^-1 from `nt_matrix`: each block W = beta T(w) has inverse J W J / beta^2."""
+    w = nt_matrix(s, z, cone_list)
+    jnorm2 = lambda v: v[0] ** 2 - v[1:] @ v[1:]
+    inv = np.zeros_like(w)
+    for r in blocks(cone_list):
+        j = -np.eye(r.stop - r.start)
+        j[0, 0] = 1.0
+        inv[r, r] = j @ w[r, r] @ j * np.sqrt(jnorm2(z[r]) / jnorm2(s[r]))
+    return inv
+
+
+def near_boundary(rng, cone_list, margin):
+    """s `margin` inside every block and z = J s, inside on the opposite side."""
+    s = rng.standard_normal(sum(d for _, d in cone_list))
+    for r in blocks(cone_list):
+        s[r.start] = np.linalg.norm(s[r.start + 1:r.stop]) + margin
+    return s, s * solver._Cones(cone_list).sign
 
 
 def kkt_system(rng, cone_list, s, z, n=20):
@@ -513,7 +576,7 @@ def kkt_system(rng, cone_list, s, z, n=20):
     B = rng.standard_normal((n, n // 2 if m >= n else 2 * n))
     P, G = B @ B.T, rng.standard_normal((m, n))
     cones = solver._Cones(cone_list)
-    kkt = solver._KktSolver(P, G, cones)
+    kkt = solver._KktSolver(P, solver._ConeRows(G, cones))
     kkt.factor(solver._Scaling(s, z, cones))
     rhs = (rng.standard_normal(n), rng.standard_normal(m))
     return kkt, (P, G), rhs
@@ -533,6 +596,41 @@ class TestReducedKkt:
         # out: without it the error here is 1e-11 to 1e-8.
         np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12 * np.abs(expect).max())
 
+    @settings(max_examples=40, deadline=None)
+    @given(CONE_LISTS, st.integers(0, 2 ** 32 - 1),
+           st.sampled_from(["identity", "interior", "near the boundary"]))
+    def test_reduced_matrix_is_the_dense_product(self, cone_list, seed, where):
+        # H is built from per-block Grams and a few rank-one terms; it must
+        # equal P + (W^-1 G)'(W^-1 G) formed densely.  G is sparse and each
+        # block leaves about half the columns empty.  At W = I the tails of
+        # u vanish.  1e-8 from the boundary, W^-1 has norm about 1e4 and the
+        # NT point w that (s, z) define is known only to about 1e-9: the
+        # textbook inverse J W J / beta^2 misses W^-1 by that much.  There
+        # W^-1 G is the solver's own W^-1, applied to each column of G.
+        rng = np.random.default_rng(seed)
+        cones = solver._Cones(cone_list)
+        m, n = cones.owner.size, 12
+        if where == "identity":
+            s = z = (cones.sign + 1.0) / 2.0
+        elif where == "interior":
+            s, z = interior(rng, cone_list), interior(rng, cone_list)
+        else:
+            s, z = near_boundary(rng, cone_list, 1e-8)
+        G = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.5)
+        G[(rng.random((cones.degree, n)) < 0.5)[cones.owner]] = 0.0
+        B = rng.standard_normal((n, 2 * n))
+        P = B @ B.T
+        scaling = solver._Scaling(s, z, cones)
+        kkt = solver._KktSolver(P, solver._ConeRows(G, cones))
+        kkt.factor(scaling)
+        if where == "near the boundary":
+            ghat = np.column_stack([scaling.mul_winv(col) for col in G.T])
+        else:
+            ghat = nt_inverse(s, z, cone_list) @ G
+        expect = P + ghat.T @ ghat
+        got = kkt._h - solver.REG * np.eye(n)
+        assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
+
     @pytest.mark.parametrize("seed", range(8))
     def test_stalled_systems_solve_as_accurately_as_a_dense_solve(self, seed):
         # s and z 1e-8 inside opposite sides of each block, as near the end
@@ -542,10 +640,7 @@ class TestReducedKkt:
         # seeds 0-199, at seed 7).
         cone_list = (("soc", 12), ("nonneg", 3), ("soc", 5), ("soc", 21))
         rng = np.random.default_rng(seed)
-        s = rng.standard_normal(41)
-        for r in blocks(cone_list):
-            s[r.start] = np.linalg.norm(s[r.start + 1:r.stop]) + 1e-8
-        z = s * solver._Cones(cone_list).sign
+        s, z = near_boundary(rng, cone_list, 1e-8)
         kkt, (P, G), rhs = kkt_system(rng, cone_list, s, z)
         full, full_rhs = full_kkt(P, G, nt_matrix(s, z, cone_list)), np.concatenate(rhs)
         resid = lambda u: np.abs(full_rhs - full @ u).max()
@@ -597,7 +692,7 @@ class TestReducedKkt:
         G = rng.standard_normal((m, n))
         cone_list = (("nonneg", m),)
         cones, e = solver._Cones(cone_list), np.ones(m)
-        kkt = solver._KktSolver(P, G, cones)
+        kkt = solver._KktSolver(P, solver._ConeRows(G, cones))
         kkt.factor(solver._Scaling(e, e, cones))
         full = full_kkt(P, G, nt_matrix(e, e, cone_list))
         rhs = rng.standard_normal(n + m)

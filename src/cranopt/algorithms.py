@@ -447,12 +447,12 @@ def joint_energy_minimization(config: SystemConfig, tasks: list[Task],
     Round n: (1) receivers from the current beamformers, (2) MSE weights
     from the cloud-utility gradient, (3) transmit beamformers by a conic
     step under rate floors / per-RRH power / fronthaul surrogate.  A round
-    settles when the total energy does with no clone at its cap.  The first
-    round sets the fronthaul weights and frozen rates; after it they are
-    refreshed only when a round settles, so the descent runs on one fixed
-    surrogate at a time, and a round that settles on fresh weights, or with
-    no fronthaul row active, ends the loop.  On exit clone speeds are
-    recovered from the final rates, making the deadline exactly tight per UE.
+    settles when the total energy does.  The first round sets the fronthaul
+    weights and frozen rates; after it they are refreshed only when a round
+    settles, so the descent runs on one fixed surrogate at a time, and a
+    round that settles on fresh weights, or with no fronthaul row active,
+    ends the loop.  On exit clone speeds are recovered from the final rates,
+    making the deadline exactly tight per UE.
     """
     n, l = config.num_ue, config.num_rrh
     kappa = np.asarray(config.switched_capacitance)
@@ -544,17 +544,12 @@ def joint_energy_minimization(config: SystemConfig, tasks: list[Task],
         bf = BeamformerSet(v)
         rates, powers = ran.rate(channels, bf, bw), ran.ue_power(bf)
 
-        speeds, cloud_e, tx_e = recover_cloud(rates, powers)
+        _, cloud_e, tx_e = recover_cloud(rates, powers)
         total = float(np.sum(cloud_e + eta * tx_e))
         energy_trace.append(total)
         if total < best_total and _iterate_feasible(config, bf, rates, floors):
             best_total, best_state = total, (v.copy(), support.copy(), powers)
-        # A clone at its cap (its UE held at the rate floor) costs the most
-        # cloud energy, ~15,000 J in the stock cell; a tolerance relative to
-        # such a total absorbs the other UEs' whole energy, or a swap of which
-        # UEs sit at their floors, so the round does not count as settled.
-        pinned = np.any((bits > 0) & (speeds >= fmax * (1.0 - CONV_REL_TOL)))
-        settled = energy_prev is not None and not pinned and abs(
+        settled = energy_prev is not None and abs(
             total - energy_prev) <= CONV_REL_TOL * max(energy_prev, 1e-30)
         if settled and (fresh or not np.any(rho)):
             status, converged = "optimal", True

@@ -6,12 +6,14 @@ Exit codes: 0 on success, 2 on configuration errors, 3 on I/O errors.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .experiments import SweepSpec, emit_records, run_single, run_sweep
+from .experiments import CSV_HEADER, SweepSpec, emit_records, run_single, run_sweep
 from .scenario import ValidationError
 
 CONFIG_ERROR = 2
@@ -65,8 +67,9 @@ def _cmd_run(args) -> int:
     if args.format == "json":
         text = json.dumps(asdict(record), indent=1, sort_keys=True) + "\n"
     else:
-        from .experiments import CSV_HEADER
-        text = ",".join(CSV_HEADER) + "\n" + ",".join(record.csv_row()) + "\n"
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows([CSV_HEADER, record.csv_row()])
+        text = buffer.getvalue()
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:

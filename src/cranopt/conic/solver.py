@@ -39,9 +39,8 @@ column order, and `z` and `s` in the caller's cone row order.
 Data is Ruiz-equilibrated, over the nonzeros of P and G, before solving;
 the reported residuals and duality gap are those of the returned answer on
 the normalized problem (the polished point, else the iterate that stopped
-the loop, or at a `max_iterations` exit the iterate of least merit
-max(pres, dres) / feas_tol, gap / gap_tol), while objective values are in
-the caller's units.
+the loop, as measured by the loop), while objective values are in the
+caller's units.
 """
 
 from __future__ import annotations
@@ -586,8 +585,6 @@ def _solve_impl(problem: ConicProblem, gap_tol: float, feas_tol: float,
     trace = []
     status, message = STATUS_MAXITER, "iteration limit reached"
     it = 0
-    best = None
-    best_merit = np.inf
     for it in range(1, max_iter + 1):
         if not (np.all(np.isfinite(s)) and np.all(np.isfinite(z))
                 and np.isfinite(tau) and tau > 0 and np.isfinite(kappa)):
@@ -611,11 +608,6 @@ def _solve_impl(problem: ConicProblem, gap_tol: float, feas_tol: float,
         trace.append({"pcost": pcost, "dcost": dcost, "gap": gap,
                       "pres": pres, "dres": dres, "mu": mu})
 
-        merit = max(pres / feas_tol, dres / feas_tol, gap / gap_tol)
-        if np.isfinite(merit) and merit < best_merit:
-            best_merit = merit
-            best = (x.copy(), z.copy(), s.copy(), tau, kappa, gap, pres, dres)
-
         if pres <= feas_tol and dres <= feas_tol and gap <= gap_tol:
             status, message = STATUS_OPTIMAL, ""
             break
@@ -635,6 +627,8 @@ def _solve_impl(problem: ConicProblem, gap_tol: float, feas_tol: float,
                 x, s = x / (-cx), s / (-cx)
                 status, message = STATUS_UNBOUNDED, "dual infeasibility certified"
                 break
+        if it == max_iter:  # stop on the iterate just measured, not one step past it
+            break
 
         scaling = _Scaling(s, z, cones)
         lam = scaling.mul_w(z)
@@ -706,10 +700,6 @@ def _solve_impl(problem: ConicProblem, gap_tol: float, feas_tol: float,
     if trace:
         gap_rep, pres_rep, dres_rep = (trace[-1]["gap"], trace[-1]["pres"],
                                        trace[-1]["dres"])
-    if status == STATUS_MAXITER and best is not None:
-        # Report the best iterate seen; it met no stopping test, or the
-        # loop would have stopped there as optimal.
-        x, z, s, tau, kappa, gap_rep, pres_rep, dres_rep = best
 
     if status in (STATUS_INFEASIBLE, STATUS_UNBOUNDED):
         xs, zs, ss = x, z, s

@@ -62,6 +62,8 @@ class SweepSpec:
             raise ValidationError("seeds", "must be nonempty and distinct")
         for method in self.methods:
             _parse_method(method)
+        for value in self.grid:  # fail before any point runs, e.g. a per-UE list at N
+            load_config(_apply_param(self.scenario, self.param, value))
 
 
 @dataclass

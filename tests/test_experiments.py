@@ -1,3 +1,4 @@
+import csv
 import functools
 import json
 import os
@@ -59,6 +60,23 @@ class TestSweepSpec:
             SweepSpec(param="N", grid=(2.5, 3.0), methods=("joint",), seeds=(1,))
         assert err.value.fieldname == "grid"
         SweepSpec(param="N", grid=(2.0, 3.0), methods=("joint",), seeds=(1,))
+
+    @pytest.mark.parametrize("field", ["tasks", "bandwidth", "switched_capacitance"])
+    def test_user_count_sweep_rejects_per_ue_lists(self, field):
+        # A per-UE list fits one user count only; the sweep is refused before
+        # any point runs rather than failing after the N = 2 points.
+        doc = {"system": {"num_ue": 2}}
+        if field == "tasks":
+            doc["tasks"] = [{"cpu_cycles": 1500.0}, {"cpu_cycles": 1000.0}]
+        else:
+            doc["system"][field] = [1.0, 2.0]
+        with pytest.raises(ValidationError) as err:
+            SweepSpec(param="N", grid=(2.0, 3.0), methods=("joint",), seeds=(1,),
+                      scenario=doc)
+        assert err.value.fieldname == field and "expected 3" in str(err.value)
+        SweepSpec(param="N", grid=(2.0,), methods=("joint",), seeds=(1,), scenario=doc)
+        SweepSpec(param="F", grid=(1000.0, 2000.0), methods=("joint",), seeds=(1,),
+                  scenario=doc)
 
 
 class TestRunSingle:
@@ -194,6 +212,19 @@ class TestCli:
         assert result.returncode == 0
         record = json.loads(out.read_text())
         assert record["status"] == "infeasible-cloud"
+
+    def test_run_csv_quotes_a_comma_in_the_scenario_name(self, tmp_path):
+        config = tmp_path / "cell,a.json"
+        config.write_text(json.dumps(light_scenario()))
+        out = tmp_path / "record.csv"
+        result = self.run_cli("run", "--config", str(config), "--method",
+                              "separate:0.5", "--seed", "1", "--format", "csv",
+                              "--out", str(out))
+        assert result.returncode == 0, result.stderr
+        with open(out, newline="", encoding="utf-8") as fh:
+            header, row = csv.reader(fh)
+        assert header == CSV_HEADER and len(row) == len(CSV_HEADER)
+        assert row[0] == "cell,a" and row[2] == "separate:0.5"
 
     def test_missing_file_is_io_error(self):
         result = self.run_cli("run", "--config", "/nonexistent/x.json",

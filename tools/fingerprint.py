@@ -6,15 +6,18 @@ Usage, from the root of a checkout:
     python3 tools/fingerprint.py OUT.json [--tree DIR]
     python3 tools/fingerprint.py --compare OLD.json NEW.json
 
-The first form runs ``joint`` and ``separate:0.5`` on 44 points of
-``scenarios/smallcell.json`` (88 runs) with one BLAS thread:
+The first form runs ``joint`` and ``separate:0.5`` on 46 points of
+``scenarios/smallcell.json`` (92 runs) with one BLAS thread:
 
 - stock cell at F in {1000, 1500, 2000}, seeds 42-44
 - 8 RRHs x 2 antennas x 8 UEs, fronthaul 1e9, at F = 1000, seeds 42-43
 - 8 RRHs x 2 antennas x 12 UEs, fronthaul 1e9, at F = 1500, seed 42
 - fronthaul at C/10 (1e6) at F in {1000, 1500, 2000}, seeds 42-45
-- 2 RRHs x 1 antenna (more UEs than antennas) at F = 1500, seeds 42-51
-- RRH power at P/100 (1e-2) at F = 1500, seeds 42-51
+- 2 RRHs x 1 antenna (more UEs than antennas) at F = 1500, seeds 42-51 and 58
+- RRH power at P/100 (1e-2) at F = 1500, seeds 42-51 and 60
+
+Seeds 58 and 60 hold one energy for many rounds, so the BCD's settle rule
+decides their status and round count.
 
 For each run it writes the status, the BCD round count, the energy's
 ``repr`` and the (status, interior-point iterations) of every conic solve.
@@ -49,8 +52,8 @@ CELLS = (
     ("8x2x8", {"num_rrh": 8, "num_ue": 8, "fronthaul_limit": 1e9}, (1000.0,), (42, 43)),
     ("8x2x12", {"num_rrh": 8, "num_ue": 12, "fronthaul_limit": 1e9}, (1500.0,), (42,)),
     ("C/10", {"fronthaul_limit": 1e6}, (1000.0, 1500.0, 2000.0), (42, 43, 44, 45)),
-    ("2x1x5", {"num_rrh": 2, "antennas_per_rrh": 1}, (1500.0,), tuple(range(42, 52))),
-    ("P/100", {"rrh_power_limit": 1e-2}, (1500.0,), tuple(range(42, 52))),
+    ("2x1x5", {"num_rrh": 2, "antennas_per_rrh": 1}, (1500.0,), (*range(42, 52), 58)),
+    ("P/100", {"rrh_power_limit": 1e-2}, (1500.0,), (*range(42, 52), 60)),
 )
 AMPLIFYING_CELLS = ("C/10", "2x1x5", "P/100")
 # The probe's source: (cell, F, seed, method) and the index of its conic call.

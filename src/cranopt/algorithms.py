@@ -223,15 +223,6 @@ def extract_rrh_clusters(beamformers: BeamformerSet, power_limits):
     return tuple(frozenset(np.flatnonzero(row).tolist()) for row in keep), zeroed
 
 
-def _iterate_feasible(config, bf, rates, floors, slack=1e-9):
-    """Quick replay of the hard constraint set at an in-loop iterate."""
-    limits = np.asarray(config.rrh_power_limit)
-    loads = ran.fronthaul_load(bf, rates, zero_threshold=CLUSTER_THRESHOLD * limits)
-    return not (np.any(rates < floors * (1.0 - 1e-6))
-                or np.any(ran.rrh_power(bf) > limits * (1.0 + slack))
-                or np.any(loads > np.asarray(config.fronthaul_limit) * (1.0 + slack)))
-
-
 def _fronthaul_rows(config, bf, frozen_rates, support):
     """Reweighting factors with rows zeroed where the load cannot bind.
 
@@ -281,31 +272,37 @@ def constraint_violations(config, tasks, channels, solution,
     return out
 
 
-def _replay_checked(config, tasks, channels, solution, deadline_total=None):
-    """Restamp an "optimal" `solution` "replay_failed" if it misses a constraint.
+def _replay_misses(config, tasks, channels, solution, deadline_total=None):
+    """The constraints `solution` misses by more than REPLAY_TOL, as "name miss" strings.
 
     Each violation is taken relative as the benchmark gate takes it: power
     to the largest P_j, fronthaul to the largest C_j and lateness to the
-    shortest deadline; more than REPLAY_TOL on any of them fails.
+    shortest deadline.
     """
-    if solution.status != "optimal":
-        return solution
     viol = constraint_violations(config, tasks, channels, solution, deadline_total)
     scale = {"power": max(config.rrh_power_limit), "rate_rel": 1.0,
              "fronthaul": max(config.fronthaul_limit),
              "deadline": min(t.deadline for t in tasks)}
-    missed = [f"{k} {v / scale[k]:+.2e}" for k, v in viol.items()
-              if not v / scale[k] <= REPLAY_TOL]
+    return [f"{k} {v / scale[k]:+.2e}" for k, v in viol.items()
+            if not v / scale[k] <= REPLAY_TOL]
+
+
+def _replay_checked(config, tasks, channels, solution, deadline_total=None):
+    """Restamp an "optimal" `solution` "replay_failed" if it misses a constraint."""
+    if solution.status != "optimal":
+        return solution
+    missed = _replay_misses(config, tasks, channels, solution, deadline_total)
     if missed:
         solution.status, solution.converged = "replay_failed", False
         solution.message = "returned solution violates " + ", ".join(missed)
     return solution
 
 
-def _cap_message(trace, cap):
+def _cap_message(trace):
     """Why a loop ran out of rounds: the cap and the last round's relative change."""
     change = abs(trace[-1] - trace[-2]) / max(abs(trace[-2]), 1e-30) if trace[1:] else math.nan
-    return f"no settled round within the {cap}-round cap; last relative change {change:.2e}"
+    return (f"no settled round within the {MAX_ITERATIONS}-round cap; "
+            f"last relative change {change:.2e}")
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +310,7 @@ def _cap_message(trace, cap):
 
 
 def ran_power_minimization(config: SystemConfig, tasks: list[Task],
-                           channels: ChannelState, transmit_budgets,
-                           max_iterations: int = MAX_ITERATIONS) -> RanSolution:
+                           channels: ChannelState, transmit_budgets) -> RanSolution:
     """Iterative reweighted power minimization meeting per-UE rate floors.
 
     Per round: conic solve at the current fronthaul weights -> refresh rates
@@ -339,9 +335,9 @@ def ran_power_minimization(config: SystemConfig, tasks: list[Task],
     trace = []
     status, converged, it = "max_iterations", False, 0
 
-    for it in range(1, max_iterations + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         # `bound` holds the rate bound at the current v and support.
-        weights = np.where(floors > 0, _safe_div(bits, bound), 0.0)
+        weights = _safe_div(bits, bound)
         problem = build_power_min_socp(
             channels, floors, config.bandwidth, config.rrh_power_limit,
             objective_weights=weights, rho=rho, frozen_rates=frozen,
@@ -360,7 +356,7 @@ def ran_power_minimization(config: SystemConfig, tasks: list[Task],
         rho = _fronthaul_rows(config, bf, rates, support)
         frozen = rates
         bound = _cs_rate_bound(config, channels, powers, support)
-        metric = float(np.sum(np.where(floors > 0, powers * _safe_div(bits, bound), 0.0)))
+        metric = float(np.sum(powers * _safe_div(bits, bound)))
         trace.append(metric)
         if metric_prev is not None and abs(metric - metric_prev) <= CONV_REL_TOL * max(
                 metric_prev, 1e-30):
@@ -369,11 +365,10 @@ def ran_power_minimization(config: SystemConfig, tasks: list[Task],
         metric_prev = metric
 
     bf, rates, powers, clusters = _refit_on_support(
-        config, channels, BeamformerSet(v), floors,
-        np.where(floors > 0, 1.0, 0.0) * _safe_div(bits, bound), support)
+        config, channels, BeamformerSet(v), floors, _safe_div(bits, bound), support)
     return _replay_checked(config, tasks, channels, RanSolution(
         bf, rates, clusters, powers, floors, status, it, converged,
-        "" if converged else _cap_message(trace, max_iterations)))
+        "" if converged else _cap_message(trace)))
 
 
 def _safe_div(a, b):
@@ -440,8 +435,7 @@ def _refit_on_support(config, channels, bf, floors, weights, support):
 
 
 def joint_energy_minimization(config: SystemConfig, tasks: list[Task],
-                              channels: ChannelState,
-                              max_iterations: int = MAX_ITERATIONS) -> JointSolution:
+                              channels: ChannelState) -> JointSolution:
     """Block coordinate descent on the joint energy objective.
 
     Round n: (1) receivers from the current beamformers, (2) MSE weights
@@ -502,10 +496,10 @@ def joint_energy_minimization(config: SystemConfig, tasks: list[Task],
         return (speeds, clone_energy(cycles, speeds, kappa, nu),
                 ran.transmit_energy(bits, rates, powers))
 
-    for it in range(1, max_iterations + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         # bf, rates and powers hold the current v, measured when it was set.
         bound = _cs_rate_bound(config, channels, powers, support)
-        weights = np.where(bits > 0, eta * _safe_div(bits, bound), 0.0)
+        weights = eta * _safe_div(bits, bound)
 
         s0 = None
         if u is not None:
@@ -547,7 +541,8 @@ def joint_energy_minimization(config: SystemConfig, tasks: list[Task],
         _, cloud_e, tx_e = recover_cloud(rates, powers)
         total = float(np.sum(cloud_e + eta * tx_e))
         energy_trace.append(total)
-        if total < best_total and _iterate_feasible(config, bf, rates, floors):
+        if total < best_total and not _replay_misses(config, tasks, channels, RanSolution(
+                _clustered(bf, config.rrh_power_limit)[1], rates, (), powers, floors)):
             best_total, best_state = total, (v.copy(), support.copy(), powers)
         settled = energy_prev is not None and abs(
             total - energy_prev) <= CONV_REL_TOL * max(energy_prev, 1e-30)
@@ -562,12 +557,11 @@ def joint_energy_minimization(config: SystemConfig, tasks: list[Task],
 
     if best_state is not None:
         # Under a binding fronthaul budget the loop can orbit the optimum;
-        # return the best load-feasible visit rather than the last.
+        # return the best visit that, clustered, passes the exit replay.
         v, support, powers = best_state
     bf, rates, powers, clusters = _refit_on_support(
         config, channels, BeamformerSet(v), floors,
-        np.where(bits > 0, eta * _safe_div(bits, _cs_rate_bound(
-            config, channels, powers, support)), 0.0), support)
+        eta * _safe_div(bits, _cs_rate_bound(config, channels, powers, support)), support)
     speeds, cloud_e, tx_e = recover_cloud(rates, powers)
     energy = EnergyBreakdown.combine(cloud_e, tx_e, eta)
     with np.errstate(divide="ignore"):  # lateness at the rates bf gives, not `rates`
@@ -575,7 +569,7 @@ def joint_energy_minimization(config: SystemConfig, tasks: list[Task],
                                              where=bits > 0, out=np.zeros(n))
     ransol = _replay_checked(config, tasks, channels, RanSolution(
         bf, rates, clusters, powers, floors, status, it, converged,
-        "" if converged else _cap_message(energy_trace, max_iterations)), finish)
+        "" if converged else _cap_message(energy_trace)), finish)
     return JointSolution(ransol, speeds, energy, energy_trace, surrogate_trace,
                          ransol.status, it, ransol.converged)
 

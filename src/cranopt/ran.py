@@ -125,13 +125,12 @@ def fronthaul_weights(beamformers: BeamformerSet, epsilon: float) -> np.ndarray:
     return 1.0 / (block_power(beamformers.vectors) + epsilon)
 
 
-def fronthaul_load(beamformers: BeamformerSet, rates, zero_threshold=0.0) -> np.ndarray:
-    """Fronthaul traffic into each RRH in bit/s.
+def fronthaul_load(beamformers: BeamformerSet, rates) -> np.ndarray:
+    """Fronthaul traffic into each RRH in bit/s: the full rate of every UE it serves.
 
-    Counts the full rate of every UE whose block at the RRH is above
-    `zero_threshold` in squared norm (one threshold, or one per RRH).
+    A UE is served wherever its block at the RRH is nonzero.
     """
-    active = block_power(beamformers.vectors) > zero_threshold
+    active = block_power(beamformers.vectors) > 0.0
     return np.sum(np.asarray(rates, dtype=float)[:, None] * active, axis=0)
 
 

@@ -244,12 +244,13 @@ class TestJointEnergyMinimization:
             sol = joint_at_tenth_fronthaul(seed)[-1]
             assert sol.energy.total < 1000.0, seed
 
-    def test_round_cap_names_itself(self, smallcell):
+    def test_round_cap_names_itself(self, smallcell, monkeypatch):
+        monkeypatch.setattr(algorithms, "MAX_ITERATIONS", 1)
         config, tasks = smallcell
         channels = generate_channels(config, 42)
-        joint = joint_energy_minimization(config, tasks, channels, max_iterations=1)
+        joint = joint_energy_minimization(config, tasks, channels)
         alone = ran_power_minimization(config, tasks, channels,
-                                       [0.5 * t.deadline for t in tasks], max_iterations=1)
+                                       [0.5 * t.deadline for t in tasks])
         for sol in (joint, alone):
             assert sol.status == "max_iterations" and not sol.converged
         for message in (joint.ran.message, alone.message):
@@ -344,6 +345,48 @@ class TestReplayPostcondition:
         alone = ran_power_minimization(config, tasks, channels, budgets)
         assert alone.status == "replay_failed" and not alone.converged
         assert "rate_rel" in alone.message
+
+
+class TestBestVisitFilter:
+    """The exit replay the BCD applies to each visit, clustered as the exit clusters it."""
+
+    @pytest.fixture(scope="class")
+    def stock_answer(self):
+        config, tasks = load_config(json.loads(SCENARIO.read_text(encoding="utf-8")))
+        channels = generate_channels(config, 42)
+        return config, tasks, channels, joint_energy_minimization(config, tasks, channels).ran
+
+    @staticmethod
+    def misses(config, tasks, channels, sol, vectors):
+        visit = algorithms._clustered(BeamformerSet(vectors), config.rrh_power_limit)[1]
+        return algorithms._replay_misses(config, tasks, channels, dataclasses.replace(
+            sol, beamformers=visit))
+
+    @pytest.mark.parametrize("excess, missed", [(5e-7, []), (5e-6, ["power"])])
+    def test_power_miss_is_judged_at_the_replay_tolerance(self, stock_answer, excess, missed):
+        config, tasks, channels, sol = stock_answer
+        v = sol.beamformers.vectors
+        peak = np.max(ran.rrh_power(sol.beamformers) / np.asarray(config.rrh_power_limit))
+        scaled = v * math.sqrt((1.0 + excess) / peak)
+        misses = self.misses(config, tasks, channels, sol, scaled)
+        assert [m.split()[0] for m in misses] == missed
+
+    def test_a_block_below_the_cluster_threshold_carries_no_load(self, stock_answer):
+        # UE 0's block at RRH 3 is cut to 1e-7 P_j, and each RRH's fronthaul
+        # budget is set to the load of the clustered visit, which leaves it out.
+        config, tasks, channels, sol = stock_answer
+        v = sol.beamformers.vectors.copy()
+        limit = config.rrh_power_limit[3]
+        v[0, 3] *= math.sqrt(1e-7 * limit / ran.block_power(v[0, 3]))
+        visit = algorithms._clustered(BeamformerSet(v), config.rrh_power_limit)[1]
+        rates = ran.rate(channels, visit, config.bandwidth)
+        loads = ran.fronthaul_load(visit, rates)
+        assert loads[3] == pytest.approx(rates[1:].sum(), rel=1e-12)
+        tight = dataclasses.replace(config, fronthaul_limit=tuple(loads.tolist()))
+        assert self.misses(tight, tasks, channels, sol, v) == []
+        unclustered = algorithms._replay_misses(tight, tasks, channels, dataclasses.replace(
+            sol, beamformers=BeamformerSet(v)))
+        assert [m.split()[0] for m in unclustered] == ["fronthaul"]
 
 
 class TestClusterExtraction:

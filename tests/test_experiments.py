@@ -1,5 +1,4 @@
 import csv
-import functools
 import json
 import os
 import subprocess
@@ -99,9 +98,7 @@ class TestRunSingle:
     def test_unfinished_transmit_side_keeps_its_status(self, monkeypatch):
         # A transmit side that runs out of rounds is recorded as such, not as
         # infeasible.
-        one_round = functools.partial(algorithms.ran_power_minimization,
-                                      max_iterations=1)
-        monkeypatch.setattr(algorithms, "ran_power_minimization", one_round)
+        monkeypatch.setattr(algorithms, "MAX_ITERATIONS", 1)
         record = run_single(str(SCENARIO), "separate:0.5", 42)
         assert record.status == "max_iterations"
         assert record.iterations == 1

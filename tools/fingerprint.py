@@ -6,13 +6,14 @@ Usage, from the root of a checkout:
     python3 tools/fingerprint.py OUT.json [--tree DIR]
     python3 tools/fingerprint.py --compare OLD.json NEW.json
 
-The first form runs ``joint`` and ``separate:0.5`` on 46 points of
-``scenarios/smallcell.json`` (92 runs) with one BLAS thread:
+The first form runs ``joint`` and ``separate:0.5`` on 54 points of
+``scenarios/smallcell.json`` (108 runs) with one BLAS thread:
 
 - stock cell at F in {1000, 1500, 2000}, seeds 42-44
 - 8 RRHs x 2 antennas x 8 UEs, fronthaul 1e9, at F = 1000, seeds 42-43
 - 8 RRHs x 2 antennas x 12 UEs, fronthaul 1e9, at F = 1500, seed 42
 - fronthaul at C/10 (1e6) at F in {1000, 1500, 2000}, seeds 42-45
+- fronthaul at C/30 (1e7/30) and at C/100 (1e5) at F = 1500, seeds 42-45
 - 2 RRHs x 1 antenna (more UEs than antennas) at F = 1500, seeds 42-51 and 58
 - RRH power at P/100 (1e-2) at F = 1500, seeds 42-51 and 60
 
@@ -29,10 +30,10 @@ must reach one status and one iteration count; the tool says so when they
 do not.  ``--tree DIR`` runs the cranopt and scenario of another checkout,
 such as a parent commit.  ``--compare`` prints every difference between
 two such files, the new file's probe spread among them, and exits 1 if
-there is one.  Energy changes of the C/10, 2 x 1 x 5 and P/100 runs are
-listed apart: there last-bit changes are amplified (a binding fronthaul,
-or round counts that hinge on last bits), so they can stem from rounding
-alone.
+there is one.  Energy changes of the C/10, C/30, C/100, 2 x 1 x 5 and
+P/100 runs are listed apart: there last-bit changes are amplified (a
+binding fronthaul, or round counts that hinge on last bits), so they can
+stem from rounding alone.
 """
 
 from __future__ import annotations
@@ -52,10 +53,12 @@ CELLS = (
     ("8x2x8", {"num_rrh": 8, "num_ue": 8, "fronthaul_limit": 1e9}, (1000.0,), (42, 43)),
     ("8x2x12", {"num_rrh": 8, "num_ue": 12, "fronthaul_limit": 1e9}, (1500.0,), (42,)),
     ("C/10", {"fronthaul_limit": 1e6}, (1000.0, 1500.0, 2000.0), (42, 43, 44, 45)),
+    ("C/30", {"fronthaul_limit": 1e7 / 30}, (1500.0,), (42, 43, 44, 45)),
+    ("C/100", {"fronthaul_limit": 1e5}, (1500.0,), (42, 43, 44, 45)),
     ("2x1x5", {"num_rrh": 2, "antennas_per_rrh": 1}, (1500.0,), (*range(42, 52), 58)),
     ("P/100", {"rrh_power_limit": 1e-2}, (1500.0,), (*range(42, 52), 60)),
 )
-AMPLIFYING_CELLS = ("C/10", "2x1x5", "P/100")
+AMPLIFYING_CELLS = ("C/10", "C/30", "C/100", "2x1x5", "P/100")
 # The probe's source: (cell, F, seed, method) and the index of its conic call.
 PROBE_RUN, PROBE_CALL = ("2x1x5", 1500.0, 45, "joint"), 1
 PROBE_COPIES = 30

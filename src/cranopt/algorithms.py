@@ -54,7 +54,6 @@ CULL_THRESHOLD = 1e-8      # of P_j: blocks this weak leave the working support
 FRONTHAUL_MARGIN = 0.9     # keep surrogate rows only where the l0 load could bind
 REFIT_FLOOR_SLACK = 1e-4   # relative rate slack allowed when refitting on a support
 REPLAY_TOL = 1e-6          # relative constraint miss an "optimal" answer may replay with
-SOLVE_KW = dict(gap_tol=1e-8, feas_tol=1e-7, max_iter=200)
 
 
 class BaselineInfeasibleError(ValueError):
@@ -342,7 +341,7 @@ def ran_power_minimization(config: SystemConfig, tasks: list[Task],
             channels, floors, config.bandwidth, config.rrh_power_limit,
             objective_weights=weights, rho=rho, frozen_rates=frozen,
             fronthaul_limits=config.fronthaul_limit, support=support)
-        report = solve(problem, **SOLVE_KW)
+        report = solve(problem)
         if not report.optimal:
             return RanSolution(BeamformerSet(v), np.zeros(n), (frozenset(),) * n,
                                powers, floors, report.status, it, False,
@@ -417,7 +416,7 @@ def _refit_on_support(config, channels, bf, floors, weights, support):
             channels, target, config.bandwidth, config.rrh_power_limit,
             objective_weights=obj, rho=rho, frozen_rates=frozen,
             fronthaul_limits=config.fronthaul_limit, support=mask)
-        report = solve(problem, **SOLVE_KW)
+        report = solve(problem)
         if not report.optimal:
             break
         vec = extract_beamformers(report.x, mask, config.antennas_per_rrh)
@@ -517,7 +516,7 @@ def joint_energy_minimization(config: SystemConfig, tasks: list[Task],
             channels, phi, u, weights, config.rrh_power_limit,
             rate_floors=floors, bandwidths=bw, rho=rho, frozen_rates=frozen,
             fronthaul_limits=config.fronthaul_limit, support=support)
-        report = solve(problem, **SOLVE_KW)
+        report = solve(problem)
         if not report.optimal:
             ransol = RanSolution(bf, rates, (frozenset(),) * n, powers,
                                  floors, report.status, it, False,
@@ -610,9 +609,7 @@ def _surrogate_line_search(config, channels, receivers, weights, v_prev, v_cand,
     x1 = hi - golden * (hi - lo)
     x2 = lo + golden * (hi - lo)
     f1, f2 = value(x1), value(x2)
-    for _ in range(40):
-        if hi - lo < 1e-6:
-            break
+    while hi - lo >= 1e-6:
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - golden * (hi - lo)

@@ -66,46 +66,45 @@ def _combined_rows(channels, ue, cols, nv):
 
 
 def build_power_min_socp(channels, rate_floors, bandwidths, power_limits,
-                         objective_weights=None, rho=None, frozen_rates=None,
-                         fronthaul_limits=None, support=None) -> ConicProblem:
+                         objective_weights, rho, frozen_rates, fronthaul_limits,
+                         support) -> ConicProblem:
     """Weighted power minimization under QoS rate floors.
 
     minimize sum_i w_i ||v_i||^2 subject to per-RRH power, per-UE rate SOCs
-    and (when `rho` is given) the reweighted fronthaul surrogate at frozen
-    rates: the WMMSE step with every MSE weight 0.  `objective_weights`
-    defaults to 1 (pure transmit power).
+    and (when `rho` is not None) the reweighted fronthaul surrogate at frozen
+    rates: the WMMSE step with every MSE weight 0.  Every input is
+    required; `rho=None` means no fronthaul rows.
     """
     n = channels.num_ue
-    w = np.ones(n) if objective_weights is None else objective_weights
-    return build_wmmse_step_socp(channels, np.zeros(n), np.zeros(n), w, power_limits,
-                                 rate_floors, bandwidths, rho, frozen_rates,
+    return build_wmmse_step_socp(channels, np.zeros(n), np.zeros(n), objective_weights,
+                                 power_limits, rate_floors, bandwidths, rho, frozen_rates,
                                  fronthaul_limits, support)
 
 
 def build_wmmse_step_socp(channels, mse_weights, receivers, objective_weights,
-                          power_limits, rate_floors=None, bandwidths=None,
-                          rho=None, frozen_rates=None, fronthaul_limits=None,
-                          support=None) -> ConicProblem:
+                          power_limits, rate_floors, bandwidths, rho, frozen_rates,
+                          fronthaul_limits, support) -> ConicProblem:
     """One transmit-beamformer block update of the MSE-weighted descent.
 
     minimize sum_i phi_i e_i(v) + w_i ||v_i||^2 for fixed receivers u and
     MSE weights phi, where e_i is the receive MSE expanded as a convex
     quadratic in v (its quadratic part in P, linear part in c, constant in
-    obj_const), subject to, in this block order:
+    obj_const), subject to, in this block order (every input is required):
 
     * ||(v_1j, ..., v_Nj)|| <= sqrt(P_j) per RRH j with a supported pair;
     * sqrt(1 - 2^(-R_i/B_i)) ||(m_1..m_N, sigma)|| <= Re(m_ii) per served
       UE with a rate floor R_i > 0: as |m_ii| >= Re(m_ii) it implies the
       SINR floor with no row pinning m_ii's phase, which a power objective
       leaves free (rotating stream i changes no power and no constraint);
-    * when `rho` is given, the reweighted fronthaul surrogate
+    * when `rho` is not None, the reweighted fronthaul surrogate
       sum_i rho_ij r_i ||v_ij||^2 <= C_j at the frozen rates r, one SOC per
       RRH with active rows, as ||E x|| <= 1 with E holding
       sqrt(rho_ij r_i / C_j): the division by C_j keeps coefficients near
-      unity regardless of the rate scale.
+      unity regardless of the rate scale.  `rho=None` means no fronthaul
+      rows, and then `frozen_rates` and `fronthaul_limits` are not read.
     """
     n, l, k = channels.gains.shape
-    support = np.ones((n, l), dtype=bool) if support is None else np.asarray(support, dtype=bool)
+    support = np.asarray(support, dtype=bool)
     phi = np.asarray(mse_weights, dtype=float)
     u = np.asarray(receivers, dtype=complex)
     w = np.asarray(objective_weights, dtype=float)
@@ -113,10 +112,6 @@ def build_wmmse_step_socp(channels, mse_weights, receivers, objective_weights,
     active = served & (phi != 0.0)
     nv = 2 * k * int(support.sum())
     cols = _pair_columns(support, k)
-    if rate_floors is None:
-        rate_floors = np.zeros(n)
-    elif bandwidths is None:
-        raise ValueError("rate floors require per-UE bandwidths")
     floored = served & (np.asarray(rate_floors, dtype=float) > 0)
 
     blocks = [_pairs_norm_le(nv, cols[support[:, j], j], k, float(np.sqrt(power_limits[j])))

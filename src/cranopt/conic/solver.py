@@ -40,7 +40,9 @@ Data is Ruiz-equilibrated, over the nonzeros of P and G, before solving;
 the reported residuals and duality gap are those of the returned answer on
 the normalized problem (the polished point, else the iterate that stopped
 the loop, as measured by the loop), while objective values are in the
-caller's units.
+caller's units.  The stopping rule is three module constants: `GAP_TOL` on
+the gap, `FEAS_TOL` on the residuals, the infeasibility certificates and the
+polish's active set, and `MAX_ITER` iterations.
 """
 
 from __future__ import annotations
@@ -51,6 +53,9 @@ import numpy as np
 
 __all__ = ["ConicProblem", "SolveReport", "SolverError", "solve"]
 
+GAP_TOL = 1e-8         # normalized duality gap of an optimal exit
+FEAS_TOL = 1e-7        # normalized residuals of an optimal exit and of certificates
+MAX_ITER = 200         # interior-point iterations before a max_iterations exit
 STEP_BACKOFF = 0.99
 REG = 1e-9             # static KKT regularization (undone by the full-system correction)
 RUIZ_ITERS = 8         # equilibration sweeps
@@ -372,7 +377,7 @@ class _ConeRows:
 # Polishing.
 
 
-def _polish(P, c, rows, h, x, z, feas_tol):
+def _polish(P, c, rows, h, x, z):
     """Newton's method on the KKT system of the blocks active at (x, z).
 
     An interior-point iterate at duality gap g can sit O(sqrt(g)) from the
@@ -382,9 +387,9 @@ def _polish(P, c, rows, h, x, z, feas_tol):
     Newton's method on stationarity and those boundaries converges to
     working precision.  The active set starts as the blocks whose z_k0
     exceeds the margin s_k0 - ||s_k1||; a block that the settled point
-    leaves by more than feas_tol joins it, and Newton restarts from (x, z).
+    leaves by more than FEAS_TOL joins it, and Newton restarts from (x, z).
     Returns the polished (x, z), or None when Newton does not settle or a
-    multiplier nu_k falls below -feas_tol (a block held on its boundary
+    multiplier nu_k falls below -FEAS_TOL (a block held on its boundary
     with nu_k = 0 is weakly active).
     """
     G, cones = rows.G, rows.cones
@@ -396,11 +401,11 @@ def _polish(P, c, rows, h, x, z, feas_tol):
             return None
         xp, zp, nu = settled
         margins = cones.margins(h - G @ xp)
-        left = ~active & (margins <= -feas_tol)
+        left = ~active & (margins <= -FEAS_TOL)
         if not left.any():
             break
         active |= left
-    if np.all(nu > -feas_tol) and margins.min() > -feas_tol:
+    if np.all(nu > -FEAS_TOL) and margins.min() > -FEAS_TOL:
         return xp, zp
     return None
 
@@ -543,15 +548,9 @@ class _KktSolver:
         return x + dx, winv(wz + winv(G @ dx))
 
 
-def solve(problem: ConicProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8,
-          max_iter: int = 100) -> SolveReport:
+@np.errstate(all="ignore")
+def solve(problem: ConicProblem) -> SolveReport:
     """Run the interior-point method; see module docstring for the form."""
-    with np.errstate(all="ignore"):
-        return _solve_impl(problem, gap_tol, feas_tol, max_iter)
-
-
-def _solve_impl(problem: ConicProblem, gap_tol: float, feas_tol: float,
-                max_iter: int) -> SolveReport:
     cones = _Cones(problem.cones)
     c, P, G, h, dc, drg, cost_scale = _ruiz_equilibrate(
         problem.c, problem.P, problem.cone_lhs, problem.cone_rhs, cones)
@@ -571,7 +570,7 @@ def _solve_impl(problem: ConicProblem, gap_tol: float, feas_tol: float,
     except np.linalg.LinAlgError:
         return _report(problem, STATUS_MAXITER, message="KKT factorization failed",
                        iterations=0)
-    x, z_init = kkt.solve(np.zeros(n), h.copy())
+    x, z_init = kkt.solve(np.zeros(n), h)
     s = -z_init
     margin = _cone_margin(s, cones)
     if margin <= 0:
@@ -585,7 +584,7 @@ def _solve_impl(problem: ConicProblem, gap_tol: float, feas_tol: float,
     trace = []
     status, message = STATUS_MAXITER, "iteration limit reached"
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         if not (np.all(np.isfinite(s)) and np.all(np.isfinite(z))
                 and np.isfinite(tau) and tau > 0 and np.isfinite(kappa)):
             status, message = STATUS_MAXITER, "numerical breakdown (non-finite iterate)"
@@ -608,14 +607,14 @@ def _solve_impl(problem: ConicProblem, gap_tol: float, feas_tol: float,
         trace.append({"pcost": pcost, "dcost": dcost, "gap": gap,
                       "pres": pres, "dres": dres, "mu": mu})
 
-        if pres <= feas_tol and dres <= feas_tol and gap <= gap_tol:
+        if pres <= FEAS_TOL and dres <= FEAS_TOL and gap <= GAP_TOL:
             status, message = STATUS_OPTIMAL, ""
             break
 
         hz = h @ z
         if hz < -1e-12:
             cert = np.linalg.norm(G.T @ z) / norm_c
-            if cert / (-hz) <= feas_tol and _cone_margin(z, cones) > -feas_tol:
+            if cert / (-hz) <= FEAS_TOL and _cone_margin(z, cones) > -FEAS_TOL:
                 z = z / (-hz)
                 status, message = STATUS_INFEASIBLE, "primal infeasibility certified"
                 break
@@ -623,11 +622,11 @@ def _solve_impl(problem: ConicProblem, gap_tol: float, feas_tol: float,
         if cx < -1e-12:
             resid = max(np.linalg.norm(G @ x + s) / norm_h,
                         np.linalg.norm(px) / norm_c)
-            if resid / (-cx) <= feas_tol and _cone_margin(s, cones) > -feas_tol:
+            if resid / (-cx) <= FEAS_TOL and _cone_margin(s, cones) > -FEAS_TOL:
                 x, s = x / (-cx), s / (-cx)
                 status, message = STATUS_UNBOUNDED, "dual infeasibility certified"
                 break
-        if it == max_iter:  # stop on the iterate just measured, not one step past it
+        if it == MAX_ITER:  # stop on the iterate just measured, not one step past it
             break
 
         scaling = _Scaling(s, z, cones)
@@ -637,7 +636,7 @@ def _solve_impl(problem: ConicProblem, gap_tol: float, feas_tol: float,
         except np.linalg.LinAlgError:
             status, message = STATUS_MAXITER, "KKT factorization failed"
             break
-        x1, z1 = kkt.solve(-c, h.copy())
+        x1, z1 = kkt.solve(-c, h)
         # The tau row linearizes to (c + 2 P xi)'dx - xi'P xi dtau + ... with
         # xi = x / tau.  At the exact KKT solution (c + 2 P xi)'x1 - xi'P xi
         # + h'z1 equals -(x1 - xi)'P(x1 - xi) - ||W z1||^2; the identity
@@ -707,7 +706,7 @@ def _solve_impl(problem: ConicProblem, gap_tol: float, feas_tol: float,
         t = tau if tau > 1e-300 else 1.0
         xs, zs, ss = x / t, z / t, s / t
         if status == STATUS_OPTIMAL:
-            polished = _polish(P, c, rows, h, xs, zs, feas_tol)
+            polished = _polish(P, c, rows, h, xs, zs)
             if polished is not None:
                 # Report the polished point's own residuals and gap; a point
                 # strictly inside every block has no primal residual.

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,11 +70,12 @@ class Task:
     deadline: float         # T_max, seconds
 
     def __post_init__(self):
-        if self.cpu_cycles <= 0:
+        # Written as "not v > 0" so that NaN fails them.
+        if not self.cpu_cycles > 0:
             raise ValidationError("cpu_cycles", "must be > 0")
-        if self.result_bits < 0:
+        if not self.result_bits >= 0:
             raise ValidationError("result_bits", "must be >= 0")
-        if self.deadline <= 0:
+        if not self.deadline > 0:
             raise ValidationError("deadline", "must be > 0")
 
 
@@ -95,21 +97,20 @@ class SystemConfig:
     noise_psd_dbm_hz: float
     rrh_positions: tuple[tuple[float, float], ...]  # km
     ue_positions: tuple[tuple[float, float], ...]   # km
-    rng_seed: int = DEFAULT_LAYOUT_SEED
 
     def __post_init__(self):
-        _positive_int("num_rrh", self.num_rrh)
-        _positive_int("antennas_per_rrh", self.antennas_per_rrh)
-        _positive_int("num_ue", self.num_ue)
+        _integer("num_rrh", self.num_rrh, 1)
+        _integer("antennas_per_rrh", self.antennas_per_rrh, 1)
+        _integer("num_ue", self.num_ue, 1)
         _all_positive("rrh_power_limit", self.rrh_power_limit, self.num_rrh)
         _all_positive("clone_capacity_limit", self.clone_capacity_limit, self.num_ue)
         _all_nonnegative("tradeoff", self.tradeoff, self.num_ue)
         _all_positive("bandwidth", self.bandwidth, self.num_ue)
         _all_positive("fronthaul_limit", self.fronthaul_limit, self.num_rrh)
-        if len(self.cloud_exponent) != self.num_ue or any(v < 1 for v in self.cloud_exponent):
+        if len(self.cloud_exponent) != self.num_ue or any(not v >= 1 for v in self.cloud_exponent):
             raise ValidationError("cloud_exponent", "needs num_ue entries, all >= 1")
         _all_nonnegative("switched_capacitance", self.switched_capacitance, self.num_ue)
-        if self.stability_epsilon <= 0:
+        if not self.stability_epsilon > 0:
             raise ValidationError("stability_epsilon", "must be > 0")
         if len(self.rrh_positions) != self.num_rrh:
             raise ValidationError("rrh_positions", "needs one (x, y) pair per RRH")
@@ -199,45 +200,56 @@ def default_layout(num_rrh: int, num_ue: int, side_km: float, seed: int):
     return tuple(ring[:num_rrh]), tuple(map(tuple, ue.tolist()))
 
 
-def _positive_int(name, v):
-    if not isinstance(v, int) or v < 1:
-        raise ValidationError(name, "must be an integer >= 1")
+def _integer(name, v, least):
+    if isinstance(v, bool) or not isinstance(v, int) or v < least:
+        raise ValidationError(name, f"must be an integer >= {least}")
+    return v
+
+
+def _number(name, v):
+    """`v` as a float; it must be a finite real number, and not a bool."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+        raise ValidationError(name, f"must be a finite number, got {v!r}")
+    return float(v)
 
 
 def _as_tuple(name, value, count):
-    if np.isscalar(value):
-        return (float(value),) * count
-    vals = tuple(float(v) for v in value)
+    if not isinstance(value, (list, tuple, np.ndarray)):
+        return (_number(name, value),) * count
+    vals = tuple(_number(name, v) for v in value)
     if len(vals) != count:
         raise ValidationError(name, f"expected {count} entries, got {len(vals)}")
     return vals
 
 
+def _positions(name, pairs):
+    if not isinstance(pairs, (list, tuple)) or not all(
+            isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs):
+        raise ValidationError(name, "must be a list of (x, y) pairs")
+    return tuple((_number(name, x), _number(name, y)) for x, y in pairs)
+
+
 def _all_positive(name, vals, count):
-    if len(vals) != count or any(v <= 0 for v in vals):
+    if len(vals) != count or any(not v > 0 for v in vals):
         raise ValidationError(name, f"needs {count} entries, all > 0")
 
 
 def _all_nonnegative(name, vals, count):
-    if len(vals) != count or any(v < 0 for v in vals):
+    if len(vals) != count or any(not v >= 0 for v in vals):
         raise ValidationError(name, f"needs {count} entries, all >= 0")
 
 
 def _build_config(system: dict, geometry: dict, seed: int) -> SystemConfig:
-    merged = dict(DEFAULTS)
     unknown = set(system) - set(DEFAULTS)
     if unknown:
         raise ValidationError(sorted(unknown)[0], "unknown field")
-    merged.update(system)
+    merged = {**DEFAULTS, **system}
 
-    l = merged["num_rrh"]
-    n = merged["num_ue"]
-    if not isinstance(l, int) or not isinstance(n, int):
-        raise ValidationError("num_rrh" if not isinstance(l, int) else "num_ue",
-                              "must be an integer")
+    l = _integer("num_rrh", merged["num_rrh"], 1)
+    n = _integer("num_ue", merged["num_ue"], 1)
 
-    side = geometry.get("square_side_km", DEFAULT_SQUARE_SIDE_KM)
-    if side <= 0:
+    side = _number("square_side_km", geometry.get("square_side_km", DEFAULT_SQUARE_SIDE_KM))
+    if not side > 0:
         raise ValidationError("square_side_km", "must be > 0")
     rrh_pos = geometry.get("rrh_positions")
     ue_pos = geometry.get("ue_positions")
@@ -257,11 +269,10 @@ def _build_config(system: dict, geometry: dict, seed: int) -> SystemConfig:
         fronthaul_limit=_as_tuple("fronthaul_limit", merged["fronthaul_limit"], l),
         cloud_exponent=_as_tuple("cloud_exponent", merged["cloud_exponent"], n),
         switched_capacitance=_as_tuple("switched_capacitance", merged["switched_capacitance"], n),
-        stability_epsilon=float(merged["stability_epsilon"]),
-        noise_psd_dbm_hz=float(merged["noise_psd_dbm_hz"]),
-        rrh_positions=tuple(map(tuple, rrh_pos)),
-        ue_positions=tuple(map(tuple, ue_pos)),
-        rng_seed=seed,
+        stability_epsilon=_number("stability_epsilon", merged["stability_epsilon"]),
+        noise_psd_dbm_hz=_number("noise_psd_dbm_hz", merged["noise_psd_dbm_hz"]),
+        rrh_positions=_positions("rrh_positions", rrh_pos),
+        ue_positions=_positions("ue_positions", ue_pos),
     )
 
 
@@ -272,14 +283,11 @@ def _build_tasks(spec, num_ue: int) -> list[Task]:
         raise ValidationError("tasks", f"expected {num_ue} tasks, got {len(spec)}")
     tasks = []
     for entry in spec:
-        merged = dict(DEFAULT_TASK)
         unknown = set(entry) - set(DEFAULT_TASK)
         if unknown:
             raise ValidationError(sorted(unknown)[0], "unknown task field")
-        merged.update(entry)
-        tasks.append(Task(cpu_cycles=float(merged["cpu_cycles"]),
-                          result_bits=float(merged["result_bits"]),
-                          deadline=float(merged["deadline"])))
+        merged = {**DEFAULT_TASK, **entry}
+        tasks.append(Task(**{key: _number(key, v) for key, v in merged.items()}))
     return tasks
 
 
@@ -297,7 +305,7 @@ def load_config(source) -> tuple[SystemConfig, list[Task]]:
     if not isinstance(doc, dict):
         raise ValidationError("document", "scenario must be a JSON object")
 
-    seed = int(doc.get("seed", DEFAULT_LAYOUT_SEED))
+    seed = _integer("seed", doc.get("seed", DEFAULT_LAYOUT_SEED), 0)
     config = _build_config(doc.get("system", {}), doc.get("geometry", {}), seed)
     tasks = _build_tasks(doc.get("tasks", dict(DEFAULT_TASK)), config.num_ue)
     return config, tasks

@@ -21,7 +21,7 @@ from cranopt.algorithms import (
     split_deadline_baseline,
 )
 from cranopt.cloud import solve_cloud_allocation
-from cranopt.conic import solve
+from cranopt.conic import solve, solver
 from cranopt.experiments import SweepSpec, emit_records, run_sweep
 from cranopt.ran import sinr
 from cranopt.scenario import ChannelState, Task, default_config, generate_channels, load_config
@@ -82,7 +82,11 @@ def test_criterion_1_cloud_closed_form():
            f"max relative deviation {worst:.2e}")
 
 
-def test_criterion_2_solver_oracle_equivalence():
+def test_criterion_2_solver_oracle_equivalence(monkeypatch):
+    # The rule the criterion was set under: gap 1e-8, feas 1e-8, 100 iterations.
+    monkeypatch.setattr(solver, "GAP_TOL", 1e-8)
+    monkeypatch.setattr(solver, "FEAS_TOL", 1e-8)
+    monkeypatch.setattr(solver, "MAX_ITER", 100)
     rng = np.random.default_rng(2024)
     worst = 0.0
     for _ in range(20):

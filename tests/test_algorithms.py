@@ -291,8 +291,8 @@ class TestSeparateBaseline:
         # its status comes through, with no energy since it left no rates.
         real_solve = algorithms.solve
 
-        def stopped(problem, **kw):
-            return dataclasses.replace(real_solve(problem, **kw), status="max_iterations",
+        def stopped(problem):
+            return dataclasses.replace(real_solve(problem), status="max_iterations",
                                        message="iteration limit reached")
         monkeypatch.setattr(algorithms, "solve", stopped)
         config, tasks = smallcell
@@ -307,7 +307,7 @@ class TestSeparateBaseline:
         # interior-point answer, 5.8e-9 off.
         real_solve, reports = algorithms.solve, []
         monkeypatch.setattr(algorithms, "solve",
-                            lambda problem, **kw: reports.append(real_solve(problem, **kw))
+                            lambda problem: reports.append(real_solve(problem))
                             or reports[-1])
         config, tasks = smallcell
         split_deadline_baseline(config, tasks, generate_channels(config, 51), 0.5)

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from cranopt import algorithms
 from cranopt.algorithms import mse
-from cranopt.conic import build
+from cranopt.conic import build, solver
 from cranopt.conic import (
     build_power_min_socp,
     build_wmmse_step_socp,
@@ -16,6 +15,37 @@ from cranopt.ran import BeamformerSet, amplitudes, rate, rrh_power, ue_power
 from cranopt.scenario import ChannelState, default_config, generate_channels
 
 
+@pytest.fixture(autouse=True, scope="module")
+def stopping_rule():
+    """The rule these tests were written for: gap 1e-8, feas 1e-8, 100 iterations."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "GAP_TOL", 1e-8)
+        mp.setattr(solver, "FEAS_TOL", 1e-8)
+        mp.setattr(solver, "MAX_ITER", 100)
+        yield
+
+
+def power_min(channels, rate_floors, bandwidths, power_limits, **given):
+    """`build_power_min_socp` with unit weights, no fronthaul rows and the
+    full support, unless `given`."""
+    n, l = channels.num_ue, channels.num_rrh
+    inputs = dict(objective_weights=np.ones(n), rho=None, frozen_rates=None,
+                  fronthaul_limits=None, support=np.ones((n, l), bool))
+    return build_power_min_socp(channels, rate_floors, bandwidths, power_limits,
+                                **(inputs | given))
+
+
+def wmmse_step(channels, mse_weights, receivers, objective_weights, power_limits,
+               **given):
+    """`build_wmmse_step_socp` with no rate floors, no fronthaul rows and the
+    full support, unless `given`."""
+    n, l = channels.num_ue, channels.num_rrh
+    inputs = dict(rate_floors=np.zeros(n), bandwidths=np.full(n, 1e7), rho=None,
+                  frozen_rates=None, fronthaul_limits=None, support=np.ones((n, l), bool))
+    return build_wmmse_step_socp(channels, mse_weights, receivers, objective_weights,
+                                 power_limits, **(inputs | given))
+
+
 def single_link_channels(gain, sigma2=1e-6):
     return ChannelState(gains=np.array([[[math.sqrt(gain)]]], dtype=complex),
                         noise_power=np.array([sigma2]))
@@ -24,7 +54,7 @@ def single_link_channels(gain, sigma2=1e-6):
 class TestPowerMinStructure:
     def test_minimal_problem_structure(self):
         ch = single_link_channels(1e-8)
-        problem = build_power_min_socp(
+        problem = power_min(
             ch, rate_floors=[2e4], bandwidths=[1e7], power_limits=[1.0],
             rho=np.array([[1.0]]), frozen_rates=np.array([1.0]),
             fronthaul_limits=[1e7])
@@ -38,24 +68,25 @@ class TestPowerMinStructure:
         n, l, k = 3, 2, 2
         gains = rng.standard_normal((n, l, k)) + 1j * rng.standard_normal((n, l, k))
         ch = ChannelState(gains=1e-4 * gains, noise_power=np.full(n, 1e-6))
-        problem = build_power_min_socp(ch, rate_floors=[1e4] * n,
-                                       bandwidths=[1e7] * n,
-                                       power_limits=[1.0] * l)
+        problem = power_min(ch, rate_floors=[1e4] * n, bandwidths=[1e7] * n,
+                            power_limits=[1.0] * l)
         assert problem.num_vars == 2 * n * l * k
         assert problem.cones == ((("soc", 1 + 2 * n * k),) * l
                                  + (("soc", 2 + 2 * n),) * n)
 
 
 class TestUnpinnedRateFloors:
-    def test_power_min_step_meets_floors_with_real_amplitudes(self):
+    def test_power_min_step_meets_floors_with_real_amplitudes(self, monkeypatch):
         # Rotating stream i changes no power, so the minimum of the unpinned
         # step has a real m_ii, and the SOC on Re(m_ii) meets each floor.
+        # Solved under the package's rule, as the algorithms solve it.
+        monkeypatch.setattr(solver, "FEAS_TOL", 1e-7)
+        monkeypatch.setattr(solver, "MAX_ITER", 200)
         config, tasks = default_config()
         channels = generate_channels(config, 42)
         floors = np.array([t.result_bits / (0.5 * t.deadline) for t in tasks])
-        problem = build_power_min_socp(channels, floors, config.bandwidth,
-                                       config.rrh_power_limit)
-        report = solve(problem, **algorithms.SOLVE_KW)
+        problem = power_min(channels, floors, config.bandwidth, config.rrh_power_limit)
+        report = solve(problem)
         assert report.optimal
         beams = BeamformerSet(extract_beamformers(
             report.x, np.ones((config.num_ue, config.num_rrh), bool),
@@ -74,9 +105,8 @@ class TestBeamformerLayout:
         support = np.array([[True, True], [False, False], [True, False]])
         gains = rng.standard_normal((n, l, k)) + 1j * rng.standard_normal((n, l, k))
         ch = ChannelState(gains=1e-4 * gains, noise_power=np.full(n, 1e-6))
-        problem = build_power_min_socp(ch, rate_floors=[1e4] * n,
-                                       bandwidths=[1e7] * n,
-                                       power_limits=[1.0] * l, support=support)
+        problem = power_min(ch, rate_floors=[1e4] * n, bandwidths=[1e7] * n,
+                            power_limits=[1.0] * l, support=support)
         v = rng.standard_normal((n, l, k)) + 1j * rng.standard_normal((n, l, k))
         x = np.zeros(problem.num_vars)
         for p, (i, j) in enumerate(np.argwhere(support)):
@@ -100,13 +130,15 @@ class TestBeamformerLayout:
 
 
 class TestPowerMinSingleUser:
-    def test_closed_form_optimal_power(self):
+    def test_closed_form_optimal_power(self, monkeypatch):
         # Min power for a floor R inverts the rate curve: (2^(R/B)-1) sigma^2/g.
+        monkeypatch.setattr(solver, "GAP_TOL", 1e-10)
+        monkeypatch.setattr(solver, "FEAS_TOL", 1e-10)
         for gain, limit in [(1e-8, 1.0), (1e-10, 100.0)]:
             ch = single_link_channels(gain)
-            problem = build_power_min_socp(ch, rate_floors=[2e4],
-                                           bandwidths=[1e7], power_limits=[limit])
-            report = solve(problem, gap_tol=1e-10, feas_tol=1e-10)
+            problem = power_min(ch, rate_floors=[2e4], bandwidths=[1e7],
+                                power_limits=[limit])
+            report = solve(problem)
             assert report.optimal
             v = extract_beamformers(report.x, np.ones((1, 1), bool), 1)
             power = float(np.sum(np.abs(v) ** 2))
@@ -118,8 +150,7 @@ class TestPowerMinSingleUser:
         ch = single_link_channels(1e-10)
         need = (2 ** (2e4 / 1e7) - 1.0) * 1e-6 / 1e-10
         assert need > 1.0
-        problem = build_power_min_socp(ch, rate_floors=[2e4], bandwidths=[1e7],
-                                       power_limits=[1.0])
+        problem = power_min(ch, rate_floors=[2e4], bandwidths=[1e7], power_limits=[1.0])
         report = solve(problem)
         assert report.status == "infeasible"
 
@@ -130,8 +161,8 @@ class TestWmmseStep:
         n, l, k = 2, 2, 2
         gains = rng.standard_normal((n, l, k)) + 1j * rng.standard_normal((n, l, k))
         ch = ChannelState(gains=1e-4 * gains, noise_power=np.full(n, 1e-6))
-        problem = build_wmmse_step_socp(ch, [1.0, 1.0], [0.1 + 0j, 0.1 + 0j],
-                                        [1.0, 1.0], power_limits=[1.0] * l)
+        problem = wmmse_step(ch, [1.0, 1.0], [0.1 + 0j, 0.1 + 0j], [1.0, 1.0],
+                             power_limits=[1.0] * l)
         # Beamformer reals only: power and MSE live in the objective.
         assert problem.num_vars == 2 * n * l * k
         assert problem.cones == (("soc", 1 + 2 * n * k),) * l
@@ -141,20 +172,22 @@ class TestWmmseStep:
         n, l, k = 2, 2, 2
         gains = rng.standard_normal((n, l, k)) + 1j * rng.standard_normal((n, l, k))
         ch = ChannelState(gains=1e-4 * gains, noise_power=np.full(n, 1e-6))
-        problem = build_wmmse_step_socp(ch, [0.0, 0.0], [0.1 + 0j, 0.1 + 0j],
-                                        [1.0, 1.0], power_limits=[1.0] * l)
+        problem = wmmse_step(ch, [0.0, 0.0], [0.1 + 0j, 0.1 + 0j], [1.0, 1.0],
+                             power_limits=[1.0] * l)
         report = solve(problem)
         assert report.optimal
         v = extract_beamformers(report.x, np.ones((n, l), bool), k)
         assert np.max(np.abs(v)) < 1e-4
 
-    def test_single_user_analytic_minimizer(self):
+    def test_single_user_analytic_minimizer(self, monkeypatch):
         # phi (|u v|^2 - 2 Re(u* v) + 1) + w |v|^2 peaks at v = phi u/(phi u^2 + w).
+        monkeypatch.setattr(solver, "GAP_TOL", 1e-10)
+        monkeypatch.setattr(solver, "FEAS_TOL", 1e-10)
         phi, u, w = 2.0, 0.6, 0.5
         ch = ChannelState(gains=np.array([[[1.0]]], dtype=complex),
                           noise_power=np.array([1.0]))
-        problem = build_wmmse_step_socp(ch, [phi], [u], [w], power_limits=[100.0])
-        report = solve(problem, gap_tol=1e-10, feas_tol=1e-10)
+        problem = wmmse_step(ch, [phi], [u], [w], power_limits=[100.0])
+        report = solve(problem)
         assert report.optimal
         v = extract_beamformers(report.x, np.ones((1, 1), bool), 1)[0, 0, 0]
         v_star = phi * u / (phi * u ** 2 + w)
@@ -179,8 +212,8 @@ class TestQuadraticObjective:
         phi = np.array([1.5, 0.0, 0.7])
         u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         w = rng.uniform(0.1, 2.0, n)
-        problem = build_wmmse_step_socp(ch, phi, u, w, power_limits=[1.0] * l,
-                                        rate_floors=[1e4] * n, bandwidths=[1e7] * n)
+        problem = wmmse_step(ch, phi, u, w, power_limits=[1.0] * l,
+                             rate_floors=[1e4] * n, bandwidths=[1e7] * n)
         support = np.ones((n, l), bool)
         for _ in range(5):
             x = 1e-2 * rng.standard_normal(problem.num_vars)
@@ -195,12 +228,12 @@ class TestQuadraticObjective:
         n, l, k = 3, 2, 2
         ch = random_channels(rng, n, l, k)
         if builder == "power_min":
-            problem = build_power_min_socp(ch, rate_floors=[1e4] * n,
-                                           bandwidths=[1e7] * n, power_limits=[1.0] * l,
-                                           objective_weights=rng.uniform(0.1, 2.0, n))
+            problem = power_min(ch, rate_floors=[1e4] * n, bandwidths=[1e7] * n,
+                                power_limits=[1.0] * l,
+                                objective_weights=rng.uniform(0.1, 2.0, n))
         else:
-            problem = build_wmmse_step_socp(ch, [1.0, 2.0, 0.5], [0.3, 0.2j, -0.1],
-                                            [0.5, 1.0, 0.1], power_limits=[1.0] * l)
+            problem = wmmse_step(ch, [1.0, 2.0, 0.5], [0.3, 0.2j, -0.1],
+                                 [0.5, 1.0, 0.1], power_limits=[1.0] * l)
         P = problem.P
         assert P.shape == (problem.num_vars, problem.num_vars)
         assert np.array_equal(P, P.T)

@@ -10,6 +10,16 @@ from hypothesis import given, settings, strategies as st
 from cranopt.conic import ConicProblem, SolverError, solve, solver
 
 
+@pytest.fixture(autouse=True, scope="module")
+def stopping_rule():
+    """The rule these tests were written for: gap 1e-8, feas 1e-8, 100 iterations."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "GAP_TOL", 1e-8)
+        mp.setattr(solver, "FEAS_TOL", 1e-8)
+        mp.setattr(solver, "MAX_ITER", 100)
+        yield
+
+
 def conic(c, G, h, cones, P=None):
     """Problem data for min x'Px/2 + c'x s.t. G x + s = h, s in `cones`."""
     c = np.asarray(c, dtype=float)
@@ -126,7 +136,7 @@ class TestQuadraticObjective:
             cones = solver._Cones([("soc", d + 1)])
             x0 = 0.99 * p / np.linalg.norm(p)
             polished = solver._polish(np.eye(d), -p, solver._ConeRows(G, cones), h, x0,
-                                      np.zeros(d + 1), 1e-8)
+                                      np.zeros(d + 1))
             assert polished is not None
             x, z = polished
             assert x == pytest.approx(p / np.linalg.norm(p), abs=1e-13)
@@ -134,10 +144,10 @@ class TestQuadraticObjective:
 
     def test_polish_rejects_a_negative_multiplier(self):
         # min (x - 0.5)^2 / 2 s.t. x <= 1, started with the bound active: held
-        # on the boundary, stationarity needs nu = -0.5 < -feas_tol.
+        # on the boundary, stationarity needs nu = -0.5 < -FEAS_TOL.
         cones = solver._Cones([NONNEG])
         assert solver._polish(np.eye(1), np.array([-0.5]), solver._ConeRows(np.eye(1), cones),
-                              np.ones(1), np.array([0.99]), np.ones(1), 1e-8) is None
+                              np.ones(1), np.array([0.99]), np.ones(1)) is None
 
     def test_rejected_polish_reports_the_last_iterate(self, monkeypatch):
         # With no Newton step allowed the polish never settles; the answer is
@@ -268,11 +278,12 @@ class TestRandomAgainstOracle:
             oracle = brute_force_oracle(c, cons, n)
             assert report.primal_objective == pytest.approx(oracle, abs=1e-4)
 
-    def test_iteration_limit_reports_the_last_iterate(self):
+    def test_iteration_limit_reports_the_last_iterate(self, monkeypatch):
         # Seed 7's third iterate scores worse than its second; an exit at the
         # iteration limit still reports the iterate the loop stopped on.
+        monkeypatch.setattr(solver, "MAX_ITER", 3)
         prob, _, _ = random_socp(np.random.default_rng(7), 3)
-        report = solve(prob, gap_tol=1e-8, feas_tol=1e-8, max_iter=3)
+        report = solve(prob)
         assert report.status == "max_iterations" and len(report.trace) == 3
         last = report.trace[-1]
         assert (report.duality_gap, report.primal_residual, report.dual_residual) == (
@@ -317,13 +328,15 @@ class TestEmbedding:
         v = report.x[:2] + 1j * report.x[2:4]
         assert v == pytest.approx(np.array([1.0, 0.0]), abs=1e-6)
 
-    def test_min_norm_closed_form(self):
+    def test_min_norm_closed_form(self, monkeypatch):
         # min ||v||^2 s.t. Re(h^H v) >= 1 has optimum 1/||h||^2.
+        monkeypatch.setattr(solver, "GAP_TOL", 1e-10)
+        monkeypatch.setattr(solver, "FEAS_TOL", 1e-10)
         rng = np.random.default_rng(9)
         for _ in range(10):
             k = int(rng.integers(1, 5))
             h = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-            report = solve(min_norm_problem(h, 1.0), gap_tol=1e-10, feas_tol=1e-10)
+            report = solve(min_norm_problem(h, 1.0))
             assert report.optimal
             expect = 1.0 / np.linalg.norm(h) ** 2
             assert report.primal_objective == pytest.approx(expect, rel=1e-8,

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -53,6 +54,13 @@ class TestSweepSpec:
     def test_unknown_param(self):
         with pytest.raises(ValidationError):
             SweepSpec(param="Q", grid=(1.0,), methods=("joint",), seeds=(1,))
+
+    def test_nan_grid_value_is_refused(self):
+        # NaN compares false both ways, so the grid passes its order check;
+        # the scenario it makes must not.
+        with pytest.raises(ValidationError) as err:
+            SweepSpec(param="F", grid=(1000.0, math.nan), methods=("joint",), seeds=(1,))
+        assert err.value.fieldname == "cpu_cycles"
 
     def test_user_count_must_be_whole(self):
         with pytest.raises(ValidationError) as err:
@@ -146,6 +154,19 @@ class TestRunSweep:
         assert by_value[0.001].energy_total_j is None
         assert by_value[0.1].status == "optimal"
 
+    def test_worker_pool_gives_the_serial_records(self):
+        # Two points on two worker processes, against the same sweep run in
+        # this process.
+        spec = SweepSpec(param="F", grid=(1000.0, 2000.0), methods=("separate:0.5",),
+                         seeds=(1,), scenario=light_scenario())
+
+        def without_wall_time(records):
+            return [{k: v for k, v in asdict(r).items() if k != "wall_ms"} for r in records]
+
+        pooled = without_wall_time(run_sweep(spec, workers=2))
+        assert len(pooled) == 2 and all(r["status"] == "optimal" for r in pooled)
+        assert pooled == without_wall_time(run_sweep(spec, workers=1))
+
 
 @pytest.fixture(scope="module")
 def records():
@@ -232,6 +253,22 @@ class TestCli:
         result = self.run_cli("run", "--config", str(SCENARIO),
                               "--method", "wat", "--seed", "1")
         assert result.returncode == 2
+
+    @pytest.mark.parametrize("field,doc", [
+        ("cpu_cycles", '{"tasks": {"cpu_cycles": null}}'),
+        ("cpu_cycles", '{"tasks": {"cpu_cycles": NaN}}'),
+        ("rrh_power_limit", '{"system": {"rrh_power_limit": null}}'),
+        ("seed", '{"seed": null}'),
+        ("num_rrh", '{"system": {"num_rrh": true}}'),
+        ("square_side_km", '{"geometry": {"square_side_km": "x"}}'),
+    ])
+    def test_malformed_number_is_config_error(self, tmp_path, field, doc):
+        config = tmp_path / "bad.json"
+        config.write_text(doc)
+        result = self.run_cli("run", "--config", str(config), "--method",
+                              "separate:0.5", "--seed", "1")
+        assert result.returncode == 2, result.stderr
+        assert f"configuration error: {field}:" in result.stderr
 
     def test_sweep_writes_outputs(self, tmp_path):
         config = tmp_path / "mini.json"

@@ -3,14 +3,14 @@
 A fixed-seed sweep is byte-identical between runs on one numpy/BLAS stack
 (`emit_records(..., stable_timing=True)`), but its lowest printed digits move
 between stacks: the interior-point method stops at a relative duality gap of
-`SOLVE_KW["gap_tol"]`, so energies below that fraction of the row's energy are
-not determined by the solver. The golden contract is therefore:
+`cranopt.conic.solver.GAP_TOL`, so energies below that fraction of the row's
+energy are not determined by the solver. The golden contract is therefore:
 
 - the header, the row count and the row order match exactly;
 - every column that is not an energy (keys, iterations, status, wall_ms,
   n_ok, n_failed) matches exactly;
 - an empty energy cell stays empty;
-- every other energy cell is within `gap_tol` times the row's energy scale
+- every other energy cell is within `GAP_TOL` times the row's energy scale
   (`energy_total_j` in records.csv, `energy_mean_j` in summary.csv).
 
 The checks below need no solver: they mutate text copies of the golden and
@@ -23,11 +23,11 @@ from pathlib import Path
 
 import pytest
 
-from cranopt.algorithms import SOLVE_KW
+from cranopt.conic.solver import GAP_TOL
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_FILES = ("records.csv", "summary.csv")
-ENERGY_REL_TOL = SOLVE_KW["gap_tol"]
+ENERGY_REL_TOL = GAP_TOL
 SCALE_COLUMN = {"records.csv": "energy_total_j", "summary.csv": "energy_mean_j"}
 KEY_COLUMNS = ("seed", "method", "value")
 

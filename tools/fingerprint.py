@@ -6,8 +6,8 @@ Usage, from the root of a checkout:
     python3 tools/fingerprint.py OUT.json [--tree DIR]
     python3 tools/fingerprint.py --compare OLD.json NEW.json
 
-The first form runs ``joint`` and ``separate:0.5`` on 54 points of
-``scenarios/smallcell.json`` (108 runs) with one BLAS thread:
+The first form runs ``joint`` and ``separate:0.5`` on 64 points of
+``scenarios/smallcell.json`` (128 runs) with one BLAS thread:
 
 - stock cell at F in {1000, 1500, 2000}, seeds 42-44
 - 8 RRHs x 2 antennas x 8 UEs, fronthaul 1e9, at F = 1000, seeds 42-43
@@ -16,6 +16,9 @@ The first form runs ``joint`` and ``separate:0.5`` on 54 points of
 - fronthaul at C/30 (1e7/30) and at C/100 (1e5) at F = 1500, seeds 42-45
 - 2 RRHs x 1 antenna (more UEs than antennas) at F = 1500, seeds 42-51 and 58
 - RRH power at P/100 (1e-2) at F = 1500, seeds 42-51 and 60
+- 4 RRHs x 2 antennas x 10 UEs (more UEs than antennas) at F = 1500, seeds 42-43
+- deadline T = 2 ms (F/f_max = 1.5 ms) at F = 1500, seeds 42-45
+- UEs 1 and 3 of five with no result bits (D = 0) at F = 1500, seeds 42-45
 
 Seeds 58 and 60 hold one energy for many rounds, so the BCD's settle rule
 decides their status and round count.
@@ -47,21 +50,33 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 METHODS = ("joint", "separate:0.5")
-# (cell, overrides of the scenario's "system" block, task sizes F, seeds)
+# (cell, overrides of the scenario's "system" block, overrides of its "tasks"
+# block (a list gives one entry per UE), task sizes F, seeds)
 CELLS = (
-    ("stock", {}, (1000.0, 1500.0, 2000.0), (42, 43, 44)),
-    ("8x2x8", {"num_rrh": 8, "num_ue": 8, "fronthaul_limit": 1e9}, (1000.0,), (42, 43)),
-    ("8x2x12", {"num_rrh": 8, "num_ue": 12, "fronthaul_limit": 1e9}, (1500.0,), (42,)),
-    ("C/10", {"fronthaul_limit": 1e6}, (1000.0, 1500.0, 2000.0), (42, 43, 44, 45)),
-    ("C/30", {"fronthaul_limit": 1e7 / 30}, (1500.0,), (42, 43, 44, 45)),
-    ("C/100", {"fronthaul_limit": 1e5}, (1500.0,), (42, 43, 44, 45)),
-    ("2x1x5", {"num_rrh": 2, "antennas_per_rrh": 1}, (1500.0,), (*range(42, 52), 58)),
-    ("P/100", {"rrh_power_limit": 1e-2}, (1500.0,), (*range(42, 52), 60)),
+    ("stock", {}, {}, (1000.0, 1500.0, 2000.0), (42, 43, 44)),
+    ("8x2x8", {"num_rrh": 8, "num_ue": 8, "fronthaul_limit": 1e9}, {}, (1000.0,), (42, 43)),
+    ("8x2x12", {"num_rrh": 8, "num_ue": 12, "fronthaul_limit": 1e9}, {}, (1500.0,), (42,)),
+    ("C/10", {"fronthaul_limit": 1e6}, {}, (1000.0, 1500.0, 2000.0), (42, 43, 44, 45)),
+    ("C/30", {"fronthaul_limit": 1e7 / 30}, {}, (1500.0,), (42, 43, 44, 45)),
+    ("C/100", {"fronthaul_limit": 1e5}, {}, (1500.0,), (42, 43, 44, 45)),
+    ("2x1x5", {"num_rrh": 2, "antennas_per_rrh": 1}, {}, (1500.0,), (*range(42, 52), 58)),
+    ("P/100", {"rrh_power_limit": 1e-2}, {}, (1500.0,), (*range(42, 52), 60)),
+    ("4x2x10", {"num_ue": 10}, {}, (1500.0,), (42, 43)),
+    ("T=2ms", {}, {"deadline": 2e-3}, (1500.0,), (42, 43, 44, 45)),
+    ("D=0 mix", {}, [{}, {"result_bits": 0.0}, {}, {"result_bits": 0.0}, {}],
+     (1500.0,), (42, 43, 44, 45)),
 )
 AMPLIFYING_CELLS = ("C/10", "C/30", "C/100", "2x1x5", "P/100")
 # The probe's source: (cell, F, seed, method) and the index of its conic call.
 PROBE_RUN, PROBE_CALL = ("2x1x5", 1500.0, 45, "joint"), 1
 PROBE_COPIES = 30
+
+
+def _tasks(base: dict, overrides, cycles: float):
+    """The scenario's "tasks" block with a cell's overrides and task size F."""
+    if isinstance(overrides, list):
+        return [dict(base, **entry, cpu_cycles=cycles) for entry in overrides]
+    return dict(base, **overrides, cpu_cycles=cycles)
 
 
 def run_grid(tree: Path) -> tuple[list[dict], list[list]]:
@@ -84,11 +99,11 @@ def run_grid(tree: Path) -> tuple[list[dict], list[list]]:
     algorithms.solve = recorded
     runs, probe_call = [], None
     try:
-        for cell, system, sizes, seeds in CELLS:
+        for cell, system, tasks, sizes, seeds in CELLS:
             for value in sizes:
                 for seed in seeds:
                     doc = dict(base, system=dict(base["system"], **system),
-                               tasks=dict(base["tasks"], cpu_cycles=value))
+                               tasks=_tasks(base["tasks"], tasks, value))
                     for method in METHODS:
                         calls.clear()
                         record = experiments.run_single(doc, method, seed, "F", value)

@@ -113,6 +113,11 @@ def build_wmmse_step_socp(channels, mse_weights, receivers, objective_weights,
     nv = 2 * k * int(support.sum())
     cols = _pair_columns(support, k)
     floored = served & (np.asarray(rate_floors, dtype=float) > 0)
+    # An MSE term couples only the columns of one stream, so P is
+    # block-diagonal by stream, and a stream's columns are consecutive.
+    width = 2 * k * support.sum(axis=1)
+    streams = [(s, slice(end - w, end)) for s, (w, end) in enumerate(zip(width, np.cumsum(width)))
+               if w]
 
     blocks = [_pairs_norm_le(nv, cols[support[:, j], j], k, float(np.sqrt(power_limits[j])))
               for j in range(l) if support[:, j].any()]
@@ -128,7 +133,9 @@ def build_wmmse_step_socp(channels, mse_weights, receivers, objective_weights,
         if active[i]:
             # e_i = |u~|^2 (sum_k |m~_ik|^2 + 1) - 2 Re(u~* m~_ii) + 1, u~ = sigma u.
             ut = sigma[i] * u[i]
-            quad += (2.0 * phi[i] * abs(ut) ** 2) * (entries.T @ entries)
+            weight = 2.0 * phi[i] * abs(ut) ** 2
+            for s, cs in streams:
+                quad[cs, cs] += weight * (rows[s, :, cs].T @ rows[s, :, cs])
             c -= (2.0 * phi[i]) * (ut.real * rows[i, 0] + ut.imag * rows[i, 1])
             const += phi[i] * (abs(ut) ** 2 + 1.0)
         elif phi[i] > 0.0:

@@ -19,10 +19,15 @@ rank-one update per block (see `_Scaling`), as in CVXOPT and ECOS.  Each
 Newton system is reduced to a definite system H x = r with
 H = P + G'W^{-2} G.  G is read once per solve from its nonzeros
 (`_ConeRows`): H is P, a weighted sum of each block's fixed tail Gram and
-the products of a few rows per block, with no dense product over G.  H is
-Cholesky-factored as L L' and L is inverted once; each solve applies G and
-W^{-1} to vectors and inv(L)'inv(L), refines once against H, and corrects
-the stationarity rows once against the full system (`_KktSolver`).
+the products of two rows per block, with no dense product over G.  P and
+the tail Grams couple only the columns within the blocks of a partition of
+the columns into consecutive ranges, so H is a block-diagonal B plus rank
+rows.  B's blocks are Cholesky-factored together and the rank rows are
+added in two Woodbury stages with definite capacitances; a problem too
+small for that to pay is one dense block (`_factor_blocks`).  Each solve
+applies G and W^{-1} to vectors and the factors, refines once against H,
+and corrects the stationarity rows once against the full system
+(`_KktSolver`).
 
 An optimal answer is then polished by Newton's method on the KKT system of
 its active cone blocks, which the interior-point iterate only approaches as
@@ -308,17 +313,26 @@ def _ruiz_equilibrate(c, P, G, h, cones):
 # The rows of G by cone block.
 
 
+def _column_blocks(n, lo, hi):
+    """Ends of the finest partition of range(n) into consecutive ranges that
+    no span lo[i]..hi[i] (lo[i] <= hi[i]) crosses."""
+    reach = np.arange(n)
+    np.maximum.at(reach, lo, hi)
+    return np.flatnonzero(np.maximum.accumulate(reach) == np.arange(n)) + 1
+
+
 class _ConeRows:
     """G read by cone block, from its nonzero pattern, once per solve.
 
     Block k has head row g0 (``heads[k]``) and tail rows G1.  The KKT
     matrix and the polish Hessian need each block's tail Gram G1'G1, which
-    is fixed during a solve, and per-block sums u1'G1 of the tail rows.  The
-    Grams are kept on the upper triangle of the union of their nonzero
-    patterns (flat indices ``pattern``), one row of ``grams`` per block with
-    a tail: a tail row with k nonzeros adds its k x k outer product, and
-    rows with equal k are batched, so the set-up costs the sum over tail
-    rows of k^2 / 2 products.
+    is fixed during a solve, and per-block sums u1'G1 of the tail rows.
+    ``ends`` is the finest partition of the columns into consecutive ranges
+    that no tail row crosses, so every tail Gram lies on the diagonal blocks
+    of that partition.  The Grams are kept on all entries of those blocks
+    (flat indices ``pattern`` of an n x n matrix), one row of ``grams`` per
+    block with a tail: a tail row with k nonzeros adds its k x k outer
+    product, and rows with equal k are batched.
     """
 
     def __init__(self, G, cones):
@@ -330,35 +344,31 @@ class _ConeRows:
         self._rows, cols, self._vals = rows[in_tail], cols[in_tail], vals[in_tail]
         self._block_col = cones.owner[self._rows] * n + cols
         self._with_tail = cones.dims > 1
-        block = (np.cumsum(self._with_tail) - 1)[cones.owner[self._rows]]
         first = _runs(self._rows)[0]
         count = np.diff(first, append=self._rows.size)
-        # Batch the rows by their number k of nonzeros.  Per batch: each
-        # distinct column set once, which set each row has, its block and
-        # its outer product.
-        batches = []
-        for k in np.flatnonzero(np.bincount(count)):   # np.unique would load numpy.ma
+        self.ends = _column_blocks(n, cols[first], cols[first + count - 1])
+        self.in_tail = np.bincount(cols, minlength=n) > 0
+        self.live = np.flatnonzero(self.heads.any(axis=1))   # blocks with a nonzero head row
+        sizes = np.diff(self.ends, prepend=0)
+        # Entry (i, j) of a block is at base + off[i] * width + off[j] in
+        # ``pattern``, with off the offset of a column in its block, width
+        # the block's size and base its first entry.
+        first_col, width = np.repeat(self.ends - sizes, sizes), np.repeat(sizes, sizes)
+        off = np.arange(n) - first_col
+        base = np.repeat(np.cumsum(sizes ** 2) - sizes ** 2, sizes)
+        self.pattern = np.flatnonzero(first_col[:, None] == first_col)
+        block = (np.cumsum(self._with_tail) - 1)[cones.owner[self._rows]] * self.pattern.size
+        slots, products = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
+        for k in np.flatnonzero(np.bincount(count)):
             start = first[count == k]
-            entries = start[:, None] + np.arange(k)
-            sets, which = np.unique(cols[entries].view(f"V{cols.itemsize * k}"), return_inverse=True)
-            sets = sets.view(cols.dtype).reshape(-1, k)
-            v = self._vals[entries]
-            i, j = np.triu_indices(k)
-            batches.append((sets[:, i] * n + sets[:, j], which.ravel(), block[start],
-                            (v[:, i] * v[:, j]).ravel()))
-        used = np.zeros(n * n, dtype=bool)
-        for pairs, *_ in batches:
-            used[pairs] = True
-        self.pattern = np.flatnonzero(used)
-        row, col = np.divmod(self.pattern, n)
-        self._off = row != col
-        self._lower = (col * n + row)[self._off]
-        size, ntail = self.pattern.size, np.count_nonzero(self._with_tail)
-        slots = [(owner[:, None] * size + np.searchsorted(self.pattern, pairs)[which]).ravel()
-                 for pairs, which, owner, _ in batches]
-        self.grams = np.bincount(np.concatenate([np.zeros(0, dtype=np.intp), *slots]),
-                                 weights=np.concatenate([np.zeros(0), *(b[3] for b in batches)]),
-                                 minlength=ntail * size).reshape(ntail, size)
+            c = cols[start[:, None] + np.arange(k)]
+            v = self._vals[start[:, None] + np.arange(k)]
+            slots.append((block[start, None, None] + (base[c] + off[c] * width[c])[:, :, None]
+                          + off[c][:, None, :]).ravel())
+            products.append((v[:, :, None] * v[:, None, :]).ravel())
+        self.grams = np.bincount(np.concatenate(slots), weights=np.concatenate(products),
+                                 minlength=np.count_nonzero(self._with_tail) * self.pattern.size
+                                 ).reshape(-1, self.pattern.size)
 
     def tail_sums(self, u):
         """(K, n) array of u1'G1 per block."""
@@ -366,11 +376,9 @@ class _ConeRows:
         return np.bincount(self._block_col, weights=u[self._rows] * self._vals,
                            minlength=k * n).reshape(k, n)
 
-    def add_grams(self, H, weights):
-        """H += sum_k weights[k] G1_k'G1_k, in place, for a C-contiguous H."""
-        upper, flat = weights[self._with_tail] @ self.grams, H.reshape(-1)
-        flat[self.pattern] += upper
-        flat[self._lower] += upper[self._off]
+    def gram_sum(self, weights):
+        """sum_k weights[k] G1_k'G1_k on the entries ``pattern``."""
+        return weights[self._with_tail] @ self.grams
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +446,7 @@ def _boundary_newton(P, c, rows, h, active, x, nu):
         weight = np.where(cones.dims > 1, nu_all / norm1, 0.0)
         g1u = rows.tail_sums(u)[active]
         hess = P - (g1u * weight[active, None]).T @ g1u
-        rows.add_grams(hess, weight)
+        hess.reshape(-1)[rows.pattern] += rows.gram_sum(weight)
         grads = g1u + rows.heads[active]
         # With hess + REG I definite, the -REG I block keeps the bordered
         # matrix nonsingular even when the active gradients are dependent.
@@ -457,29 +465,63 @@ def _boundary_newton(P, c, rows, h, active, x, nu):
 # KKT assembly and solution.
 
 
+def _t(a):
+    """The transpose of each matrix in a stack."""
+    return np.swapaxes(a, -1, -2)
+
+
 def _chol_inv(H):
     """inv(L) for the Cholesky factor L of a definite H = L L', by halves.
 
-    With H = [[A, B'], [B, C]], A = L1 L1', M = B inv(L1)' and
-    C - M M' = L2 L2': L = [[L1, 0], [M, L2]], and
+    H may be a stack of matrices of one size, factored together.  With
+    H = [[A, B'], [B, C]], A = L1 L1', M = B inv(L1)' and C - M M' = L2 L2':
+    L = [[L1, 0], [M, L2]], and
     inv(L) = [[inv(L1), 0], [-inv(L2) M inv(L1), inv(L2)]].  Blocks of at
     most 32 rows go to np.linalg.cholesky, which raises
     np.linalg.LinAlgError on one that is not definite, and to np.linalg.inv.
     The rest is matrix products, which from about 128 rows up take less time
     than np.linalg.cholesky alone takes on the whole of H.
     """
-    n = H.shape[0]
+    n = H.shape[-1]
     if n <= 32:
         return np.linalg.inv(np.linalg.cholesky(H))
     k = n // 2
-    a_inv = _chol_inv(H[:k, :k])
-    m = H[k:, :k] @ a_inv.T
-    c_inv = _chol_inv(H[k:, k:] - m @ m.T)
+    a_inv = _chol_inv(H[..., :k, :k])
+    m = H[..., k:, :k] @ _t(a_inv)
+    c_inv = _chol_inv(H[..., k:, k:] - m @ _t(m))
     out = np.zeros_like(H)
-    out[:k, :k] = a_inv
-    out[k:, k:] = c_inv
-    out[k:, :k] = -c_inv @ (m @ a_inv)
+    out[..., :k, :k] = a_inv
+    out[..., k:, k:] = c_inv
+    out[..., k:, :k] = -c_inv @ (m @ a_inv)
     return out
+
+
+def _factor_blocks(P, rows):
+    """The sizes of the diagonal blocks of B that `_KktSolver` factors.
+
+    That is the finest partition of the columns into consecutive ranges that
+    P and every tail row respect, when factoring by those blocks pays, and
+    one block of all n columns otherwise (the size rule).  B must also be
+    definite by itself, so every column must lie in a tail row or on P's
+    diagonal.  The block form costs about p b^3 + n r (b + r) flops for p
+    blocks of at most b columns and r rank rows, against n^3 for one dense
+    factor, plus a fixed numpy overhead.  Measured on the builders' problems
+    (blocks of 16 or 32 columns), one interior-point iteration by blocks
+    takes 0.62x the dense time at n = 256, 0.81x at n = 128, 0.93-0.96x at
+    n = 80 and 1.15x at n = 20 with blocks of 4; below n = 128 the dense
+    factor is kept.
+    """
+    n = P.shape[0]
+    if n < 128 or not (rows.in_tail | (np.diag(P) != 0)).all():
+        return np.array([n])
+    pr, pc, _ = _nonzeros(P)
+    ends = _column_blocks(n, np.concatenate([rows.ends - np.diff(rows.ends, prepend=0), pr]),
+                          np.concatenate([rows.ends - 1, pc]))
+    sizes = np.diff(ends, prepend=0)
+    width, rank = sizes.max(), rows.cones.degree + rows.live.size
+    if sizes.size * width ** 3 + n * rank * (width + rank) > n ** 3 / 4:
+        return np.array([n])
+    return sizes
 
 
 class _KktSolver:
@@ -487,18 +529,32 @@ class _KktSolver:
 
     The cone rows give W z = W^{-1}(G x - rz).  What remains is
     H x = rx + Ghat'W^{-1} rz for H = P + Ghat'Ghat, Ghat = W^{-1} G, which
-    `factor` shifts by REG I and Cholesky-factors once, as H + REG I = L L'.
-    Ghat is never formed.  With u and beta of block k's scaling, head row
-    g0 and tail rows G1, t = u1'G1, v0 = (u0 - 1) g0 - t and
-    v1 = t/|u1| - |u1| (g0 - t/u0):
+    `factor` shifts by REG I.  Ghat is never formed.  With the NT point w
+    of block k's scaling (w0 = u0 - 1, w1 = u1), head row g0, tail rows G1,
+    t = u1'G1 and a = w0 g0 - t, W_k^{-2} = J (2 w w' - J) J / beta^2, so
 
-        beta^2 Ghat_k'Ghat_k = v0 v0' + v1 v1' + (G1'G1 - t t'/|u1|^2),
+        Ghat_k'Ghat_k = (G1'G1 + 2 a a' - g0 g0') / beta^2.
 
-    so H is P, a weighted sum of the tail Grams G1'G1, which `_ConeRows`
-    computes once per solve, and the products of a few rows per block; v1
-    and t drop out where u1 = 0.  `factor` keeps the shifted H and inv(L).
-    A reduced solve applies inv(L)'inv(L) and refines once against the
-    shifted H, which makes the explicit-inverse solve backward stable
+    The tail Grams G1'G1 are fixed during a solve (`_ConeRows`), and like P
+    they couple only the columns of one block of a partition of the columns
+    into consecutive ranges (for the builders, one block per stream).  So
+    H = B + A'A - M'M: B is block-diagonal (P, the weighted tail Grams and
+    REG I), and the rank rows are A, the rows sqrt(2) a / beta, and M, the
+    nonzero rows g0 / beta.
+
+    `factor` Cholesky-factors B's blocks together (`_chol_inv`), padded with
+    identity to one size.  It then adds A by Woodbury's identity, whose
+    capacitance I + A inv(B) A' is definite, and subtracts M by a second
+    stage, whose capacitance I - M inv(B + A'A) M' is definite because H is:
+    inv(H) = inv(B) - Yh Yh' + Zh Zh', where Yh is inv(B) A' and Zh is
+    inv(B + A'A) M', each times the inverse transposed Cholesky factor of
+    its stage's capacitance.  When that does not pay (`_factor_blocks`) the
+    columns are one block, B is all of H, and the rank terms go into it in
+    the form a a' + v1 v1' - p p' with p = t/|u1| and
+    v1 = p - |u1| (g0 - t/u0), which is more accurate in one dense sum.
+
+    A reduced solve applies inv(H) and refines once against the shifted H,
+    applied as B plus the rank rows, which makes the solve backward stable
     (Skeel 1980).  `solve` applies G, G' and W^{-1} to vectors, as
     Ghat'y = G'W^{-1} y, and corrects the stationarity rows once against
     the full, unregularized system, which takes REG back out.
@@ -506,35 +562,95 @@ class _KktSolver:
 
     def __init__(self, P, rows):
         self.P, self.G, self.rows = P, rows.G, rows
-        self.n = P.shape[0]
+        n = self.n = P.shape[0]
+        sizes = _factor_blocks(P, rows)
+        # By blocks, column j sits at at[j] of the blocks padded to one size
+        # (self._at is None when no block is padded), and a padded vector
+        # meets the blocks as columns of shape self._col_shape and rows of
+        # shape self._row_shape.  self._rank holds the rank rows; it is None
+        # for one block, which is then H itself.
+        self._rank = None
+        if sizes.size == 1:
+            self._at, self._gram_at, self._p_blocks = None, rows.pattern, P[None]
+            return
+        width = sizes.max()
+        off = np.arange(n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        at = np.repeat(np.arange(sizes.size), sizes) * width + off
+        self._at = None if (sizes == width).all() else at
+        self._col_shape, self._row_shape = (sizes.size, width, 1), (sizes.size, 1, width)
+        self._gram_at = at[rows.pattern // n] * width + off[rows.pattern % n]
+        pr, pc, pv = _nonzeros(P)
+        self._p_blocks = np.zeros((sizes.size, width, width))
+        self._p_blocks.reshape(-1)[at[pr] * width + off[pc]] = pv
+        pad = np.flatnonzero(np.arange(width) >= sizes[:, None])
+        self._p_blocks.reshape(-1)[pad * width + pad % width] = 1.0
 
     def factor(self, scaling: _Scaling):
         """Raises np.linalg.LinAlgError when the reduced matrix is not finite and definite."""
-        cones = self.rows.cones
-        u0, g0 = scaling.u0[:, None], self.rows.heads
+        rows, cones = self.rows, self.rows.cones
+        blocks, width = self._p_blocks.shape[:2]
         beta = scaling.beta[cones.starts][:, None]
-        norm1 = np.sqrt(cones.tail_dot(scaling.u, scaling.u))[:, None]
-        t = self.rows.tail_sums(scaling.u)
-        tail = norm1[:, 0] > 0
-        proj = t[tail] / norm1[tail]
-        v1 = proj - norm1[tail] * (g0[tail] - t[tail] / u0[tail])
-        plus = np.vstack([(u0 - 1.0) * g0 - t, v1]) / np.vstack([beta, beta[tail]])
-        minus = proj / beta[tail]
-        h = plus.T @ plus
-        h -= minus.T @ minus
-        h += self.P
-        self.rows.add_grams(h, 1.0 / beta[:, 0] ** 2)
-        h.flat[::self.n + 1] += REG
+        t = rows.tail_sums(scaling.u)
+        a = ((scaling.u0[:, None] - 1.0) * rows.heads - t) / beta
+        rank = None
+        if blocks > 1:
+            plus, minus = np.sqrt(2.0) * a, rows.heads[rows.live] / beta[rows.live]
+            rank = self._padded(np.vstack([plus, minus]))
+            h = self._p_blocks.copy()
+        else:
+            norm1 = np.sqrt(cones.tail_dot(scaling.u, scaling.u))[:, None]
+            tail = norm1[:, 0] > 0
+            proj = t[tail] / norm1[tail]
+            v1 = proj - norm1[tail] * (rows.heads[tail] - t[tail] / scaling.u0[tail, None])
+            plus, minus = np.vstack([a, v1 / beta[tail]]), proj / beta[tail]
+            h = plus.T @ plus
+            h -= minus.T @ minus
+            h += self.P
+        h.reshape(-1)[self._gram_at] += rows.gram_sum(1.0 / beta[:, 0] ** 2)
+        h.reshape(blocks, -1)[:, ::width + 1] += REG
         # np.linalg.cholesky factors a matrix with NaN or inf entries silently.
-        if not np.isfinite(h).all():
+        if not (np.isfinite(h).all() and (rank is None or np.isfinite(rank).all())):
             raise np.linalg.LinAlgError("reduced KKT matrix has non-finite entries")
-        self._linv = _chol_inv(h)
-        self._h, self._scaling = h, scaling
+        self._h, self._scaling, self._linv, self._rank = h, scaling, _chol_inv(h), rank
+        if rank is None:
+            return
+        na = plus.shape[0]
+        self._sign = np.repeat([1.0, -1.0], [na, rank.shape[0] - na])
+        plus, minus = rank[:na], rank[na:]
+        binv = lambda v: (_t(self._linv) @ (self._linv @ v.reshape(blocks, width, v.shape[1]))
+                          ).reshape(v.shape)
+        y = binv(plus.T)
+        yh = y @ _t(_chol_inv(np.eye(y.shape[1]) + plus @ y))
+        z = binv(minus.T) - yh @ (yh.T @ minus.T)
+        zh = z @ _t(_chol_inv(np.eye(z.shape[1]) - minus @ z))
+        self._u = np.hstack([yh, zh])
+
+    def _padded(self, v):
+        """v (..., n) with each column at its place in B's padded blocks."""
+        if self._at is None:
+            return v
+        out = np.zeros(v.shape[:-1] + (self._p_blocks.shape[0] * self._p_blocks.shape[1],))
+        out[..., self._at] = v
+        return out
+
+    def _mul_hinv(self, v):
+        """inv(H) v for a padded v: inv(B) v - Yh Yh'v + Zh Zh'v."""
+        if self._rank is None:
+            return (self._linv @ v) @ self._linv
+        x = ((self._linv @ v.reshape(self._col_shape)).reshape(self._row_shape)
+             @ self._linv).reshape(-1)
+        return x - self._u @ (self._sign * (self._u.T @ v))
 
     def _solve_reduced(self, r):
-        x = (self._linv @ r) @ self._linv
-        x += (self._linv @ (r - self._h @ x)) @ self._linv
-        return x
+        r = self._padded(r)
+        x = self._mul_hinv(r)
+        if self._rank is None:
+            hx = self._h @ x
+        else:
+            hx = (self._h @ x.reshape(self._col_shape)).reshape(-1)
+            hx += self._rank.T @ (self._sign * (self._rank @ x))
+        x += self._mul_hinv(r - hx)
+        return x if self._at is None else x[self._at]
 
     def solve(self, rx, rz):
         """The reduced solve plus one correction of the stationarity rows."""

@@ -276,9 +276,19 @@ def _build_config(system: dict, geometry: dict, seed: int) -> SystemConfig:
     )
 
 
+def _section(doc: dict, key: str, default):
+    """The `key` section of a scenario document, which must be a JSON object."""
+    value = doc.get(key, default)
+    if not isinstance(value, dict):
+        raise ValidationError(key, "must be a JSON object")
+    return value
+
+
 def _build_tasks(spec, num_ue: int) -> list[Task]:
     if isinstance(spec, dict):
         spec = [spec] * num_ue
+    if not (isinstance(spec, list) and all(isinstance(entry, dict) for entry in spec)):
+        raise ValidationError("tasks", "must be a JSON object or a list of them")
     if len(spec) != num_ue:
         raise ValidationError("tasks", f"expected {num_ue} tasks, got {len(spec)}")
     tasks = []
@@ -306,7 +316,7 @@ def load_config(source) -> tuple[SystemConfig, list[Task]]:
         raise ValidationError("document", "scenario must be a JSON object")
 
     seed = _integer("seed", doc.get("seed", DEFAULT_LAYOUT_SEED), 0)
-    config = _build_config(doc.get("system", {}), doc.get("geometry", {}), seed)
+    config = _build_config(_section(doc, "system", {}), _section(doc, "geometry", {}), seed)
     tasks = _build_tasks(doc.get("tasks", dict(DEFAULT_TASK)), config.num_ue)
     return config, tasks
 

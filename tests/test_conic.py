@@ -555,9 +555,10 @@ class TestEquilibration:
         assert all(np.array_equal(a, b) for a, b in zip(got, expect))
 
 
-def full_kkt(P, G, w):
-    """The unreduced [[P, G'], [G, -W^2]]."""
-    return np.block([[P, G.T], [G, -w @ w]])
+def full_kkt(P, G, w, dtype=np.float64):
+    """The unreduced [[P, G'], [G, -W^2]], with W^2 formed in `dtype`."""
+    w = w.astype(dtype)
+    return np.block([[P.astype(dtype), G.T.astype(dtype)], [G.astype(dtype), -w @ w]])
 
 
 def nt_inverse(s, z, cone_list):
@@ -594,6 +595,51 @@ def kkt_system(rng, cone_list, s, z, n=20):
     kkt.factor(solver._Scaling(s, z, cones))
     rhs = (rng.standard_normal(n), rng.standard_normal(m))
     return kkt, (P, G), rhs
+
+
+def assert_as_accurate_as_lu(kkt, P, G, w, rhs, factor=4):
+    """The solve's residual on the full system is within `factor` times a
+    dense LU solve's, both measured in long double."""
+    full, full_rhs = full_kkt(P, G, w, np.longdouble), np.concatenate(rhs)
+    resid = lambda u: np.abs(full_rhs - full @ u).max()
+    got = np.concatenate(kkt.solve(*rhs))
+    assert resid(got) <= factor * resid(np.linalg.solve(full.astype(np.float64), full_rhs))
+
+
+# Cone lists for problems factored by blocks: few enough blocks that the
+# rank rows stay well below the column count.
+STREAM_CONE_LISTS = st.lists(st.tuples(st.just("soc"), st.integers(2, 25)), min_size=1, max_size=8)
+
+
+def block_problem(rng, cone_list, sizes):
+    """P and G whose columns fall into blocks of `sizes`, as in the builders'
+    problems: P is block-diagonal (and definite), each tail row lies in one
+    block, drawn at random, and the head rows are dense."""
+    cones = solver._Cones(cone_list)
+    ends = np.cumsum(sizes)
+    n, m = int(ends[-1]), cones.owner.size
+    G = rng.standard_normal((m, n))
+    block = rng.integers(len(sizes), size=m)
+    for row in np.flatnonzero(cones.tail):
+        end = ends[block[row]]
+        G[row, :end - sizes[block[row]]] = 0.0
+        G[row, end:] = 0.0
+    P = np.zeros((n, n))
+    for end, size in zip(ends, sizes):
+        B = rng.standard_normal((size, 2 * size))
+        P[end - size:end, end - size:end] = B @ B.T / (2 * size)
+    return P, G
+
+
+def stream_system(rng, cone_list, sizes, s, z):
+    """A reduced KKT solver for a `block_problem` at scaling (s, z), factored
+    by its blocks."""
+    P, G = block_problem(rng, cone_list, sizes)
+    cones = solver._Cones(cone_list)
+    kkt = solver._KktSolver(P, solver._ConeRows(G, cones))
+    kkt.factor(solver._Scaling(s, z, cones))
+    assert kkt._h.shape[0] == len(sizes)   # the size rule factors by blocks
+    return kkt, P, G
 
 
 class TestReducedKkt:
@@ -650,16 +696,89 @@ class TestReducedKkt:
         # s and z 1e-8 inside opposite sides of each block, as near the end
         # of a solve: W^2 is so ill-conditioned that no refinement reaches
         # working precision.  The solve's residual on the full system stays
-        # within a small multiple of a dense LU solve's (3.6x at worst over
-        # seeds 0-199, at seed 7).
+        # within a small multiple of a dense LU solve's (2.2x at worst over
+        # seeds 0-199, at seed 87).  W^2 and the residuals are formed in
+        # long double, so that their own rounding does not enter the
+        # comparison.
         cone_list = (("soc", 12), ("nonneg", 3), ("soc", 5), ("soc", 21))
         rng = np.random.default_rng(seed)
         s, z = near_boundary(rng, cone_list, 1e-8)
         kkt, (P, G), rhs = kkt_system(rng, cone_list, s, z)
-        full, full_rhs = full_kkt(P, G, nt_matrix(s, z, cone_list)), np.concatenate(rhs)
-        resid = lambda u: np.abs(full_rhs - full @ u).max()
+        assert_as_accurate_as_lu(kkt, P, G, nt_matrix(s, z, cone_list), rhs)
+
+    @settings(max_examples=20, deadline=None)
+    @given(STREAM_CONE_LISTS, st.lists(st.integers(12, 24), min_size=12, max_size=12),
+           st.integers(0, 2 ** 32 - 1))
+    def test_solve_by_blocks_matches_the_full_system(self, cone_list, sizes, seed):
+        # Unequal blocks are padded with identity to one size.
+        rng = np.random.default_rng(seed)
+        s, z = interior(rng, cone_list, 0.3), interior(rng, cone_list, 0.3)
+        kkt, P, G = stream_system(rng, cone_list, sizes, s, z)
+        rhs = (rng.standard_normal(P.shape[0]), rng.standard_normal(G.shape[0]))
         got = np.concatenate(kkt.solve(*rhs))
-        assert resid(got) <= 4 * resid(np.linalg.solve(full, full_rhs))
+        expect = np.linalg.solve(full_kkt(P, G, nt_matrix(s, z, cone_list)),
+                                 np.concatenate(rhs))
+        np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12 * np.abs(expect).max())
+
+    @settings(max_examples=20, deadline=None)
+    @given(STREAM_CONE_LISTS, st.lists(st.integers(12, 24), min_size=12, max_size=12),
+           st.integers(0, 2 ** 32 - 1),
+           st.sampled_from(["identity", "interior", "near the boundary"]))
+    def test_matrix_by_blocks_is_the_dense_product(self, cone_list, sizes, seed, where):
+        # B's blocks plus the rank rows A'A - M'M make P + Ghat'Ghat, as in
+        # test_reduced_matrix_is_the_dense_product.
+        rng = np.random.default_rng(seed)
+        cones = solver._Cones(cone_list)
+        if where == "identity":
+            s = z = (cones.sign + 1.0) / 2.0
+        elif where == "interior":
+            s, z = interior(rng, cone_list), interior(rng, cone_list)
+        else:
+            s, z = near_boundary(rng, cone_list, 1e-8)
+        kkt, P, G = stream_system(rng, cone_list, sizes, s, z)
+        scaling, n = kkt._scaling, P.shape[0]
+        if where == "near the boundary":
+            ghat = np.column_stack([scaling.mul_winv(col) for col in G.T])
+        else:
+            ghat = nt_inverse(s, z, cone_list) @ G
+        expect = P + ghat.T @ ghat
+        blocks, width = kkt._h.shape[:2]
+        padded = (kkt._rank.T * kkt._sign) @ kkt._rank
+        for k in range(blocks):
+            padded[k * width:(k + 1) * width, k * width:(k + 1) * width] += kkt._h[k]
+        at = np.arange(n) if kkt._at is None else kkt._at
+        got = padded[np.ix_(at, at)] - solver.REG * np.eye(n)
+        assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_stalled_systems_by_blocks_solve_as_accurately_as_a_dense_solve(self, seed):
+        # As test_stalled_systems_solve_as_accurately_as_a_dense_solve, on
+        # 8 blocks of 16 columns and more rows than columns, as in the
+        # builders' problems.  The rank rows reach 1e4 there while B stays
+        # near 1, and the two Woodbury stages keep their capacitances
+        # definite.  One stage over the rows v0, v1 and t/|u1| with signs
+        # +1, +1, -1 (see `_KktSolver`) fails this test.
+        cone_list = (("soc", 40), ("nonneg", 3), ("soc", 30), ("soc", 60), ("soc", 20))
+        rng = np.random.default_rng(seed)
+        s, z = near_boundary(rng, cone_list, 1e-8)
+        kkt, P, G = stream_system(rng, cone_list, [16] * 8, s, z)
+        rhs = (rng.standard_normal(P.shape[0]), rng.standard_normal(G.shape[0]))
+        assert_as_accurate_as_lu(kkt, P, G, nt_matrix(s, z, cone_list), rhs)
+
+    @pytest.mark.parametrize("sizes,bare,blocks", [
+        ([16] * 5, False, 1),   # n = 80: below the size rule's crossover
+        ([16] * 8, False, 8),
+        ([16] * 8, True, 1),    # B would be singular without the rank rows
+    ])
+    def test_size_rule(self, sizes, bare, blocks):
+        cone_list = (("soc", 40), ("soc", 30), ("soc", 60))
+        cones = solver._Cones(cone_list)
+        P, G = block_problem(np.random.default_rng(0), cone_list, sizes)
+        if bare:   # column 0 in no tail row and off P's diagonal
+            P[0, :], P[:, 0] = 0.0, 0.0
+            G[cones.tail > 0, 0] = 0.0
+        kkt = solver._KktSolver(P, solver._ConeRows(G, cones))
+        assert kkt._p_blocks.shape[0] == blocks
 
     def test_one_factorization_per_newton_system(self, monkeypatch):
         # Each interior-point Newton system is factored once (one Cholesky

@@ -270,6 +270,21 @@ class TestCli:
         assert result.returncode == 2, result.stderr
         assert f"configuration error: {field}:" in result.stderr
 
+    @pytest.mark.parametrize("field,doc", [
+        ("tasks", '{"tasks": 5}'),
+        ("tasks", '{"tasks": [1, 2, 3, 4, 5]}'),
+        ("system", '{"system": 3}'),
+        ("geometry", '{"geometry": []}'),
+    ])
+    def test_section_of_the_wrong_type_is_config_error(self, tmp_path, field, doc):
+        config = tmp_path / "bad.json"
+        config.write_text(doc)
+        result = self.run_cli("run", "--config", str(config), "--method",
+                              "separate:0.5", "--seed", "1")
+        assert result.returncode == 2, result.stderr
+        assert f"configuration error: {field}:" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_sweep_writes_outputs(self, tmp_path):
         config = tmp_path / "mini.json"
         config.write_text(json.dumps(light_scenario()))

@@ -6,12 +6,14 @@ Usage, from the root of a checkout:
     python3 tools/fingerprint.py OUT.json [--tree DIR]
     python3 tools/fingerprint.py --compare OLD.json NEW.json
 
-The first form runs ``joint`` and ``separate:0.5`` on 64 points of
-``scenarios/smallcell.json`` (128 runs) with one BLAS thread:
+The first form runs ``joint`` and ``separate:0.5`` on 65 points of
+``scenarios/smallcell.json`` (130 runs) with one BLAS thread:
 
 - stock cell at F in {1000, 1500, 2000}, seeds 42-44
 - 8 RRHs x 2 antennas x 8 UEs, fronthaul 1e9, at F = 1000, seeds 42-43
 - 8 RRHs x 2 antennas x 12 UEs, fronthaul 1e9, at F = 1500, seed 42
+- 8 RRHs x 2 antennas x 20 UEs, fronthaul 1e9, at F = 1500, seed 42 (the
+  largest problems, n = 640, whose KKT matrix is factored by stream)
 - fronthaul at C/10 (1e6) at F in {1000, 1500, 2000}, seeds 42-45
 - fronthaul at C/30 (1e7/30) and at C/100 (1e5) at F = 1500, seeds 42-45
 - 2 RRHs x 1 antenna (more UEs than antennas) at F = 1500, seeds 42-51 and 58
@@ -56,6 +58,7 @@ CELLS = (
     ("stock", {}, {}, (1000.0, 1500.0, 2000.0), (42, 43, 44)),
     ("8x2x8", {"num_rrh": 8, "num_ue": 8, "fronthaul_limit": 1e9}, {}, (1000.0,), (42, 43)),
     ("8x2x12", {"num_rrh": 8, "num_ue": 12, "fronthaul_limit": 1e9}, {}, (1500.0,), (42,)),
+    ("8x2x20", {"num_rrh": 8, "num_ue": 20, "fronthaul_limit": 1e9}, {}, (1500.0,), (42,)),
     ("C/10", {"fronthaul_limit": 1e6}, {}, (1000.0, 1500.0, 2000.0), (42, 43, 44, 45)),
     ("C/30", {"fronthaul_limit": 1e7 / 30}, {}, (1500.0,), (42, 43, 44, 45)),
     ("C/100", {"fronthaul_limit": 1e5}, {}, (1500.0,), (42, 43, 44, 45)),

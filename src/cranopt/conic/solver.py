@@ -23,8 +23,9 @@ the products of two rows per block, with no dense product over G.  P and
 the tail Grams couple only the columns within the blocks of a partition of
 the columns into consecutive ranges, so H is a block-diagonal B plus rank
 rows.  B's blocks are Cholesky-factored together and the rank rows are
-added in two Woodbury stages with definite capacitances; a problem too
-small for that to pay is one dense block (`_factor_blocks`).  Each solve
+added in two Woodbury stages with definite capacitances; below 128
+columns H is one dense block with the rank rows added in
+(`_factor_blocks`).  Each solve
 applies G and W^{-1} to vectors and the factors, refines once against H,
 and corrects the stationarity rows once against the full system
 (`_KktSolver`).
@@ -329,10 +330,12 @@ class _ConeRows:
     is fixed during a solve, and per-block sums u1'G1 of the tail rows.
     ``ends`` is the finest partition of the columns into consecutive ranges
     that no tail row crosses, so every tail Gram lies on the diagonal blocks
-    of that partition.  The Grams are kept on all entries of those blocks
-    (flat indices ``pattern`` of an n x n matrix), one row of ``grams`` per
-    block with a tail: a tail row with k nonzeros adds its k x k outer
-    product, and rows with equal k are batched.
+    of that partition.  The Grams are kept on the upper triangles of those
+    blocks, row by row, one row of ``grams`` per block with a tail: a tail
+    row with k nonzeros adds the upper triangle of its k x k outer product,
+    and rows with equal k are batched.  `gram_sum` returns a weighted sum on
+    all entries of the diagonal blocks (flat indices ``pattern`` of an
+    n x n matrix).
     """
 
     def __init__(self, G, cones):
@@ -350,25 +353,27 @@ class _ConeRows:
         self.in_tail = np.bincount(cols, minlength=n) > 0
         self.live = np.flatnonzero(self.heads.any(axis=1))   # blocks with a nonzero head row
         sizes = np.diff(self.ends, prepend=0)
-        # Entry (i, j) of a block is at base + off[i] * width + off[j] in
-        # ``pattern``, with off the offset of a column in its block, width
-        # the block's size and base its first entry.
         first_col, width = np.repeat(self.ends - sizes, sizes), np.repeat(sizes, sizes)
-        off = np.arange(n) - first_col
-        base = np.repeat(np.cumsum(sizes ** 2) - sizes ** 2, sizes)
         self.pattern = np.flatnonzero(first_col[:, None] == first_col)
-        block = (np.cumsum(self._with_tail) - 1)[cones.owner[self._rows]] * self.pattern.size
+        # Entry (i, j), i <= j, of a block's upper triangle is at
+        # start[i] + off[j], with off the offset of a column in its block.
+        off = np.arange(n) - first_col
+        upper = sizes * (sizes + 1) // 2
+        start = np.repeat(np.cumsum(upper) - upper, sizes) + off * width - off * (off + 1) // 2
+        i, j = np.divmod(self.pattern, n)
+        self._upper = start[np.minimum(i, j)] + off[np.maximum(i, j)]
+        block = (np.cumsum(self._with_tail) - 1)[cones.owner[self._rows]] * upper.sum()
         slots, products = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
         for k in np.flatnonzero(np.bincount(count)):
-            start = first[count == k]
-            c = cols[start[:, None] + np.arange(k)]
-            v = self._vals[start[:, None] + np.arange(k)]
-            slots.append((block[start, None, None] + (base[c] + off[c] * width[c])[:, :, None]
-                          + off[c][:, None, :]).ravel())
-            products.append((v[:, :, None] * v[:, None, :]).ravel())
+            iu, ju = np.triu_indices(k)
+            at = first[count == k]
+            c = cols[at[:, None] + np.arange(k)]
+            v = self._vals[at[:, None] + np.arange(k)]
+            slots.append((block[at, None] + start[c[:, iu]] + off[c[:, ju]]).ravel())
+            products.append((v[:, iu] * v[:, ju]).ravel())
         self.grams = np.bincount(np.concatenate(slots), weights=np.concatenate(products),
-                                 minlength=np.count_nonzero(self._with_tail) * self.pattern.size
-                                 ).reshape(-1, self.pattern.size)
+                                 minlength=np.count_nonzero(self._with_tail) * upper.sum()
+                                 ).reshape(-1, upper.sum())
 
     def tail_sums(self, u):
         """(K, n) array of u1'G1 per block."""
@@ -378,7 +383,7 @@ class _ConeRows:
 
     def gram_sum(self, weights):
         """sum_k weights[k] G1_k'G1_k on the entries ``pattern``."""
-        return weights[self._with_tail] @ self.grams
+        return (weights[self._with_tail] @ self.grams)[self._upper]
 
 
 # ---------------------------------------------------------------------------
@@ -500,16 +505,13 @@ def _factor_blocks(P, rows):
     """The sizes of the diagonal blocks of B that `_KktSolver` factors.
 
     That is the finest partition of the columns into consecutive ranges that
-    P and every tail row respect, when factoring by those blocks pays, and
-    one block of all n columns otherwise (the size rule).  B must also be
-    definite by itself, so every column must lie in a tail row or on P's
-    diagonal.  The block form costs about p b^3 + n r (b + r) flops for p
-    blocks of at most b columns and r rank rows, against n^3 for one dense
-    factor, plus a fixed numpy overhead.  Measured on the builders' problems
-    (blocks of 16 or 32 columns), one interior-point iteration by blocks
-    takes 0.62x the dense time at n = 256, 0.81x at n = 128, 0.93-0.96x at
-    n = 80 and 1.15x at n = 20 with blocks of 4; below n = 128 the dense
-    factor is kept.
+    P and every tail row respect, and one block of all n columns where the
+    size rule says so: below n = 128 columns, or where B would not be
+    definite by itself (a column in no tail row and off P's diagonal).
+    Measured on the builders' problems (blocks of 16 or 32 columns), one
+    interior-point iteration by blocks takes 0.62x the dense time at
+    n = 256, 0.81x at n = 128, 0.93-0.96x at n = 80 and 1.15x at n = 20
+    with blocks of 4; below n = 128 the dense factor is kept.
     """
     n = P.shape[0]
     if n < 128 or not (rows.in_tail | (np.diag(P) != 0)).all():
@@ -517,11 +519,7 @@ def _factor_blocks(P, rows):
     pr, pc, _ = _nonzeros(P)
     ends = _column_blocks(n, np.concatenate([rows.ends - np.diff(rows.ends, prepend=0), pr]),
                           np.concatenate([rows.ends - 1, pc]))
-    sizes = np.diff(ends, prepend=0)
-    width, rank = sizes.max(), rows.cones.degree + rows.live.size
-    if sizes.size * width ** 3 + n * rank * (width + rank) > n ** 3 / 4:
-        return np.array([n])
-    return sizes
+    return np.diff(ends, prepend=0)
 
 
 class _KktSolver:
@@ -548,10 +546,11 @@ class _KktSolver:
     stage, whose capacitance I - M inv(B + A'A) M' is definite because H is:
     inv(H) = inv(B) - Yh Yh' + Zh Zh', where Yh is inv(B) A' and Zh is
     inv(B + A'A) M', each times the inverse transposed Cholesky factor of
-    its stage's capacitance.  When that does not pay (`_factor_blocks`) the
-    columns are one block, B is all of H, and the rank terms go into it in
+    its stage's capacitance.  Where the size rule keeps the columns one
+    block (`_factor_blocks`), B is all of H: the rank rows go into it, in
     the form a a' + v1 v1' - p p' with p = t/|u1| and
-    v1 = p - |u1| (g0 - t/u0), which is more accurate in one dense sum.
+    v1 = p - |u1| (g0 - t/u0), which is more accurate in one dense sum, and
+    no Woodbury stage is left.  `_rank_rows` gives either form.
 
     A reduced solve applies inv(H) and refines once against the shifted H,
     applied as B plus the rank rows, which makes the solve backward stable
@@ -564,20 +563,15 @@ class _KktSolver:
         self.P, self.G, self.rows = P, rows.G, rows
         n = self.n = P.shape[0]
         sizes = _factor_blocks(P, rows)
-        # By blocks, column j sits at at[j] of the blocks padded to one size
-        # (self._at is None when no block is padded), and a padded vector
-        # meets the blocks as columns of shape self._col_shape and rows of
-        # shape self._row_shape.  self._rank holds the rank rows; it is None
-        # for one block, which is then H itself.
-        self._rank = None
-        if sizes.size == 1:
-            self._at, self._gram_at, self._p_blocks = None, rows.pattern, P[None]
-            return
+        # Column j sits at at[j] of the blocks padded to one size (self._at
+        # is None when no block is padded), and a padded vector meets the
+        # blocks in shape self._shape.  One block, H itself, takes no stack
+        # axis, whose matrix products cost time at small n.
         width = sizes.max()
         off = np.arange(n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
         at = np.repeat(np.arange(sizes.size), sizes) * width + off
         self._at = None if (sizes == width).all() else at
-        self._col_shape, self._row_shape = (sizes.size, width, 1), (sizes.size, 1, width)
+        self._shape = (n,) if sizes.size == 1 else (sizes.size, width, 1)
         self._gram_at = at[rows.pattern // n] * width + off[rows.pattern % n]
         pr, pc, pv = _nonzeros(P)
         self._p_blocks = np.zeros((sizes.size, width, width))
@@ -585,39 +579,51 @@ class _KktSolver:
         pad = np.flatnonzero(np.arange(width) >= sizes[:, None])
         self._p_blocks.reshape(-1)[pad * width + pad % width] = 1.0
 
+    def _rank_rows(self, scaling):
+        """The rows added (plus) and subtracted (minus) to B to make H.
+
+        One block takes a, v1 / beta and p / beta; blocks take the
+        definite form, sqrt(2) a and the nonzero g0 / beta.
+        """
+        rows, cones = self.rows, self.rows.cones
+        beta = scaling.beta[cones.starts][:, None]
+        t = rows.tail_sums(scaling.u)
+        a = ((scaling.u0[:, None] - 1.0) * rows.heads - t) / beta
+        if self._p_blocks.shape[0] > 1:
+            return np.sqrt(2.0) * a, rows.heads[rows.live] / beta[rows.live]
+        norm1 = np.sqrt(cones.tail_dot(scaling.u, scaling.u))[:, None]
+        tail = norm1[:, 0] > 0
+        proj = t[tail] / norm1[tail]
+        v1 = proj - norm1[tail] * (rows.heads[tail] - t[tail] / scaling.u0[tail, None])
+        return np.vstack([a, v1 / beta[tail]]), proj / beta[tail]
+
     def factor(self, scaling: _Scaling):
         """Raises np.linalg.LinAlgError when the reduced matrix is not finite and definite."""
         rows, cones = self.rows, self.rows.cones
         blocks, width = self._p_blocks.shape[:2]
-        beta = scaling.beta[cones.starts][:, None]
-        t = rows.tail_sums(scaling.u)
-        a = ((scaling.u0[:, None] - 1.0) * rows.heads - t) / beta
-        rank = None
-        if blocks > 1:
-            plus, minus = np.sqrt(2.0) * a, rows.heads[rows.live] / beta[rows.live]
-            rank = self._padded(np.vstack([plus, minus]))
-            h = self._p_blocks.copy()
-        else:
-            norm1 = np.sqrt(cones.tail_dot(scaling.u, scaling.u))[:, None]
-            tail = norm1[:, 0] > 0
-            proj = t[tail] / norm1[tail]
-            v1 = proj - norm1[tail] * (rows.heads[tail] - t[tail] / scaling.u0[tail, None])
-            plus, minus = np.vstack([a, v1 / beta[tail]]), proj / beta[tail]
+        plus, minus = self._rank_rows(scaling)
+        if blocks == 1:
+            # One block is all of H: the rank rows go into it.
             h = plus.T @ plus
             h -= minus.T @ minus
-            h += self.P
-        h.reshape(-1)[self._gram_at] += rows.gram_sum(1.0 / beta[:, 0] ** 2)
+            h += self._p_blocks[0]
+            plus, minus = plus[:0], minus[:0]
+        else:
+            h = self._p_blocks.copy()
+        beta = scaling.beta[cones.starts]
+        h.reshape(-1)[self._gram_at] += rows.gram_sum(1.0 / beta ** 2)
         h.reshape(blocks, -1)[:, ::width + 1] += REG
+        rank = self._padded(np.vstack([plus, minus]))
         # np.linalg.cholesky factors a matrix with NaN or inf entries silently.
-        if not (np.isfinite(h).all() and (rank is None or np.isfinite(rank).all())):
+        if not (np.isfinite(h).all() and np.isfinite(rank).all()):
             raise np.linalg.LinAlgError("reduced KKT matrix has non-finite entries")
         self._h, self._scaling, self._linv, self._rank = h, scaling, _chol_inv(h), rank
-        if rank is None:
+        self._linv_t = _t(self._linv)
+        if not rank.size:
             return
-        na = plus.shape[0]
-        self._sign = np.repeat([1.0, -1.0], [na, rank.shape[0] - na])
-        plus, minus = rank[:na], rank[na:]
-        binv = lambda v: (_t(self._linv) @ (self._linv @ v.reshape(blocks, width, v.shape[1]))
+        self._sign = np.repeat([1.0, -1.0], [plus.shape[0], minus.shape[0]])
+        plus, minus = rank[:plus.shape[0]], rank[plus.shape[0]:]
+        binv = lambda v: (self._linv_t @ (self._linv @ v.reshape(blocks, width, v.shape[1]))
                           ).reshape(v.shape)
         y = binv(plus.T)
         yh = y @ _t(_chol_inv(np.eye(y.shape[1]) + plus @ y))
@@ -634,22 +640,20 @@ class _KktSolver:
         return out
 
     def _mul_hinv(self, v):
-        """inv(H) v for a padded v: inv(B) v - Yh Yh'v + Zh Zh'v."""
-        if self._rank is None:
-            return (self._linv @ v) @ self._linv
-        x = ((self._linv @ v.reshape(self._col_shape)).reshape(self._row_shape)
-             @ self._linv).reshape(-1)
-        return x - self._u @ (self._sign * (self._u.T @ v))
+        """inv(H) v for v in B's shape: inv(B) v - Yh Yh'v + Zh Zh'v."""
+        x = self._linv_t @ (self._linv @ v)
+        if self._rank.size:
+            x -= (self._u @ (self._sign * (self._u.T @ v.reshape(-1)))).reshape(x.shape)
+        return x
 
     def _solve_reduced(self, r):
-        r = self._padded(r)
+        r = self._padded(r).reshape(self._shape)
         x = self._mul_hinv(r)
-        if self._rank is None:
-            hx = self._h @ x
-        else:
-            hx = (self._h @ x.reshape(self._col_shape)).reshape(-1)
-            hx += self._rank.T @ (self._sign * (self._rank @ x))
+        hx = self._h @ x
+        if self._rank.size:
+            hx += (self._rank.T @ (self._sign * (self._rank @ x.reshape(-1)))).reshape(x.shape)
         x += self._mul_hinv(r - hx)
+        x = x.reshape(-1)
         return x if self._at is None else x[self._at]
 
     def solve(self, rx, rz):

@@ -631,10 +631,33 @@ def block_problem(rng, cone_list, sizes):
     return P, G
 
 
-def stream_system(rng, cone_list, sizes, s, z):
+def rate_cone_rows(rng, sizes, coef):
+    """The rows of one cone of dimension 6 per block, shaped like the
+    builders' rate-floor cones: block b holds the head row g0 and the tail
+    rows coef g0 and coef r, with r orthogonal to g0 and of its norm (the
+    real and imaginary parts of one complex gain); the other 3 tail rows
+    lie in block b + 1.  With coef near 1, subtracting g0 g0' takes nearly
+    all of what the cone adds to B along g0."""
+    ends = np.cumsum(sizes)
+    out = np.zeros((6 * len(sizes), int(ends[-1])))
+    for b, (end, size) in enumerate(zip(ends, sizes)):
+        g0, r = rng.standard_normal((2, size))
+        r -= (r @ g0) / (g0 @ g0) * g0
+        r *= np.linalg.norm(g0) / np.linalg.norm(r)
+        rows = out[6 * b:6 * b + 6]
+        rows[:3, end - size:end] = g0, coef * g0, coef * r
+        nb = (b + 1) % len(sizes)
+        rows[3:, ends[nb] - sizes[nb]:ends[nb]] = rng.standard_normal((3, sizes[nb]))
+    return out
+
+
+def stream_system(rng, cone_list, sizes, s, z, rate_coef=None):
     """A reduced KKT solver for a `block_problem` at scaling (s, z), factored
-    by its blocks."""
+    by its blocks.  With `rate_coef`, the last cones of `cone_list`, one per
+    block, take `rate_cone_rows`."""
     P, G = block_problem(rng, cone_list, sizes)
+    if rate_coef is not None:
+        G[-6 * len(sizes):] = rate_cone_rows(rng, sizes, rate_coef)
     cones = solver._Cones(cone_list)
     kkt = solver._KktSolver(P, solver._ConeRows(G, cones))
     kkt.factor(solver._Scaling(s, z, cones))
@@ -751,17 +774,23 @@ class TestReducedKkt:
         assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_stalled_systems_by_blocks_solve_as_accurately_as_a_dense_solve(self, seed):
+    @pytest.mark.parametrize("rate_cones", [False, True])
+    def test_stalled_systems_by_blocks_solve_as_accurately_as_a_dense_solve(self, seed,
+                                                                             rate_cones):
         # As test_stalled_systems_solve_as_accurately_as_a_dense_solve, on
         # 8 blocks of 16 columns and more rows than columns, as in the
         # builders' problems.  The rank rows reach 1e4 there while B stays
         # near 1, and the two Woodbury stages keep their capacitances
         # definite.  One stage over the rows v0, v1 and t/|u1| with signs
-        # +1, +1, -1 (see `_KktSolver`) fails this test.
+        # +1, +1, -1 (see `_KktSolver`) fails this test.  With rate_cones,
+        # 8 more cones take `rate_cone_rows` at a rate floor with
+        # 2^(R/B) - 1 = 1e4 (1.1x at worst over seeds 0-199, at seed 106).
         cone_list = (("soc", 40), ("nonneg", 3), ("soc", 30), ("soc", 60), ("soc", 20))
+        cone_list += (("soc", 6),) * 8 * rate_cones
         rng = np.random.default_rng(seed)
         s, z = near_boundary(rng, cone_list, 1e-8)
-        kkt, P, G = stream_system(rng, cone_list, [16] * 8, s, z)
+        coef = np.sqrt(1e4 / (1.0 + 1e4)) if rate_cones else None
+        kkt, P, G = stream_system(rng, cone_list, [16] * 8, s, z, coef)
         rhs = (rng.standard_normal(P.shape[0]), rng.standard_normal(G.shape[0]))
         assert_as_accurate_as_lu(kkt, P, G, nt_matrix(s, z, cone_list), rhs)
 

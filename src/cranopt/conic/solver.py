@@ -23,11 +23,10 @@ the products of two rows per block, with no dense product over G.  P and
 the tail Grams couple only the columns within the blocks of a partition of
 the columns into consecutive ranges, so H is a block-diagonal B plus rank
 rows.  B's blocks are Cholesky-factored together and the rank rows are
-added in two Woodbury stages with definite capacitances; below 128
-columns H is one dense block with the rank rows added in
-(`_factor_blocks`).  Each solve
-applies G and W^{-1} to vectors and the factors, refines once against H,
-and corrects the stationarity rows once against the full system
+added in two Woodbury stages with definite capacitances; below 128 columns
+H is one dense block with the rank rows added in (`_factor_blocks`).  Each
+solve applies G and W^{-1} to vectors and the factors, refines once against
+H, and corrects the stationarity rows once against the full system
 (`_KktSolver`).
 
 An optimal answer is then polished by Newton's method on the KKT system of

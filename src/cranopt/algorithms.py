@@ -83,7 +83,7 @@ class JointSolution:
     clone_capacity: np.ndarray
     energy: EnergyBreakdown | None
     energy_trace: list = field(default_factory=list)
-    surrogate_trace: list = field(default_factory=list)  # (S0, S1, S2, S3) rows
+    surrogate_trace: list = field(default_factory=list)  # (S0, S1, S3) rows
     status: str = "optimal"
     iterations: int = 0
     converged: bool = True
@@ -510,7 +510,6 @@ def joint_energy_minimization(config: SystemConfig, tasks: list[Task],
         s1 = true_surrogate(e, powers, weights)
 
         phi = mse_weight(e, cycles, bits, deadlines, bw, kappa, nu, fmax)
-        s2 = s1  # the weight refresh re-anchors phi; the surrogate value is unchanged
 
         problem = build_wmmse_step_socp(
             channels, phi, u, weights, config.rrh_power_limit,
@@ -529,8 +528,8 @@ def joint_energy_minimization(config: SystemConfig, tasks: list[Task],
         # a line search on the true surrogate keeps the descent honest.
         v, s3 = _surrogate_line_search(
             config, channels, u, weights, v, v_cand, rho, frozen,
-            true_surrogate, s2)
-        surrogate_trace.append((s0, s1, s2, s3))
+            true_surrogate, s1)
+        surrogate_trace.append((s0, s1, s3))
 
         support = _cull_support(v, support, config.rrh_power_limit)
         v = np.where(support[:, :, None], v, 0.0)

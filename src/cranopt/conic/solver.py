@@ -17,17 +17,17 @@ order (see `_Cones`): each cone operation is a fixed number of array
 operations over all blocks, and the Nesterov-Todd scaling is applied as a
 rank-one update per block (see `_Scaling`), as in CVXOPT and ECOS.  Each
 Newton system is reduced to a definite system H x = r with
-H = P + G'W^{-2} G.  G is read once per solve from its nonzeros
-(`_ConeRows`): H is P, a weighted sum of each block's fixed tail Gram and
-the products of two rows per block, with no dense product over G.  P and
-the tail Grams couple only the columns within the blocks of a partition of
-the columns into consecutive ranges, so H is a block-diagonal B plus rank
-rows.  B's blocks are Cholesky-factored together and the rank rows are
-added in two Woodbury stages with definite capacitances; below 128 columns
-H is one dense block with the rank rows added in (`_factor_blocks`).  Each
-solve applies G and W^{-1} to vectors and the factors, refines once against
-H, and corrects the stationarity rows once against the full system
-(`_KktSolver`).
+H = P + G'W^{-2} G.  G and P's pattern are read once per solve from
+their nonzeros (`_ConeRows`): H is P, a weighted sum of each block's fixed
+tail Gram and the products of two rows per block, with no dense product
+over G.  P and the tail Grams couple only the columns within the blocks of
+one partition of the columns into consecutive ranges, so H is a
+block-diagonal B plus rank rows.  B's blocks are Cholesky-factored together
+and the rank rows are added in two Woodbury stages with definite
+capacitances; below 128 columns H is one dense block with the rank rows
+added in (the size rule of `_ConeRows`).  Each solve applies G and W^{-1}
+to vectors and the factors, refines once against H, and corrects the
+stationarity rows once against the full system (`_KktSolver`).
 
 An optimal answer is then polished by Newton's method on the KKT system of
 its active cone blocks, which the interior-point iterate only approaches as
@@ -177,11 +177,6 @@ class _Cones:
         return v[self.starts] - np.sqrt(self.tail_dot(v, v))
 
 
-def _cone_margin(v, cones):
-    """Smallest interior margin; > 0 iff strictly inside every block."""
-    return np.min(cones.margins(v))
-
-
 def _max_step(v, dv, cones):
     """Largest t with v + t*dv still in the cone (np.inf if unbounded).
 
@@ -249,9 +244,6 @@ class _Scaling:
         jv = self.cones.sign * v
         coef = np.add.reduceat(self.u * jv, self.cones.starts) / self.u0
         return (self.ju * coef[self.cones.owner] - jv) / self.beta
-
-    def mul_w2(self, v):
-        return self.mul_w(self.mul_w(v))
 
 
 # ---------------------------------------------------------------------------
@@ -322,22 +314,32 @@ def _column_blocks(n, lo, hi):
 
 
 class _ConeRows:
-    """G read by cone block, from its nonzero pattern, once per solve.
+    """G read by cone block, and the columns partitioned, once per solve.
 
     Block k has head row g0 (``heads[k]``) and tail rows G1.  The KKT
-    matrix and the polish Hessian need each block's tail Gram G1'G1, which
-    is fixed during a solve, and per-block sums u1'G1 of the tail rows.
-    ``ends`` is the finest partition of the columns into consecutive ranges
-    that no tail row crosses, so every tail Gram lies on the diagonal blocks
-    of that partition.  The Grams are kept on the upper triangles of those
-    blocks, row by row, one row of ``grams`` per block with a tail: a tail
-    row with k nonzeros adds the upper triangle of its k x k outer product,
-    and rows with equal k are batched.  `gram_sum` returns a weighted sum on
-    all entries of the diagonal blocks (flat indices ``pattern`` of an
-    n x n matrix).
+    matrix and the polish Hessian need P, each block's tail Gram G1'G1,
+    which is fixed during a solve, and per-block sums u1'G1 of the tail
+    rows.  The columns are cut into the finest consecutive ranges that no
+    tail row and no nonzero of P crosses, so P and every tail Gram lie on
+    the diagonal blocks of that one partition (flat indices ``pattern`` of
+    an n x n matrix).  Where P couples columns that no tail row couples,
+    the Gram blocks are coarser than the tail rows need; the builders build
+    P by stream, so theirs never are.  The Grams are kept on the upper
+    triangles of those blocks, row by row, one row of ``grams`` per block
+    with a tail: a tail row with k nonzeros adds the upper triangle of its
+    k x k outer product, and rows with equal k are batched.  `gram_sum`
+    returns a weighted sum on ``pattern``.
+
+    ``sizes`` are the sizes of the diagonal blocks of B that `_KktSolver`
+    factors: the partition's, or one block of all n columns where the size
+    rule says so: below n = 128 columns, or where B would not be definite
+    by itself (a column in no tail row and off P's diagonal).  Measured on
+    the builders' problems (blocks of 16 or 32 columns), one interior-point
+    iteration by blocks takes 0.62x the dense time at n = 256, 0.81x at
+    n = 128, 0.93-0.96x at n = 80 and 1.15x at n = 20 with blocks of 4.
     """
 
-    def __init__(self, G, cones):
+    def __init__(self, P, G, cones):
         n = G.shape[1]
         self.G, self.cones = G, cones
         self.heads = G[cones.starts]
@@ -348,11 +350,14 @@ class _ConeRows:
         self._with_tail = cones.dims > 1
         first = _runs(self._rows)[0]
         count = np.diff(first, append=self._rows.size)
-        self.ends = _column_blocks(n, cols[first], cols[first + count - 1])
-        self.in_tail = np.bincount(cols, minlength=n) > 0
+        pr, pc, _ = _nonzeros(P)
+        ends = _column_blocks(n, np.concatenate([cols[first], pr]),
+                              np.concatenate([cols[first + count - 1], pc]))
         self.live = np.flatnonzero(self.heads.any(axis=1))   # blocks with a nonzero head row
-        sizes = np.diff(self.ends, prepend=0)
-        first_col, width = np.repeat(self.ends - sizes, sizes), np.repeat(sizes, sizes)
+        sizes = np.diff(ends, prepend=0)
+        definite = (np.bincount(cols, minlength=n) > 0) | (np.diag(P) != 0)
+        self.sizes = sizes if n >= 128 and definite.all() else np.array([n])
+        first_col, width = np.repeat(ends - sizes, sizes), np.repeat(sizes, sizes)
         self.pattern = np.flatnonzero(first_col[:, None] == first_col)
         # Entry (i, j), i <= j, of a block's upper triangle is at
         # start[i] + off[j], with off the offset of a column in its block.
@@ -500,27 +505,6 @@ def _chol_inv(H):
     return out
 
 
-def _factor_blocks(P, rows):
-    """The sizes of the diagonal blocks of B that `_KktSolver` factors.
-
-    That is the finest partition of the columns into consecutive ranges that
-    P and every tail row respect, and one block of all n columns where the
-    size rule says so: below n = 128 columns, or where B would not be
-    definite by itself (a column in no tail row and off P's diagonal).
-    Measured on the builders' problems (blocks of 16 or 32 columns), one
-    interior-point iteration by blocks takes 0.62x the dense time at
-    n = 256, 0.81x at n = 128, 0.93-0.96x at n = 80 and 1.15x at n = 20
-    with blocks of 4; below n = 128 the dense factor is kept.
-    """
-    n = P.shape[0]
-    if n < 128 or not (rows.in_tail | (np.diag(P) != 0)).all():
-        return np.array([n])
-    pr, pc, _ = _nonzeros(P)
-    ends = _column_blocks(n, np.concatenate([rows.ends - np.diff(rows.ends, prepend=0), pr]),
-                          np.concatenate([rows.ends - 1, pc]))
-    return np.diff(ends, prepend=0)
-
-
 class _KktSolver:
     """Solve [[P G'], [G -W^2]] (x, z) = (rx, rz), reduced.
 
@@ -532,12 +516,11 @@ class _KktSolver:
 
         Ghat_k'Ghat_k = (G1'G1 + 2 a a' - g0 g0') / beta^2.
 
-    The tail Grams G1'G1 are fixed during a solve (`_ConeRows`), and like P
-    they couple only the columns of one block of a partition of the columns
-    into consecutive ranges (for the builders, one block per stream).  So
-    H = B + A'A - M'M: B is block-diagonal (P, the weighted tail Grams and
-    REG I), and the rank rows are A, the rows sqrt(2) a / beta, and M, the
-    nonzero rows g0 / beta.
+    The tail Grams G1'G1 are fixed during a solve, and like P they couple
+    only the columns of one block of the partition that `_ConeRows` finds
+    (for the builders, one block per stream).  So H = B + A'A - M'M: B is
+    block-diagonal (P, the weighted tail Grams and REG I), and the rank rows
+    are A, the rows sqrt(2) a / beta, and M, the nonzero rows g0 / beta.
 
     `factor` Cholesky-factors B's blocks together (`_chol_inv`), padded with
     identity to one size.  It then adds A by Woodbury's identity, whose
@@ -546,7 +529,7 @@ class _KktSolver:
     inv(H) = inv(B) - Yh Yh' + Zh Zh', where Yh is inv(B) A' and Zh is
     inv(B + A'A) M', each times the inverse transposed Cholesky factor of
     its stage's capacitance.  Where the size rule keeps the columns one
-    block (`_factor_blocks`), B is all of H: the rank rows go into it, in
+    block (``rows.sizes``), B is all of H: the rank rows go into it, in
     the form a a' + v1 v1' - p p' with p = t/|u1| and
     v1 = p - |u1| (g0 - t/u0), which is more accurate in one dense sum, and
     no Woodbury stage is left.  `_rank_rows` gives either form.
@@ -560,8 +543,8 @@ class _KktSolver:
 
     def __init__(self, P, rows):
         self.P, self.G, self.rows = P, rows.G, rows
-        n = self.n = P.shape[0]
-        sizes = _factor_blocks(P, rows)
+        n = P.shape[0]
+        sizes = rows.sizes
         # Column j sits at at[j] of the blocks padded to one size (self._at
         # is None when no block is padded), and a padded vector meets the
         # blocks in shape self._shape.  One block, H itself, takes no stack
@@ -572,9 +555,8 @@ class _KktSolver:
         self._at = None if (sizes == width).all() else at
         self._shape = (n,) if sizes.size == 1 else (sizes.size, width, 1)
         self._gram_at = at[rows.pattern // n] * width + off[rows.pattern % n]
-        pr, pc, pv = _nonzeros(P)
         self._p_blocks = np.zeros((sizes.size, width, width))
-        self._p_blocks.reshape(-1)[at[pr] * width + off[pc]] = pv
+        self._p_blocks.reshape(-1)[self._gram_at] = P.reshape(-1)[rows.pattern]
         pad = np.flatnonzero(np.arange(width) >= sizes[:, None])
         self._p_blocks.reshape(-1)[pad * width + pad % width] = 1.0
 
@@ -680,7 +662,7 @@ def solve(problem: ConicProblem) -> SolveReport:
     norm_h = max(1.0, np.linalg.norm(h))
     norm_c = max(1.0, np.linalg.norm(c))
 
-    rows = _ConeRows(G, cones)
+    rows = _ConeRows(P, G, cones)
     kkt = _KktSolver(P, rows)
 
     # Initial point: least-squares style starts shifted into the cone.
@@ -691,11 +673,11 @@ def solve(problem: ConicProblem) -> SolveReport:
                        iterations=0)
     x, z_init = kkt.solve(np.zeros(n), h)
     s = -z_init
-    margin = _cone_margin(s, cones)
+    margin = cones.margins(s).min()
     if margin <= 0:
         s = s + (1.0 - margin) * e
     _, z = kkt.solve(-c, np.zeros(m))
-    margin = _cone_margin(z, cones)
+    margin = cones.margins(z).min()
     if margin <= 0:
         z = z + (1.0 - margin) * e
     tau, kappa = 1.0, 1.0
@@ -733,7 +715,7 @@ def solve(problem: ConicProblem) -> SolveReport:
         hz = h @ z
         if hz < -1e-12:
             cert = np.linalg.norm(G.T @ z) / norm_c
-            if cert / (-hz) <= FEAS_TOL and _cone_margin(z, cones) > -FEAS_TOL:
+            if cert / (-hz) <= FEAS_TOL and cones.margins(z).min() > -FEAS_TOL:
                 z = z / (-hz)
                 status, message = STATUS_INFEASIBLE, "primal infeasibility certified"
                 break
@@ -741,7 +723,7 @@ def solve(problem: ConicProblem) -> SolveReport:
         if cx < -1e-12:
             resid = max(np.linalg.norm(G @ x + s) / norm_h,
                         np.linalg.norm(px) / norm_c)
-            if resid / (-cx) <= FEAS_TOL and _cone_margin(s, cones) > -FEAS_TOL:
+            if resid / (-cx) <= FEAS_TOL and cones.margins(s).min() > -FEAS_TOL:
                 x, s = x / (-cx), s / (-cx)
                 status, message = STATUS_UNBOUNDED, "dual infeasibility certified"
                 break
@@ -776,7 +758,7 @@ def solve(problem: ConicProblem) -> SolveReport:
             dtau = num / den
             dx = x2 + dtau * x1
             dz = z2 + dtau * z1
-            ds = -(wl + scaling.mul_w2(dz))
+            ds = -(wl + scaling.mul_w(scaling.mul_w(dz)))
             dkappa = -(d_kappa + kappa * dtau) / tau
             return dx, dz, ds, dtau, dkappa
 
@@ -832,7 +814,7 @@ def solve(problem: ConicProblem) -> SolveReport:
                 xs, zs = polished
                 ss = h - G @ xs
                 gap_rep = abs(ss @ zs) / max(1.0, abs(c @ xs + 0.5 * xs @ P @ xs))
-                pres_rep = max(0.0, -_cone_margin(ss, cones) / norm_h)
+                pres_rep = max(0.0, -cones.margins(ss).min() / norm_h)
                 dres_rep = np.linalg.norm(P @ xs + c + G.T @ zs) / norm_c
 
     # Undo equilibration.

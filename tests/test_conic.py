@@ -135,7 +135,8 @@ class TestQuadraticObjective:
             h = np.concatenate([[1.0], np.zeros(d)])
             cones = solver._Cones([("soc", d + 1)])
             x0 = 0.99 * p / np.linalg.norm(p)
-            polished = solver._polish(np.eye(d), -p, solver._ConeRows(G, cones), h, x0,
+            P = np.eye(d)
+            polished = solver._polish(P, -p, solver._ConeRows(P, G, cones), h, x0,
                                       np.zeros(d + 1))
             assert polished is not None
             x, z = polished
@@ -146,7 +147,8 @@ class TestQuadraticObjective:
         # min (x - 0.5)^2 / 2 s.t. x <= 1, started with the bound active: held
         # on the boundary, stationarity needs nu = -0.5 < -FEAS_TOL.
         cones = solver._Cones([NONNEG])
-        assert solver._polish(np.eye(1), np.array([-0.5]), solver._ConeRows(np.eye(1), cones),
+        P = np.eye(1)
+        assert solver._polish(P, np.array([-0.5]), solver._ConeRows(P, np.eye(1), cones),
                               np.ones(1), np.array([0.99]), np.ones(1)) is None
 
     def test_rejected_polish_reports_the_last_iterate(self, monkeypatch):
@@ -477,15 +479,13 @@ class TestStackedKernels:
         close(lam, scaling.mul_winv(s), rtol=1e-10, atol=1e-12)
         close(scaling.mul_w(v), nt_matrix(s, z, cone_list) @ v, rtol=1e-10, atol=1e-12)
         close(scaling.mul_winv(scaling.mul_w(v)), v, rtol=1e-10, atol=1e-12)
-        close(scaling.mul_w2(v), scaling.mul_w(scaling.mul_w(v)), rtol=1e-12, atol=1e-14)
         close(scaling.mul_winv(v), np.linalg.solve(nt_matrix(s, z, cone_list), v),
               rtol=1e-9, atol=1e-11)
         close(solver._jordan_mul(lam, v, cones), jordan_ref(lam, v, cone_list),
               rtol=1e-12, atol=1e-14)
         close(solver._jordan_solve(lam, jordan_ref(lam, v, cone_list), cones), v,
               rtol=1e-9, atol=1e-11)
-        assert solver._cone_margin(s, cones) == pytest.approx(margin_ref(s, cone_list),
-                                                              rel=1e-12)
+        assert cones.margins(s).min() == pytest.approx(margin_ref(s, cone_list), rel=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(CONE_LISTS, st.integers(0, 2 ** 32 - 1))
@@ -591,7 +591,7 @@ def kkt_system(rng, cone_list, s, z, n=20):
     B = rng.standard_normal((n, n // 2 if m >= n else 2 * n))
     P, G = B @ B.T, rng.standard_normal((m, n))
     cones = solver._Cones(cone_list)
-    kkt = solver._KktSolver(P, solver._ConeRows(G, cones))
+    kkt = solver._KktSolver(P, solver._ConeRows(P, G, cones))
     kkt.factor(solver._Scaling(s, z, cones))
     rhs = (rng.standard_normal(n), rng.standard_normal(m))
     return kkt, (P, G), rhs
@@ -659,7 +659,7 @@ def stream_system(rng, cone_list, sizes, s, z, rate_coef=None):
     if rate_coef is not None:
         G[-6 * len(sizes):] = rate_cone_rows(rng, sizes, rate_coef)
     cones = solver._Cones(cone_list)
-    kkt = solver._KktSolver(P, solver._ConeRows(G, cones))
+    kkt = solver._KktSolver(P, solver._ConeRows(P, G, cones))
     kkt.factor(solver._Scaling(s, z, cones))
     assert kkt._h.shape[0] == len(sizes)   # the size rule factors by blocks
     return kkt, P, G
@@ -704,7 +704,7 @@ class TestReducedKkt:
         B = rng.standard_normal((n, 2 * n))
         P = B @ B.T
         scaling = solver._Scaling(s, z, cones)
-        kkt = solver._KktSolver(P, solver._ConeRows(G, cones))
+        kkt = solver._KktSolver(P, solver._ConeRows(P, G, cones))
         kkt.factor(scaling)
         if where == "near the boundary":
             ghat = np.column_stack([scaling.mul_winv(col) for col in G.T])
@@ -794,20 +794,36 @@ class TestReducedKkt:
         rhs = (rng.standard_normal(P.shape[0]), rng.standard_normal(G.shape[0]))
         assert_as_accurate_as_lu(kkt, P, G, nt_matrix(s, z, cone_list), rhs)
 
-    @pytest.mark.parametrize("sizes,bare,blocks", [
-        ([16] * 5, False, 1),   # n = 80: below the size rule's crossover
-        ([16] * 8, False, 8),
-        ([16] * 8, True, 1),    # B would be singular without the rank rows
+    @pytest.mark.parametrize("sizes,change,blocks", [
+        ([16] * 5, None, 1),       # n = 80: below the size rule's crossover
+        ([16] * 8, None, 8),
+        ([16] * 8, "bare", 1),     # B would be singular without the rank rows
+        ([16] * 8, "coupled", 7),  # P couples blocks 2 and 3, which no tail row does
     ])
-    def test_size_rule(self, sizes, bare, blocks):
+    def test_size_rule(self, sizes, change, blocks):
+        # Each choice also solves as test_solve_by_blocks_matches_the_full_system
+        # does.  Coupled by P, columns 40-55 take one block of 32 columns, to
+        # whose size the other 6 blocks are padded.
         cone_list = (("soc", 40), ("soc", 30), ("soc", 60))
         cones = solver._Cones(cone_list)
-        P, G = block_problem(np.random.default_rng(0), cone_list, sizes)
-        if bare:   # column 0 in no tail row and off P's diagonal
+        rng = np.random.default_rng(0)
+        P, G = block_problem(rng, cone_list, sizes)
+        if change == "bare":   # column 0 in no tail row and off P's diagonal
             P[0, :], P[:, 0] = 0.0, 0.0
             G[cones.tail > 0, 0] = 0.0
-        kkt = solver._KktSolver(P, solver._ConeRows(G, cones))
+        elif change == "coupled":   # a rank-one term on columns 40-55
+            v = np.zeros(P.shape[0])
+            v[40:56] = rng.standard_normal(16)
+            P = P + np.outer(v, v) / 16
+        kkt = solver._KktSolver(P, solver._ConeRows(P, G, cones))
         assert kkt._p_blocks.shape[0] == blocks
+        s, z = interior(rng, cone_list, 0.3), interior(rng, cone_list, 0.3)
+        kkt.factor(solver._Scaling(s, z, cones))
+        rhs = (rng.standard_normal(P.shape[0]), rng.standard_normal(G.shape[0]))
+        got = np.concatenate(kkt.solve(*rhs))
+        expect = np.linalg.solve(full_kkt(P, G, nt_matrix(s, z, cone_list)),
+                                 np.concatenate(rhs))
+        np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12 * np.abs(expect).max())
 
     def test_one_factorization_per_newton_system(self, monkeypatch):
         # Each interior-point Newton system is factored once (one Cholesky
@@ -854,7 +870,7 @@ class TestReducedKkt:
         G = rng.standard_normal((m, n))
         cone_list = (("nonneg", m),)
         cones, e = solver._Cones(cone_list), np.ones(m)
-        kkt = solver._KktSolver(P, solver._ConeRows(G, cones))
+        kkt = solver._KktSolver(P, solver._ConeRows(P, G, cones))
         kkt.factor(solver._Scaling(e, e, cones))
         full = full_kkt(P, G, nt_matrix(e, e, cone_list))
         rhs = rng.standard_normal(n + m)

@@ -562,7 +562,9 @@ def joint_energy_minimization(config: SystemConfig, tasks: list[Task],
         eta * _safe_div(bits, _cs_rate_bound(config, channels, powers, support)), support)
     speeds, cloud_e, tx_e = recover_cloud(rates, powers)
     energy = EnergyBreakdown.combine(cloud_e, tx_e, eta)
-    with np.errstate(divide="ignore"):  # lateness at the rates bf gives, not `rates`
+    # The replay's lateness takes the rates of the returned bf, not the refit's
+    # own `rates`: equal when the refit is right, and independent of it.
+    with np.errstate(divide="ignore"):
         finish = cycles / speeds + np.divide(bits, ran.rate(channels, bf, bw),
                                              where=bits > 0, out=np.zeros(n))
     ransol = _replay_checked(config, tasks, channels, RanSolution(

@@ -18,24 +18,26 @@ operations over all blocks, and the Nesterov-Todd scaling is applied as a
 rank-one update per block (see `_Scaling`), as in CVXOPT and ECOS.  Each
 Newton system is reduced to a definite system H x = r with
 H = P + G'W^{-2} G.  G and P's pattern are read once per solve from
-their nonzeros (`_ConeRows`): H is P, a weighted sum of each block's fixed
-tail Gram and the products of two rows per block, with no dense product
-over G.  P and the tail Grams couple only the columns within the blocks of
-one partition of the columns into consecutive ranges, so H is a
-block-diagonal B plus rank rows.  B's blocks are Cholesky-factored together
-and the rank rows are added in two Woodbury stages with definite
-capacitances; below 128 columns H is one dense block with the rank rows
-added in (the size rule of `_ConeRows`).  Each solve applies G and W^{-1}
-to vectors and the factors, refines once against H, and corrects the
-stationarity rows once against the full system (`_KktSolver`).
+their nonzeros (`_ConeRows`): H is P, a weighted sum of each block's tail
+Gram and the products of two rows per block, with no dense product over G.
+P and the tail Grams couple only the columns within the blocks of one
+partition of the columns into consecutive ranges, so H is a
+block-diagonal B plus rank rows.  Each tail row is kept once, stacked by
+those blocks and padded to one shape, so the weighted Gram sum is one
+batched product that returns B's blocks.  They are Cholesky-factored
+together and the rank rows are added in two Woodbury stages with definite
+capacitances; below 128 columns H is one dense block with the Grams and
+the rank rows added in (the size rule of `_ConeRows`).  Each solve applies
+G and W^{-1} to vectors and the factors, refines once against H, and
+corrects the stationarity rows once against the full system (`_KktSolver`).
 
 An optimal answer is then polished by Newton's method on the KKT system of
 its active cone blocks, which the interior-point iterate only approaches as
 the square root of its duality gap.  Each polish step solves the
 regularized saddle-point system [[H + REG I, A'], [A, -REG I]] of its
 boundary gradients A, which is quasi-definite (Vanderbei 1995), with one
-dense LU solve; its Hessian H takes the same tail Grams.  The active set
-grows by every block that a settled polish point leaves.
+dense LU solve; its Hessian H takes the same stacked tail rows.  The
+active set grows by every block that a settled polish point leaves.
 
 The solver knows variables only by position: a `ConicProblem` holds the
 arrays above and no names.  `SolveReport.x` comes back in the caller's
@@ -262,6 +264,12 @@ def _nonzeros(A):
     return *np.divmod(at, A.shape[1]), A.ravel()[at]
 
 
+def _scale(maxima):
+    """Ruiz scales from largest |entries|: the root, floored at 1e-8, and 1
+    for all-zero entries (a floor would scale h or c by 1e8 per sweep)."""
+    return np.where(maxima > 0, np.maximum(np.sqrt(np.maximum(maxima, 1e-16)), 1e-8), 1.0)
+
+
 def _ruiz_equilibrate(c, P, G, h, cones):
     """Row/column scaling; SOC row blocks share one scale to keep cone shape.
 
@@ -281,15 +289,14 @@ def _ruiz_equilibrate(c, P, G, h, cones):
     for _ in range(RUIZ_ITERS):
         rowmax = np.zeros(m)
         rowmax[g_rows[1]] = np.maximum.reduceat(np.abs(gv), g_rows[0])
-        rg = np.sqrt(np.maximum(rowmax, 1e-16))
-        rg = np.maximum(np.maximum.reduceat(rg, cones.starts)[cones.owner], 1e-8)
+        rg = _scale(np.maximum.reduceat(rowmax, cones.starts))[cones.owner]
         gv /= rg[gr]
         dr_g /= rg
         colmax = np.zeros(n)
         colmax[p_rows[1]] = np.maximum.reduceat(np.abs(pv), p_rows[0])
         colmax[g_cols[1]] = np.maximum(colmax[g_cols[1]],
                                        np.maximum.reduceat(np.abs(gv)[bycol], g_cols[0]))
-        cnorm = np.maximum(np.sqrt(np.maximum(colmax, 1e-16)), 1e-8)
+        cnorm = _scale(colmax)
         pv /= cnorm[pr] * cnorm[pc]
         gv /= cnorm[gc]
         dc /= cnorm
@@ -317,18 +324,22 @@ class _ConeRows:
     """G read by cone block, and the columns partitioned, once per solve.
 
     Block k has head row g0 (``heads[k]``) and tail rows G1.  The KKT
-    matrix and the polish Hessian need P, each block's tail Gram G1'G1,
-    which is fixed during a solve, and per-block sums u1'G1 of the tail
-    rows.  The columns are cut into the finest consecutive ranges that no
-    tail row and no nonzero of P crosses, so P and every tail Gram lie on
-    the diagonal blocks of that one partition (flat indices ``pattern`` of
-    an n x n matrix).  Where P couples columns that no tail row couples,
-    the Gram blocks are coarser than the tail rows need; the builders build
-    P by stream, so theirs never are.  The Grams are kept on the upper
-    triangles of those blocks, row by row, one row of ``grams`` per block
-    with a tail: a tail row with k nonzeros adds the upper triangle of its
-    k x k outer product, and rows with equal k are batched.  `gram_sum`
-    returns a weighted sum on ``pattern``.
+    matrix and the polish Hessian need P, a weighted sum of the blocks'
+    tail Grams G1'G1, and per-block sums u1'G1 of the tail rows.  The
+    columns are cut into the finest consecutive ranges that no tail row and
+    no nonzero of P crosses, so P and every tail Gram lie on the diagonal
+    blocks of that one partition.  Where P couples columns that no tail row
+    couples, those blocks are coarser than the tail rows need; the builders
+    build P by stream, so theirs never are.
+
+    Each nonzero tail row is kept once: ``tails[b]`` holds the tail rows in
+    partition block b, cut to its columns and padded with zero rows and
+    columns to one shape (blocks x rows x width).  ``_cone`` gives each
+    row's cone block, and a pad row an appended zero weight, so `gram_sum`
+    is one batched product T'(wT), the partition's diagonal blocks in the
+    padded layout that `_KktSolver` factors by blocks.  Its entries
+    ``inside`` are the entries ``at`` of an n x n matrix, which scatters
+    them into a dense H.
 
     ``sizes`` are the sizes of the diagonal blocks of B that `_KktSolver`
     factors: the partition's, or one block of all n columns where the size
@@ -347,7 +358,6 @@ class _ConeRows:
         in_tail = cones.tail[rows] > 0
         self._rows, cols, self._vals = rows[in_tail], cols[in_tail], vals[in_tail]
         self._block_col = cones.owner[self._rows] * n + cols
-        self._with_tail = cones.dims > 1
         first = _runs(self._rows)[0]
         count = np.diff(first, append=self._rows.size)
         pr, pc, _ = _nonzeros(P)
@@ -357,27 +367,21 @@ class _ConeRows:
         sizes = np.diff(ends, prepend=0)
         definite = (np.bincount(cols, minlength=n) > 0) | (np.diag(P) != 0)
         self.sizes = sizes if n >= 128 and definite.all() else np.array([n])
-        first_col, width = np.repeat(ends - sizes, sizes), np.repeat(sizes, sizes)
-        self.pattern = np.flatnonzero(first_col[:, None] == first_col)
-        # Entry (i, j), i <= j, of a block's upper triangle is at
-        # start[i] + off[j], with off the offset of a column in its block.
-        off = np.arange(n) - first_col
-        upper = sizes * (sizes + 1) // 2
-        start = np.repeat(np.cumsum(upper) - upper, sizes) + off * width - off * (off + 1) // 2
-        i, j = np.divmod(self.pattern, n)
-        self._upper = start[np.minimum(i, j)] + off[np.maximum(i, j)]
-        block = (np.cumsum(self._with_tail) - 1)[cones.owner[self._rows]] * upper.sum()
-        slots, products = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
-        for k in np.flatnonzero(np.bincount(count)):
-            iu, ju = np.triu_indices(k)
-            at = first[count == k]
-            c = cols[at[:, None] + np.arange(k)]
-            v = self._vals[at[:, None] + np.arange(k)]
-            slots.append((block[at, None] + start[c[:, iu]] + off[c[:, ju]]).ravel())
-            products.append((v[:, iu] * v[:, ju]).ravel())
-        self.grams = np.bincount(np.concatenate(slots), weights=np.concatenate(products),
-                                 minlength=np.count_nonzero(self._with_tail) * upper.sum()
-                                 ).reshape(-1, upper.sum())
+        width, start = sizes.max(initial=0), ends - sizes
+        real = np.arange(width) < sizes[:, None]
+        self.inside = np.flatnonzero(real[:, :, None] & real[:, None, :])
+        b, i, j = np.unravel_index(self.inside, (sizes.size, width, width))
+        self.at = (start[b] + i) * n + start[b] + j
+        # Tail row r lies in partition block part[r], at slot[r] of its rows there.
+        part = np.searchsorted(ends, cols[first], side="right")
+        order = np.argsort(part, kind="stable")
+        slot = np.empty_like(part)
+        slot[order] = np.arange(part.size) - np.searchsorted(part[order], part[order])
+        self.tails = np.zeros((sizes.size, slot.max(initial=-1) + 1, width))
+        row = np.repeat(np.arange(first.size), count)
+        self.tails[part[row], slot[row], cols - start[part[row]]] = self._vals
+        self._cone = np.full(self.tails.shape[:2], cones.degree)
+        self._cone[part, slot] = cones.owner[self._rows[first]]
 
     def tail_sums(self, u):
         """(K, n) array of u1'G1 per block."""
@@ -386,8 +390,9 @@ class _ConeRows:
                            minlength=k * n).reshape(k, n)
 
     def gram_sum(self, weights):
-        """sum_k weights[k] G1_k'G1_k on the entries ``pattern``."""
-        return (weights[self._with_tail] @ self.grams)[self._upper]
+        """sum_k weights[k] G1_k'G1_k as the partition's padded diagonal blocks."""
+        w = np.append(weights, 0.0)[self._cone][..., None]
+        return _t(self.tails) @ (w * self.tails)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +460,7 @@ def _boundary_newton(P, c, rows, h, active, x, nu):
         weight = np.where(cones.dims > 1, nu_all / norm1, 0.0)
         g1u = rows.tail_sums(u)[active]
         hess = P - (g1u * weight[active, None]).T @ g1u
-        hess.reshape(-1)[rows.pattern] += rows.gram_sum(weight)
+        hess.reshape(-1)[rows.at] += rows.gram_sum(weight).reshape(-1)[rows.inside]
         grads = g1u + rows.heads[active]
         # With hess + REG I definite, the -REG I block keeps the bordered
         # matrix nonsingular even when the active gradients are dependent.
@@ -516,23 +521,25 @@ class _KktSolver:
 
         Ghat_k'Ghat_k = (G1'G1 + 2 a a' - g0 g0') / beta^2.
 
-    The tail Grams G1'G1 are fixed during a solve, and like P they couple
-    only the columns of one block of the partition that `_ConeRows` finds
-    (for the builders, one block per stream).  So H = B + A'A - M'M: B is
-    block-diagonal (P, the weighted tail Grams and REG I), and the rank rows
-    are A, the rows sqrt(2) a / beta, and M, the nonzero rows g0 / beta.
+    The tail Grams G1'G1, like P, couple only the columns of one block of
+    the partition that `_ConeRows` finds (for the builders, one block per
+    stream).  So H = B + A'A - M'M: B is block-diagonal (P, the weighted
+    tail Grams and REG I), and the rank rows are A, the rows
+    sqrt(2) a / beta, and M, the nonzero rows g0 / beta.
 
     `factor` Cholesky-factors B's blocks together (`_chol_inv`), padded with
-    identity to one size.  It then adds A by Woodbury's identity, whose
+    identity to one size: the layout in which `rows.gram_sum` returns the
+    weighted Grams.  It then adds A by Woodbury's identity, whose
     capacitance I + A inv(B) A' is definite, and subtracts M by a second
     stage, whose capacitance I - M inv(B + A'A) M' is definite because H is:
     inv(H) = inv(B) - Yh Yh' + Zh Zh', where Yh is inv(B) A' and Zh is
     inv(B + A'A) M', each times the inverse transposed Cholesky factor of
     its stage's capacitance.  Where the size rule keeps the columns one
-    block (``rows.sizes``), B is all of H: the rank rows go into it, in
-    the form a a' + v1 v1' - p p' with p = t/|u1| and
-    v1 = p - |u1| (g0 - t/u0), which is more accurate in one dense sum, and
-    no Woodbury stage is left.  `_rank_rows` gives either form.
+    block (``rows.sizes``), B is all of H: the Grams are scattered into it
+    and the rank rows go into it, in the form a a' + v1 v1' - p p' with
+    p = t/|u1| and v1 = p - |u1| (g0 - t/u0), which is more accurate in one
+    dense sum, and no Woodbury stage is left.  `_rank_rows` gives either
+    form.
 
     A reduced solve applies inv(H) and refines once against the shifted H,
     applied as B plus the rank rows, which makes the solve backward stable
@@ -543,21 +550,20 @@ class _KktSolver:
 
     def __init__(self, P, rows):
         self.P, self.G, self.rows = P, rows.G, rows
-        n = P.shape[0]
         sizes = rows.sizes
-        # Column j sits at at[j] of the blocks padded to one size (self._at
-        # is None when no block is padded), and a padded vector meets the
+        # Column j sits at self._at[j] of the blocks padded to one size
+        # (None when no block is padded), and a padded vector meets the
         # blocks in shape self._shape.  One block, H itself, takes no stack
-        # axis, whose matrix products cost time at small n.
+        # axis, whose matrix products cost time at small n.  P's entries
+        # are those at ``rows.at``: by blocks they go to ``rows.inside``.
         width = sizes.max()
-        off = np.arange(n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        at = np.repeat(np.arange(sizes.size), sizes) * width + off
-        self._at = None if (sizes == width).all() else at
-        self._shape = (n,) if sizes.size == 1 else (sizes.size, width, 1)
-        self._gram_at = at[rows.pattern // n] * width + off[rows.pattern % n]
+        real = np.arange(width) < sizes[:, None]
+        self._at = None if real.all() else np.flatnonzero(real)
+        self._shape = (P.shape[0],) if sizes.size == 1 else (sizes.size, width, 1)
         self._p_blocks = np.zeros((sizes.size, width, width))
-        self._p_blocks.reshape(-1)[self._gram_at] = P.reshape(-1)[rows.pattern]
-        pad = np.flatnonzero(np.arange(width) >= sizes[:, None])
+        to = rows.at if sizes.size == 1 else rows.inside
+        self._p_blocks.reshape(-1)[to] = P.reshape(-1)[rows.at]
+        pad = np.flatnonzero(~real)
         self._p_blocks.reshape(-1)[pad * width + pad % width] = 1.0
 
     def _rank_rows(self, scaling):
@@ -583,16 +589,16 @@ class _KktSolver:
         rows, cones = self.rows, self.rows.cones
         blocks, width = self._p_blocks.shape[:2]
         plus, minus = self._rank_rows(scaling)
+        gram = rows.gram_sum(1.0 / scaling.beta[cones.starts] ** 2)
         if blocks == 1:
-            # One block is all of H: the rank rows go into it.
+            # One block is all of H: the rank rows and the Grams go into it.
             h = plus.T @ plus
             h -= minus.T @ minus
             h += self._p_blocks[0]
+            h.reshape(-1)[rows.at] += gram.reshape(-1)[rows.inside]
             plus, minus = plus[:0], minus[:0]
         else:
-            h = self._p_blocks.copy()
-        beta = scaling.beta[cones.starts]
-        h.reshape(-1)[self._gram_at] += rows.gram_sum(1.0 / beta ** 2)
+            h = self._p_blocks + gram
         h.reshape(blocks, -1)[:, ::width + 1] += REG
         rank = self._padded(np.vstack([plus, minus]))
         # np.linalg.cholesky factors a matrix with NaN or inf entries silently.
@@ -669,8 +675,8 @@ def solve(problem: ConicProblem) -> SolveReport:
     try:
         kkt.factor(_Scaling(e, e, cones))
     except np.linalg.LinAlgError:
-        return _report(problem, STATUS_MAXITER, message="KKT factorization failed",
-                       iterations=0)
+        return SolveReport(STATUS_MAXITER, np.zeros(n), np.zeros(m), np.zeros(m),
+                           *[np.nan] * 5, iterations=0, message="KKT factorization failed")
     x, z_init = kkt.solve(np.zeros(n), h)
     s = -z_init
     margin = cones.margins(s).min()
@@ -838,14 +844,3 @@ def solve(problem: ConicProblem) -> SolveReport:
         trace=trace,
     )
 
-
-def _report(problem, status, message, iterations):
-    n = problem.num_vars
-    m = problem.cone_lhs.shape[0]
-    return SolveReport(
-        status=status,
-        x=np.zeros(n), z=np.zeros(m), s=np.zeros(m),
-        primal_objective=np.nan, dual_objective=np.nan,
-        duality_gap=np.nan, primal_residual=np.nan, dual_residual=np.nan,
-        iterations=iterations, message=message,
-    )

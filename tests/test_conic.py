@@ -513,7 +513,8 @@ class TestStackedKernels:
 
 
 def dense_ruiz(c, P, G, h, cones):
-    """Ruiz equilibration by dense sweeps over P and G, as the solver once did."""
+    """Ruiz equilibration by dense sweeps over P and G, as the solver once
+    did, with scale 1 for an all-zero cone block or column."""
     m, n = G.shape
     dr_g = np.ones(m)
     dc = np.ones(n)
@@ -521,10 +522,12 @@ def dense_ruiz(c, P, G, h, cones):
     for _ in range(solver.RUIZ_ITERS):
         rg = np.sqrt(np.maximum(np.abs(Gs).max(axis=1), 1e-16))
         rg = np.maximum(np.maximum.reduceat(rg, cones.starts)[cones.owner], 1e-8)
+        rg[(np.add.reduceat(np.abs(Gs).sum(axis=1), cones.starts) == 0)[cones.owner]] = 1.0
         Gs /= rg[:, None]
         dr_g /= rg
         colmax = np.maximum(np.abs(Ps).max(axis=0, initial=0.0), np.abs(Gs).max(axis=0))
         cnorm = np.maximum(np.sqrt(np.maximum(colmax, 1e-16)), 1e-8)
+        cnorm[colmax == 0] = 1.0
         Ps /= np.outer(cnorm, cnorm)
         Gs /= cnorm[None, :]
         dc /= cnorm
@@ -553,6 +556,27 @@ class TestEquilibration:
         got = solver._ruiz_equilibrate(c, B @ B.T, G, h, cones)
         expect = dense_ruiz(c, B @ B.T, G, h, cones)
         assert all(np.array_equal(a, b) for a, b in zip(got, expect))
+
+    # An all-zero cone block or column takes scale 1.  A floored scale of
+    # 1e-8 would multiply its h or c entry by 1e8 on every sweep.
+    @pytest.mark.parametrize("h_const", [10.0, 1e-3])
+    def test_constant_row_keeps_its_right_side(self, h_const):
+        # min x s.t. x >= -1 and 0 x <= h_const.
+        report = solve(conic([1.0], [[-1.0], [0.0]], [1.0, h_const], [("nonneg", 2)]))
+        assert report.optimal
+        assert report.x[0] == pytest.approx(-1.0, abs=1e-7)
+
+    def test_all_zero_soc_block(self):
+        # min x s.t. x >= -1, and a ("soc", 2) block that x does not enter.
+        report = solve(conic([1.0], [[-1.0], [0.0], [0.0]], [1.0, 1.0, 0.5],
+                             [NONNEG, ("soc", 2)]))
+        assert report.optimal
+        assert report.x[0] == pytest.approx(-1.0, abs=1e-7)
+
+    def test_empty_column_is_unbounded(self):
+        # min x1 + x2 s.t. x1 >= -1, with x2 in neither P nor G.
+        report = solve(conic([1.0, 1.0], [[-1.0, 0.0]], [1.0], [NONNEG]))
+        assert report.status == "unbounded"
 
 
 def full_kkt(P, G, w, dtype=np.float64):
@@ -803,7 +827,12 @@ class TestReducedKkt:
     def test_size_rule(self, sizes, change, blocks):
         # Each choice also solves as test_solve_by_blocks_matches_the_full_system
         # does.  Coupled by P, columns 40-55 take one block of 32 columns, to
-        # whose size the other 6 blocks are padded.
+        # whose size the other 6 blocks are padded; bare, column 0 is a
+        # partition block of its own, padded to 16 columns.  Each choice also
+        # checks `gram_sum` at signed and zero weights, as the polish passes
+        # them, against the dense sum: scattered into an n x n matrix, and
+        # by blocks as B's padded blocks.  Tail rows fall into the blocks at
+        # random, so the blocks hold unequal row counts and take pad rows.
         cone_list = (("soc", 40), ("soc", 30), ("soc", 60))
         cones = solver._Cones(cone_list)
         rng = np.random.default_rng(0)
@@ -815,8 +844,25 @@ class TestReducedKkt:
             v = np.zeros(P.shape[0])
             v[40:56] = rng.standard_normal(16)
             P = P + np.outer(v, v) / 16
-        kkt = solver._KktSolver(P, solver._ConeRows(P, G, cones))
+        rows = solver._ConeRows(P, G, cones)
+        kkt = solver._KktSolver(P, rows)
         assert kkt._p_blocks.shape[0] == blocks
+        w = rng.standard_normal(cones.degree) * (rng.random(cones.degree) < 0.7)
+        weighted = lambda a, v: (a * (v[cones.owner] * cones.tail)[:, None]).T @ a
+        expect, scale = weighted(G, w), weighted(np.abs(G), np.abs(w)).max()
+        stacked = rows.gram_sum(w)
+        got = np.zeros_like(P)
+        got.reshape(-1)[rows.at] = stacked.reshape(-1)[rows.inside]
+        assert np.abs(got - expect).max() <= 1e-14 * scale
+        if blocks > 1:
+            at = np.arange(P.shape[0]) if kkt._at is None else kkt._at
+            padded = np.zeros((stacked.shape[0] * stacked.shape[1],) * 2)
+            for k, block in enumerate(stacked):
+                padded[k * block.shape[0]:(k + 1) * block.shape[0],
+                       k * block.shape[0]:(k + 1) * block.shape[0]] = block
+            assert np.abs(padded[np.ix_(at, at)] - expect).max() <= 1e-14 * scale
+            padded[np.ix_(at, at)] = 0.0
+            assert not padded.any()   # pad rows and columns stay zero
         s, z = interior(rng, cone_list, 0.3), interior(rng, cone_list, 0.3)
         kkt.factor(solver._Scaling(s, z, cones))
         rhs = (rng.standard_normal(P.shape[0]), rng.standard_normal(G.shape[0]))

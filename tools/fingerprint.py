@@ -35,10 +35,12 @@ must reach one status and one iteration count; the tool says so when they
 do not.  ``--tree DIR`` runs the cranopt and scenario of another checkout,
 such as a parent commit.  ``--compare`` prints every difference between
 two such files, the new file's probe spread among them, and exits 1 if
-there is one.  Energy changes of the C/10, C/30, C/100, 2 x 1 x 5 and
-P/100 runs are listed apart: there last-bit changes are amplified (a
-binding fronthaul, or round counts that hinge on last bits), so they can
-stem from rounding alone.
+there is one; for a run whose conic calls differ it names the largest
+change in one shared call's interior-point iterations (signed, new minus
+old), which shows whether the +-1 iteration contract held.  Energy changes
+of the C/10, C/30, C/100, 2 x 1 x 5 and P/100 runs are listed apart: there
+last-bit changes are amplified (a binding fronthaul, or round counts that
+hinge on last bits), so they can stem from rounding alone.
 """
 
 from __future__ import annotations
@@ -156,9 +158,12 @@ def compare(old: list[dict], new: list[dict]) -> tuple[list[str], list[str]]:
                 (amplified if key == "energy" and run["cell"] in AMPLIFYING_CELLS
                  else diffs).append(line)
         if run["calls"] != other["calls"]:
-            changed = sum(a != b for a, b in zip(run["calls"], other["calls"]))
+            shared = list(zip(run["calls"], other["calls"]))
+            changed = sum(a != b for a, b in shared)
+            largest = max((b[1] - a[1] for a, b in shared), key=abs, default=0)
             diffs.append(f"{label}: conic calls {len(run['calls'])} -> "
-                         f"{len(other['calls'])}, {changed} of the shared ones differ")
+                         f"{len(other['calls'])}, {changed} of the shared ones differ, "
+                         f"largest iteration change {largest:+d}")
     diffs += [f"{label}: missing from the old file" for label in new_by_label]
     return diffs, amplified
 

@@ -27,15 +27,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ran
-from .cloud import CloudInfeasibleError, clone_energy, solve_cloud_allocation
+from .cloud import InfeasibleError, clone_energy, solve_cloud_allocation
 from .conic import build_power_min_socp, build_wmmse_step_socp, extract_beamformers, solve
-from .ran import BeamformerSet, EnergyBreakdown, RateInfeasibleError
+from .ran import BeamformerSet, EnergyBreakdown
 from .scenario import ChannelState, SystemConfig, Task
 
 __all__ = [
     "RanSolution",
     "JointSolution",
-    "BaselineInfeasibleError",
     "mmse_receiver",
     "mse",
     "mse_weight",
@@ -56,14 +55,6 @@ REFIT_FLOOR_SLACK = 1e-4   # relative rate slack allowed when refitting on a sup
 REPLAY_TOL = 1e-6          # relative constraint miss an "optimal" answer may replay with
 
 
-class BaselineInfeasibleError(ValueError):
-    """One side of a fixed deadline split cannot meet its share."""
-
-    def __init__(self, side: str, detail: str):
-        self.side = side
-        super().__init__(f"{side} side infeasible: {detail}")
-
-
 @dataclass
 class RanSolution:
     beamformers: BeamformerSet
@@ -73,8 +64,11 @@ class RanSolution:
     floors: np.ndarray
     status: str = "optimal"
     iterations: int = 0
-    converged: bool = True
     message: str = ""
+
+    @property
+    def converged(self) -> bool:
+        return self.status == "optimal"
 
 
 @dataclass
@@ -84,9 +78,18 @@ class JointSolution:
     energy: EnergyBreakdown | None
     energy_trace: list = field(default_factory=list)
     surrogate_trace: list = field(default_factory=list)  # (S0, S1, S3) rows
-    status: str = "optimal"
-    iterations: int = 0
-    converged: bool = True
+
+    @property
+    def status(self) -> str:
+        return self.ran.status
+
+    @property
+    def iterations(self) -> int:
+        return self.ran.iterations
+
+    @property
+    def converged(self) -> bool:
+        return self.ran.converged
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +165,7 @@ def mse_weight(e, cycles, bits, deadlines, bandwidth, kappa, exponent,
     clamped at the deadline floor, which puts the speed at the clone
     capacity and bounds the weight at infeasible iterates.  The weight is 0
     without result bits, at nu = 1 or at kappa = 0; otherwise a UE whose
-    cloud execution alone exhausts its deadline raises RateInfeasibleError.
+    cloud execution alone exhausts its deadline raises InfeasibleError("deadline").
     """
     e = np.asarray(e, dtype=float)
     if not np.all((e > 0.0) & (e < 1.0)):
@@ -170,8 +173,8 @@ def mse_weight(e, cycles, bits, deadlines, bandwidth, kappa, exponent,
     live = (bits > 0) & (exponent != 1.0) & (kappa != 0.0)
     late = live & (deadlines <= cycles / capacity_limit)
     if np.any(late):
-        raise RateInfeasibleError(int(np.argmax(late)),
-                                  "cloud execution alone exhausts the deadline")
+        raise InfeasibleError("deadline", "cloud execution alone exhausts the deadline",
+                              int(np.argmax(late)))
     r = np.maximum(bandwidth * np.log2(1.0 / e),
                    _rate_floor(cycles, bits, deadlines, capacity_limit))
     speed = _clone_speed(r, cycles, bits, deadlines, capacity_limit)
@@ -292,7 +295,7 @@ def _replay_checked(config, tasks, channels, solution, deadline_total=None):
         return solution
     missed = _replay_misses(config, tasks, channels, solution, deadline_total)
     if missed:
-        solution.status, solution.converged = "replay_failed", False
+        solution.status = "replay_failed"
         solution.message = "returned solution violates " + ", ".join(missed)
     return solution
 
@@ -323,8 +326,7 @@ def ran_power_minimization(config: SystemConfig, tasks: list[Task],
     support = np.repeat((floors > 0)[:, None], config.num_rrh, axis=1)
     if not support.any():
         zero = BeamformerSet(np.zeros_like(channels.gains))
-        return RanSolution(zero, np.zeros(n), (frozenset(),) * n,
-                           np.zeros(n), floors, "optimal", 0, True)
+        return RanSolution(zero, np.zeros(n), (frozenset(),) * n, np.zeros(n), floors)
 
     v = _initial_beamformers(config, channels, support)
     powers = ran.ue_power(BeamformerSet(v))
@@ -332,7 +334,7 @@ def ran_power_minimization(config: SystemConfig, tasks: list[Task],
     rho = frozen = None
     metric_prev = None
     trace = []
-    status, converged, it = "max_iterations", False, 0
+    status, it = "max_iterations", 0
 
     for it in range(1, MAX_ITERATIONS + 1):
         # `bound` holds the rate bound at the current v and support.
@@ -344,7 +346,7 @@ def ran_power_minimization(config: SystemConfig, tasks: list[Task],
         report = solve(problem)
         if not report.optimal:
             return RanSolution(BeamformerSet(v), np.zeros(n), (frozenset(),) * n,
-                               powers, floors, report.status, it, False,
+                               powers, floors, report.status, it,
                                f"conic step failed: {report.message or report.status}; "
                                f"floors={floors.tolist()}")
         v = extract_beamformers(report.x, support, config.antennas_per_rrh)
@@ -359,15 +361,15 @@ def ran_power_minimization(config: SystemConfig, tasks: list[Task],
         trace.append(metric)
         if metric_prev is not None and abs(metric - metric_prev) <= CONV_REL_TOL * max(
                 metric_prev, 1e-30):
-            status, converged = "optimal", True
+            status = "optimal"
             break
         metric_prev = metric
 
     bf, rates, powers, clusters = _refit_on_support(
         config, channels, BeamformerSet(v), floors, _safe_div(bits, bound), support)
     return _replay_checked(config, tasks, channels, RanSolution(
-        bf, rates, clusters, powers, floors, status, it, converged,
-        "" if converged else _cap_message(trace)))
+        bf, rates, clusters, powers, floors, status, it,
+        "" if status == "optimal" else _cap_message(trace)))
 
 
 def _safe_div(a, b):
@@ -458,9 +460,8 @@ def joint_energy_minimization(config: SystemConfig, tasks: list[Task],
     late = deadlines <= cycles / fmax
     if np.any(late):
         i = int(np.argmax(late))
-        raise RateInfeasibleError(
-            i, f"cloud execution needs {cycles[i] / fmax[i]:.6g} s "
-               f"of a {deadlines[i]:.6g} s deadline")
+        raise InfeasibleError("deadline", f"cloud execution needs {cycles[i] / fmax[i]:.6g} s "
+                              f"of a {deadlines[i]:.6g} s deadline", i)
 
     floors = _rate_floor(cycles, bits, deadlines, fmax)
     support = np.repeat((bits > 0)[:, None], l, axis=1)
@@ -469,10 +470,8 @@ def joint_energy_minimization(config: SystemConfig, tasks: list[Task],
         alloc = solve_cloud_allocation(cycles, deadlines, fmax, kappa, nu)
         energy = EnergyBreakdown.combine(alloc.exec_energy, np.zeros(n), eta)
         zero = BeamformerSet(np.zeros_like(channels.gains))
-        ransol = RanSolution(zero, np.zeros(n), (frozenset(),) * n,
-                             np.zeros(n), floors, "optimal", 0, True)
-        return JointSolution(ransol, alloc.clone_capacity,
-                             energy, [energy.total], [], "optimal", 0, True)
+        ransol = RanSolution(zero, np.zeros(n), (frozenset(),) * n, np.zeros(n), floors)
+        return JointSolution(ransol, alloc.clone_capacity, energy, [energy.total])
 
     v = _initial_beamformers(config, channels, support)
     bf = BeamformerSet(v)
@@ -481,7 +480,7 @@ def joint_energy_minimization(config: SystemConfig, tasks: list[Task],
     u = None
     energy_prev, fresh = None, False
     energy_trace, surrogate_trace = [], []
-    status, converged, it = "max_iterations", False, 0
+    status, it = "max_iterations", 0
     best_total, best_state = np.inf, None
 
     def true_surrogate(e_vec, powers, weights):
@@ -518,10 +517,9 @@ def joint_energy_minimization(config: SystemConfig, tasks: list[Task],
         report = solve(problem)
         if not report.optimal:
             ransol = RanSolution(bf, rates, (frozenset(),) * n, powers,
-                                 floors, report.status, it, False,
+                                 floors, report.status, it,
                                  f"conic step failed: {report.message or report.status}")
-            return JointSolution(ransol, np.zeros(n), None, energy_trace,
-                                 surrogate_trace, report.status, it, False)
+            return JointSolution(ransol, np.zeros(n), None, energy_trace, surrogate_trace)
         v_cand = extract_beamformers(report.x, support, config.antennas_per_rrh)
         # The conic step minimizes the tangent model of the cloud-energy
         # utility, which under-estimates it where tau is convex in the MSE;
@@ -545,7 +543,7 @@ def joint_energy_minimization(config: SystemConfig, tasks: list[Task],
         settled = energy_prev is not None and abs(
             total - energy_prev) <= CONV_REL_TOL * max(energy_prev, 1e-30)
         if settled and (fresh or not np.any(rho)):
-            status, converged = "optimal", True
+            status = "optimal"
             break
         fresh = settled or rho is None
         if fresh:
@@ -568,10 +566,9 @@ def joint_energy_minimization(config: SystemConfig, tasks: list[Task],
         finish = cycles / speeds + np.divide(bits, ran.rate(channels, bf, bw),
                                              where=bits > 0, out=np.zeros(n))
     ransol = _replay_checked(config, tasks, channels, RanSolution(
-        bf, rates, clusters, powers, floors, status, it, converged,
-        "" if converged else _cap_message(energy_trace)), finish)
-    return JointSolution(ransol, speeds, energy, energy_trace, surrogate_trace,
-                         ransol.status, it, ransol.converged)
+        bf, rates, clusters, powers, floors, status, it,
+        "" if status == "optimal" else _cap_message(energy_trace)), finish)
+    return JointSolution(ransol, speeds, energy, energy_trace, surrogate_trace)
 
 
 def _surrogate_line_search(config, channels, receivers, weights, v_prev, v_cand,
@@ -635,28 +632,24 @@ def split_deadline_baseline(config: SystemConfig, tasks: list[Task],
 
     The cloud side gets (1 - alpha) * T_max and is solved in closed form;
     the radio side gets alpha * T_max as a hard transmit budget.  Raises
-    BaselineInfeasibleError naming the side that cannot meet its share; a
-    transmit side that stops for another reason keeps its status.
+    InfeasibleError with side "cloud" or "transmit" when that side cannot meet
+    its share; a transmit side that stops short of a certificate keeps its status.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("split fraction must be in (0, 1)")
     cycles, bits, deadlines = _task_arrays(tasks)
-    try:
-        alloc = solve_cloud_allocation(cycles, (1.0 - alpha) * deadlines,
-                                       config.clone_capacity_limit,
-                                       config.switched_capacitance,
-                                       config.cloud_exponent)
-    except CloudInfeasibleError as err:
-        raise BaselineInfeasibleError("cloud", str(err)) from err
+    alloc = solve_cloud_allocation(cycles, (1.0 - alpha) * deadlines,
+                                   config.clone_capacity_limit,
+                                   config.switched_capacitance,
+                                   config.cloud_exponent)
 
     ransol = ran_power_minimization(config, tasks, channels, alpha * deadlines)
     if ransol.status == "infeasible":
-        raise BaselineInfeasibleError("transmit", ransol.message or ransol.status)
+        raise InfeasibleError("transmit", ransol.message or ransol.status)
     energy, trace = None, []
     if np.all(ransol.rates[bits > 0] > 0):  # a failed conic step leaves no rates
         energy = EnergyBreakdown.combine(
             alloc.exec_energy, ran.transmit_energy(bits, ransol.rates, ransol.powers),
             config.tradeoff)
         trace = [energy.total]
-    return JointSolution(ransol, alloc.clone_capacity, energy, trace, [],
-                         ransol.status, ransol.iterations, ransol.converged)
+    return JointSolution(ransol, alloc.clone_capacity, energy, trace)

@@ -13,7 +13,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .experiments import CSV_HEADER, SweepSpec, emit_records, run_single, run_sweep
+from .experiments import CSV_HEADER, SweepSpec, _load_doc, emit_records, run_single, run_sweep
 from .scenario import ValidationError
 
 CONFIG_ERROR = 2
@@ -78,15 +78,14 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc, name = _load_doc(args.config)
     spec = SweepSpec(
         param=args.param,
         grid=args.grid,
         methods=tuple(m for m in args.methods.split(",") if m),
         seeds=args.seeds,
         scenario=doc,
-        scenario_name=Path(args.config).stem,
+        scenario_name=name,
     )
     records = run_sweep(spec, workers=args.workers)
     paths = emit_records(records, args.out, stable_timing=args.stable_output)

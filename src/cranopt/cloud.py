@@ -15,31 +15,27 @@ import numpy as np
 
 __all__ = [
     "CloudAllocation",
-    "CloudInfeasibleError",
+    "InfeasibleError",
     "clone_energy",
     "solve_cloud_allocation",
 ]
 
 
-class CloudInfeasibleError(ValueError):
-    """Deadline requires a clone speed above the capacity cap."""
+class InfeasibleError(ValueError):
+    """No allocation meets the deadlines; `side` is "cloud", "transmit" or "deadline"."""
 
-    def __init__(self, ue: int, required: float, limit: float):
-        self.ue = ue
-        self.required = required
-        self.limit = limit
-        super().__init__(
-            f"UE {ue}: deadline needs {required:.6g} cycles/s "
-            f"but the clone is capped at {limit:.6g}"
-        )
+    def __init__(self, side: str, detail: str, ue: int | None = None):
+        self.side = side
+        self.ue = ue  # the first UE at fault, where one is known
+        where = "" if ue is None else f" at UE {ue}"
+        super().__init__(f"{side} side infeasible{where}: {detail}")
 
 
 @dataclass(frozen=True)
 class CloudAllocation:
-    """Per-UE clone speeds, execution times and execution energies."""
+    """Per-UE clone speeds and execution energies."""
 
     clone_capacity: np.ndarray  # cycles/s
-    exec_time: np.ndarray       # s
     exec_energy: np.ndarray     # J
 
 
@@ -61,8 +57,8 @@ def solve_cloud_allocation(cycles, deadlines, capacity_limits, kappa,
     """Minimum-energy clone speeds for per-UE cycle counts and execution deadlines.
 
     The deadline constraint is tight at the optimum: f* = F/T, with energy
-    kappa * F^nu / T^(nu-1).  Raises CloudInfeasibleError naming the first
-    UE whose required speed exceeds its cap.
+    kappa * F^nu / T^(nu-1).  Raises InfeasibleError with side "cloud"
+    naming the first UE whose required speed exceeds its cap.
     """
     cycles = np.atleast_1d(np.asarray(cycles, dtype=float))
     deadlines, limits = (np.broadcast_to(np.asarray(a, dtype=float), cycles.shape)
@@ -74,6 +70,7 @@ def solve_cloud_allocation(cycles, deadlines, capacity_limits, kappa,
     over = f_star > limits
     if np.any(over):
         i = int(np.argmax(over))
-        raise CloudInfeasibleError(i, float(f_star[i]), float(limits[i]))
-    return CloudAllocation(clone_capacity=f_star, exec_time=deadlines,
+        raise InfeasibleError("cloud", f"deadline needs {f_star[i]:.6g} cycles/s "
+                              f"but the clone is capped at {limits[i]:.6g}", i)
+    return CloudAllocation(clone_capacity=f_star,
                            exec_energy=clone_energy(cycles, f_star, kappa, exponent))

@@ -19,10 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .algorithms import (BaselineInfeasibleError, joint_energy_minimization,
-                         split_deadline_baseline)
-from .cloud import CloudInfeasibleError
-from .ran import RateInfeasibleError
+from .algorithms import joint_energy_minimization, split_deadline_baseline
+from .cloud import InfeasibleError
 from .scenario import ValidationError, generate_channels, load_config
 
 __all__ = [
@@ -125,7 +123,10 @@ def _load_doc(source) -> tuple[dict, str]:
         return source, source.get("name", "inline")
     path = Path(source)
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh), path.stem
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValidationError("document", "scenario must be a JSON object")
+    return doc, path.stem
 
 
 def run_single(source, method: str, seed: int, param: str = "-",
@@ -152,12 +153,8 @@ def run_single(source, method: str, seed: int, param: str = "-",
         rates = [float(r) for r in sol.ran.rates]
         if sol.status == "optimal" and sol.energy is not None:
             energy = sol.energy
-    except CloudInfeasibleError:
-        status = "infeasible-cloud"
-    except BaselineInfeasibleError as err:
+    except InfeasibleError as err:
         status = f"infeasible-{err.side}"
-    except RateInfeasibleError:
-        status = "infeasible-deadline"
     wall_ms = int(round(1000.0 * (time.perf_counter() - started)))
     return SolutionRecord(
         scenario=name, seed=int(seed), method=method, param=param,

@@ -15,7 +15,6 @@ from .scenario import ChannelState
 __all__ = [
     "BeamformerSet",
     "EnergyBreakdown",
-    "RateInfeasibleError",
     "amplitudes",
     "sinr",
     "rate",
@@ -27,14 +26,6 @@ __all__ = [
     "surrogate_fronthaul_load",
     "transmit_energy",
 ]
-
-
-class RateInfeasibleError(ValueError):
-    """Deadline leaves no time for transmission (cloud alone exhausts it)."""
-
-    def __init__(self, ue: int, detail: str):
-        self.ue = ue
-        super().__init__(f"UE {ue}: {detail}")
 
 
 @dataclass(frozen=True)

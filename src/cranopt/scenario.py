@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -302,14 +303,13 @@ def _build_tasks(spec, num_ue: int) -> list[Task]:
 
 
 def load_config(source) -> tuple[SystemConfig, list[Task]]:
-    """Parse a scenario from a dict or a JSON file path.
+    """Parse a scenario from a dict or a JSON file path (`str` or `os.PathLike`).
 
     Top-level keys: ``system``, ``tasks``, ``geometry``, ``seed``; every
     absent field falls back to the stock defaults above.
     """
-    if isinstance(source, dict):
-        doc = source
-    else:
+    doc = source
+    if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     if not isinstance(doc, dict):

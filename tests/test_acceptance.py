@@ -13,14 +13,13 @@ import pytest
 
 from cranopt import ran
 from cranopt.algorithms import (
-    BaselineInfeasibleError,
     joint_energy_minimization,
     mmse_receiver,
     mse,
     mse_weight,
     split_deadline_baseline,
 )
-from cranopt.cloud import solve_cloud_allocation
+from cranopt.cloud import InfeasibleError, solve_cloud_allocation
 from cranopt.conic import solve, solver
 from cranopt.experiments import SweepSpec, emit_records, run_sweep
 from cranopt.ran import sinr
@@ -55,7 +54,7 @@ def stock_runs():
             try:
                 baselines[alpha] = split_deadline_baseline(config, tasks,
                                                            channels, alpha)
-            except BaselineInfeasibleError:
+            except InfeasibleError:
                 baselines[alpha] = None
         runs[seed] = (channels, joint, baselines)
     return config, tasks, runs

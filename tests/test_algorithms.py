@@ -9,14 +9,14 @@ import pytest
 
 from cranopt import algorithms, ran
 from cranopt.algorithms import (
-    BaselineInfeasibleError,
     constraint_violations,
     extract_rrh_clusters,
     joint_energy_minimization,
     ran_power_minimization,
     split_deadline_baseline,
 )
-from cranopt.ran import BeamformerSet, RateInfeasibleError
+from cranopt.cloud import InfeasibleError
+from cranopt.ran import BeamformerSet
 from cranopt.scenario import ChannelState, default_config, generate_channels, load_config
 
 SCENARIO = Path(__file__).resolve().parents[1] / "scenarios" / "smallcell.json"
@@ -112,8 +112,9 @@ class TestJointEnergyMinimization:
         config, _ = smallcell
         _, tasks = load_config({"tasks": {"cpu_cycles": 2e5, "deadline": 0.1}})
         channels = generate_channels(config, 3)
-        with pytest.raises(RateInfeasibleError):
+        with pytest.raises(InfeasibleError) as err:
             joint_energy_minimization(config, tasks, channels)
+        assert err.value.side == "deadline" and err.value.ue == 0
 
     def test_single_link_matches_rate_split_oracle(self):
         config, tasks, channels = single_link_setup()
@@ -275,14 +276,14 @@ class TestSeparateBaseline:
     def test_cloud_side_infeasible(self, smallcell):
         config, tasks = smallcell
         channels = generate_channels(config, 42)
-        with pytest.raises(BaselineInfeasibleError) as err:
+        with pytest.raises(InfeasibleError) as err:
             split_deadline_baseline(config, tasks, channels, 0.99)
         assert err.value.side == "cloud"
 
     def test_transmit_side_infeasible(self):
         config, tasks = default_config(rrh_power_limit=1e-6)
         channels = generate_channels(config, 42)
-        with pytest.raises(BaselineInfeasibleError) as err:
+        with pytest.raises(InfeasibleError) as err:
             split_deadline_baseline(config, tasks, channels, 0.5)
         assert err.value.side == "transmit"
 

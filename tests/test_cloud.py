@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cranopt.cloud import (
-    CloudInfeasibleError,
+    InfeasibleError,
     clone_energy,
     solve_cloud_allocation,
 )
@@ -32,14 +32,13 @@ class TestClosedForm:
         alloc = solve_cloud_allocation([1500.0, 3000.0], 0.05, 1e6, 1e-11, 3)
         assert alloc.clone_capacity == pytest.approx([3e4, 6e4])
         assert alloc.exec_energy == pytest.approx([13.5, 108.0])
-        assert alloc.exec_time == pytest.approx([0.05, 0.05])
 
     def test_infeasible_identifies_ue(self):
-        with pytest.raises(CloudInfeasibleError) as err:
+        with pytest.raises(InfeasibleError) as err:
             solve_cloud_allocation([1500, 1500, 1500], [0.05, 0.001, 0.0001],
                                    1e6, 1e-11, 3)
+        assert err.value.side == "cloud"
         assert err.value.ue == 1
-        assert err.value.required == pytest.approx(1.5e6)
 
     def test_boundary_feasible(self):
         alloc = solve_cloud_allocation([1e6], 1.0, 1e6, 1e-11, 3)

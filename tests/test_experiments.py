@@ -103,6 +103,11 @@ class TestRunSingle:
         assert record.status == "infeasible-cloud"
         assert record.energy_total_j is None
 
+    def test_infeasible_transmit_side_is_named(self):
+        record = run_single({"system": {"rrh_power_limit": 1e-6}}, "separate:0.5", 42)
+        assert record.status == "infeasible-transmit"
+        assert record.energy_total_j is None
+
     def test_unfinished_transmit_side_keeps_its_status(self, monkeypatch):
         # A transmit side that runs out of rounds is recorded as such, not as
         # infeasible.
@@ -283,6 +288,19 @@ class TestCli:
                               "separate:0.5", "--seed", "1")
         assert result.returncode == 2, result.stderr
         assert f"configuration error: {field}:" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("doc", ["[]", "5", '"x"'])
+    def test_document_that_is_not_an_object_is_config_error(self, tmp_path, command, doc):
+        config = tmp_path / "bad.json"
+        config.write_text(doc)
+        args = {"run": ("--method", "joint", "--seed", "1"),
+                "sweep": ("--param", "F", "--grid", "1000", "--methods", "joint",
+                          "--seeds", "1", "--out", str(tmp_path / "out"))}[command]
+        result = self.run_cli(command, "--config", str(config), *args)
+        assert result.returncode == 2, result.stderr
+        assert "configuration error: document:" in result.stderr
         assert "Traceback" not in result.stderr
 
     def test_sweep_writes_outputs(self, tmp_path):

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from cranopt.algorithms import joint_energy_minimization, ran_power_minimization
+from cranopt.cloud import InfeasibleError
 from cranopt.ran import (
     BeamformerSet,
     EnergyBreakdown,
-    RateInfeasibleError,
     fronthaul_load,
     fronthaul_weights,
     rate,
@@ -219,8 +219,9 @@ class TestMinRate:
     def test_joint_form_infeasible(self, link):
         config, _, channels = link
         tasks = [Task(cpu_cycles=1500.0, result_bits=1000.0, deadline=0.001)]
-        with pytest.raises(RateInfeasibleError):
+        with pytest.raises(InfeasibleError) as err:
             joint_energy_minimization(config, tasks, channels)
+        assert err.value.side == "deadline" and err.value.ue == 0
 
 
 class TestTotalEnergy:

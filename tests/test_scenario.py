@@ -81,6 +81,13 @@ class TestLoadConfig:
         assert load_config(str(target)) == expected
         assert load_config(target) == expected
 
+    @pytest.mark.parametrize("source", [[], 5, None])
+    def test_source_neither_object_nor_path_is_refused(self, source):
+        # 5 must not be taken for a file descriptor.
+        with pytest.raises(ValidationError) as err:
+            load_config(source)
+        assert err.value.fieldname == "document"
+
     def test_task_validation(self):
         with pytest.raises(ValidationError):
             Task(cpu_cycles=-1, result_bits=0, deadline=1.0)

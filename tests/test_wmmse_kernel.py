@@ -11,7 +11,8 @@ from cranopt.algorithms import (
     mse,
     mse_weight,
 )
-from cranopt.ran import BeamformerSet, RateInfeasibleError, sinr
+from cranopt.cloud import InfeasibleError
+from cranopt.ran import BeamformerSet, sinr
 from cranopt.scenario import ChannelState, Task
 
 
@@ -245,6 +246,6 @@ class TestWholeArrayAgainstPerUe:
         # spend the whole deadline in the cloud.
         cycles = np.array([2e5, 1500.0, 2e5, 2e5])
         bits = np.array([0.0, 1000.0, 1000.0, 1000.0])
-        with pytest.raises(RateInfeasibleError) as err:
+        with pytest.raises(InfeasibleError) as err:
             mse_weight(0.5, cycles, bits, 0.1, 1e7, 1e-11, 3.0, 1e6)
-        assert err.value.ue == 2
+        assert err.value.side == "deadline" and err.value.ue == 2

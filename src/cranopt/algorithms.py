@@ -1,15 +1,18 @@
 """Iterative energy-minimization procedures and the MSE-descent kernels.
 
-Two entry points:
+Two entry points run one reweighted-l1 support loop, alternating a conic
+step with reweighting of the fronthaul surrogate (clusters sparsify as
+weights grow on weak beamformer blocks):
 
 * ``ran_power_minimization`` - transmit-side minimization under fixed rate
-  floors, alternating an SOCP step with reweighting of the fronthaul
-  surrogate (clusters sparsify as weights grow on weak beamformer blocks).
+  floors; the fronthaul weights are refreshed every round (held, they
+  change no status but add rounds where the fronthaul binds).
 * ``joint_energy_minimization`` - block coordinate descent on the
   MSE-reformulated joint cloud+radio energy objective: closed-form receiver
   update, closed-form MSE weight from the cloud-energy utility gradient,
-  then a conic transmit-beamformer step; the fronthaul reweighting and its
-  frozen rates are refreshed only when a round settles.
+  then a conic transmit-beamformer step; the fronthaul weights and their
+  frozen rates are refreshed only when a round settles (refreshed every
+  round, the descent orbits where the fronthaul binds).
 
 Both return solutions with serving clusters extracted and a final refit on
 the reduced support, and replay an "optimal" answer against the model
@@ -164,17 +167,15 @@ def mse_weight(e, cycles, bits, deadlines, bandwidth, kappa, exponent,
     where f = F / (T - D/r) is the implied clone speed.  The rate is
     clamped at the deadline floor, which puts the speed at the clone
     capacity and bounds the weight at infeasible iterates.  The weight is 0
-    without result bits, at nu = 1 or at kappa = 0; otherwise a UE whose
-    cloud execution alone exhausts its deadline raises InfeasibleError("deadline").
+    without result bits, at nu = 1 or at kappa = 0.  A UE whose cloud
+    execution alone exhausts its deadline (T <= F/f_max) has no floor, and
+    gets the finite weight of a clone at the cap; `joint_energy_minimization`
+    refuses such a UE before it asks for a weight.
     """
     e = np.asarray(e, dtype=float)
     if not np.all((e > 0.0) & (e < 1.0)):
         raise ValueError("mse weight needs e in (0, 1)")
     live = (bits > 0) & (exponent != 1.0) & (kappa != 0.0)
-    late = live & (deadlines <= cycles / capacity_limit)
-    if np.any(late):
-        raise InfeasibleError("deadline", "cloud execution alone exhausts the deadline",
-                              int(np.argmax(late)))
     r = np.maximum(bandwidth * np.log2(1.0 / e),
                    _rate_floor(cycles, bits, deadlines, capacity_limit))
     speed = _clone_speed(r, cycles, bits, deadlines, capacity_limit)
@@ -201,15 +202,17 @@ def _initial_beamformers(config: SystemConfig, channels: ChannelState,
     return np.where(on[..., None], v, 0.0)
 
 
-def _cs_rate_bound(config, channels, ue_powers, support) -> np.ndarray:
-    """Per-UE interference-free rate bound at the previous power level.
+def _energy_weights(config, channels, bits, ue_powers, support) -> np.ndarray:
+    """Per-UE weights D_i / R_i of the transmit-energy surrogate, 0 where R_i = 0.
 
-    B log2(1 + sum_j ||h_ij||^2 p_i / sigma_i^2), the concave envelope used
-    as the frozen denominator of the transmit-energy surrogate.
+    R_i = B log2(1 + sum_j ||h_ij||^2 p_i / sigma_i^2) is the interference-free
+    rate bound at the previous power level, the concave envelope used as the
+    frozen denominator of the surrogate.
     """
     gain = np.where(support, ran.block_power(channels.gains), 0.0).sum(axis=1)
-    b = np.asarray(config.bandwidth)
-    return b * np.log2(1.0 + gain * ue_powers / channels.noise_power)
+    bound = np.asarray(config.bandwidth) * np.log2(1.0 + gain * ue_powers / channels.noise_power)
+    return np.divide(bits, np.where(bound > 0, bound, 1.0), where=bound > 0,
+                     out=np.zeros_like(bound))
 
 
 def _clustered(beamformers: BeamformerSet, power_limits):
@@ -307,6 +310,65 @@ def _cap_message(trace):
             f"last relative change {change:.2e}")
 
 
+def _support_loop(config, tasks, channels, floors, support, cost, step, measure,
+                  hold_rho):
+    """The reweighted-l1 support loop of both entry points.
+
+    Per round: `step(v, powers, weights, rho, frozen, support)` gives the
+    conic report and, if optimal, the next v; dead blocks are culled, and
+    `measure(rates, powers, weights)` values the new point, with weights
+    cost * D / (rate bound).  The fronthaul weights rho are set after round
+    1, then refreshed after every round or (`hold_rho`) after a settled one;
+    a settled round on fresh weights, or with no rho row active, ends the
+    loop.  Returns (solution, values, whether a step failed); a failed step
+    leaves the point before it, unclustered.
+    """
+    bits = _task_arrays(tasks)[1]
+    v = _initial_beamformers(config, channels, support)
+    bf = BeamformerSet(v)
+    rates, powers = ran.rate(channels, bf, config.bandwidth), ran.ue_power(bf)
+    weights = cost * _energy_weights(config, channels, bits, powers, support)
+    rho = frozen = None
+    fresh = False
+    trace = []
+    status, it = "max_iterations", 0
+    best_value, best_state = np.inf, None
+
+    for it in range(1, MAX_ITERATIONS + 1):
+        # bf, rates, powers and weights hold the current v, measured when it was set.
+        report, v = step(v, powers, weights, rho, frozen, support)
+        if not report.optimal:
+            return RanSolution(bf, rates, (frozenset(),) * config.num_ue, powers, floors,
+                               report.status, it, "conic step failed: "
+                               f"{report.message or report.status}"), trace, True
+        support = _cull_support(v, support, config.rrh_power_limit)
+        v = np.where(support[:, :, None], v, 0.0)
+        bf = BeamformerSet(v)
+        rates, powers = ran.rate(channels, bf, config.bandwidth), ran.ue_power(bf)
+        weights = cost * _energy_weights(config, channels, bits, powers, support)
+        trace.append(measure(rates, powers, weights))
+        if trace[-1] < best_value and not _replay_misses(config, tasks, channels, RanSolution(
+                _clustered(bf, config.rrh_power_limit)[1], rates, (), powers, floors)):
+            best_value, best_state = trace[-1], (v, support, weights)
+        settled = len(trace) > 1 and abs(
+            trace[-1] - trace[-2]) <= CONV_REL_TOL * max(trace[-2], 1e-30)
+        if settled and (fresh or not np.any(rho)):
+            status = "optimal"
+            break
+        fresh = settled or rho is None or not hold_rho
+        if fresh:
+            rho, frozen = _fronthaul_rows(config, bf, rates, support), rates
+
+    if best_state is not None:
+        # Under a binding fronthaul budget the loop can orbit the optimum;
+        # return the best visit that, clustered, passes the exit replay.
+        v, support, weights = best_state
+    bf, rates, powers, clusters = _refit_on_support(
+        config, channels, BeamformerSet(v), floors, weights, support)
+    return RanSolution(bf, rates, clusters, powers, floors, status, it,
+                       "" if status == "optimal" else _cap_message(trace)), trace, False
+
+
 # ---------------------------------------------------------------------------
 # Transmit-side minimization under fixed rate floors.
 
@@ -315,10 +377,12 @@ def ran_power_minimization(config: SystemConfig, tasks: list[Task],
                            channels: ChannelState, transmit_budgets) -> RanSolution:
     """Iterative reweighted power minimization meeting per-UE rate floors.
 
-    Per round: conic solve at the current fronthaul weights -> refresh rates
-    -> refresh weights -> refresh the surrogate power metric, until the
-    metric settles.  The first round runs with the fronthaul surrogate
-    inactive so the reweighting has a point to start from.
+    The support loop with a power-min SOCP step, until the surrogate power
+    metric sum_i p_i D_i / (rate bound) settles.  Round 1 runs with the
+    fronthaul surrogate inactive; after it the weights are refreshed every
+    round.  Held until a round settles, as in the joint loop, they keep the
+    statuses but take more rounds: 6/5/8/7 -> 10/8/14/12 at fronthaul 3e5,
+    T = 20 ms, F = 1500, seeds 42-45.
     """
     n = config.num_ue
     _, bits, _ = _task_arrays(tasks)
@@ -328,54 +392,19 @@ def ran_power_minimization(config: SystemConfig, tasks: list[Task],
         zero = BeamformerSet(np.zeros_like(channels.gains))
         return RanSolution(zero, np.zeros(n), (frozenset(),) * n, np.zeros(n), floors)
 
-    v = _initial_beamformers(config, channels, support)
-    powers = ran.ue_power(BeamformerSet(v))
-    bound = _cs_rate_bound(config, channels, powers, support)
-    rho = frozen = None
-    metric_prev = None
-    trace = []
-    status, it = "max_iterations", 0
-
-    for it in range(1, MAX_ITERATIONS + 1):
-        # `bound` holds the rate bound at the current v and support.
-        weights = _safe_div(bits, bound)
-        problem = build_power_min_socp(
+    def step(v, powers, weights, rho, frozen, support):
+        report = solve(build_power_min_socp(
             channels, floors, config.bandwidth, config.rrh_power_limit,
             objective_weights=weights, rho=rho, frozen_rates=frozen,
-            fronthaul_limits=config.fronthaul_limit, support=support)
-        report = solve(problem)
-        if not report.optimal:
-            return RanSolution(BeamformerSet(v), np.zeros(n), (frozenset(),) * n,
-                               powers, floors, report.status, it,
-                               f"conic step failed: {report.message or report.status}; "
-                               f"floors={floors.tolist()}")
-        v = extract_beamformers(report.x, support, config.antennas_per_rrh)
-        support = _cull_support(v, support, config.rrh_power_limit)
-        v = np.where(support[:, :, None], v, 0.0)
-        bf = BeamformerSet(v)
-        rates, powers = ran.rate(channels, bf, config.bandwidth), ran.ue_power(bf)
-        rho = _fronthaul_rows(config, bf, rates, support)
-        frozen = rates
-        bound = _cs_rate_bound(config, channels, powers, support)
-        metric = float(np.sum(powers * _safe_div(bits, bound)))
-        trace.append(metric)
-        if metric_prev is not None and abs(metric - metric_prev) <= CONV_REL_TOL * max(
-                metric_prev, 1e-30):
-            status = "optimal"
-            break
-        metric_prev = metric
+            fronthaul_limits=config.fronthaul_limit, support=support))
+        return report, extract_beamformers(report.x, support, config.antennas_per_rrh)
 
-    bf, rates, powers, clusters = _refit_on_support(
-        config, channels, BeamformerSet(v), floors, _safe_div(bits, bound), support)
-    return _replay_checked(config, tasks, channels, RanSolution(
-        bf, rates, clusters, powers, floors, status, it,
-        "" if status == "optimal" else _cap_message(trace)))
-
-
-def _safe_div(a, b):
-    b = np.asarray(b, dtype=float)
-    return np.divide(a, np.where(b > 0, b, 1.0), where=b > 0,
-                     out=np.zeros_like(b))
+    sol, _, failed = _support_loop(config, tasks, channels, floors, support, 1.0, step,
+                                   lambda rates, powers, weights: float(np.sum(powers * weights)),
+                                   hold_rho=False)
+    if failed:   # a failed conic step leaves no rates
+        sol.rates, sol.message = np.zeros(n), f"{sol.message}; floors={floors.tolist()}"
+    return _replay_checked(config, tasks, channels, sol)
 
 
 def _refit_on_support(config, channels, bf, floors, weights, support):
@@ -439,15 +468,15 @@ def joint_energy_minimization(config: SystemConfig, tasks: list[Task],
                               channels: ChannelState) -> JointSolution:
     """Block coordinate descent on the joint energy objective.
 
-    Round n: (1) receivers from the current beamformers, (2) MSE weights
-    from the cloud-utility gradient, (3) transmit beamformers by a conic
-    step under rate floors / per-RRH power / fronthaul surrogate.  A round
-    settles when the total energy does.  The first round sets the fronthaul
-    weights and frozen rates; after it they are refreshed only when a round
-    settles, so the descent runs on one fixed surrogate at a time, and a
-    round that settles on fresh weights, or with no fronthaul row active,
-    ends the loop.  On exit clone speeds are recovered from the final rates,
-    making the deadline exactly tight per UE.
+    The support loop, round n: (1) receivers from the current beamformers,
+    (2) MSE weights from the cloud-utility gradient, (3) transmit
+    beamformers by a conic step under rate floors / per-RRH power /
+    fronthaul surrogate.  A round settles when the total energy does.  The
+    fronthaul weights are refreshed only when a round settles, so the
+    descent runs on one fixed surrogate at a time (refreshed every round,
+    6 C/10 and C/100 fingerprint runs orbit to the cap).  On exit clone
+    speeds are recovered from the final rates, making the deadline exactly
+    tight per UE.
     """
     n, l = config.num_ue, config.num_rrh
     kappa = np.asarray(config.switched_capacitance)
@@ -473,15 +502,8 @@ def joint_energy_minimization(config: SystemConfig, tasks: list[Task],
         ransol = RanSolution(zero, np.zeros(n), (frozenset(),) * n, np.zeros(n), floors)
         return JointSolution(ransol, alloc.clone_capacity, energy, [energy.total])
 
-    v = _initial_beamformers(config, channels, support)
-    bf = BeamformerSet(v)
-    rates, powers = ran.rate(channels, bf, bw), ran.ue_power(bf)
-    rho = frozen = None
+    surrogate_trace = []
     u = None
-    energy_prev, fresh = None, False
-    energy_trace, surrogate_trace = [], []
-    status, it = "max_iterations", 0
-    best_total, best_state = np.inf, None
 
     def true_surrogate(e_vec, powers, weights):
         rates = np.maximum(bw * np.log2(1.0 / e_vec), floors)
@@ -489,37 +511,30 @@ def joint_energy_minimization(config: SystemConfig, tasks: list[Task],
         return float(taus.sum() + weights @ powers)
 
     def recover_cloud(rates, powers):
-        """Clone speeds from the rates (deadline tight), plus both energy legs."""
+        """Clone speeds from the rates (deadline tight), and the energy at them."""
         speeds = _clone_speed(rates, cycles, bits, deadlines, fmax)
-        return (speeds, clone_energy(cycles, speeds, kappa, nu),
-                ran.transmit_energy(bits, rates, powers))
+        return speeds, EnergyBreakdown.combine(clone_energy(cycles, speeds, kappa, nu),
+                                               ran.transmit_energy(bits, rates, powers), eta)
 
-    for it in range(1, MAX_ITERATIONS + 1):
-        # bf, rates and powers hold the current v, measured when it was set.
-        bound = _cs_rate_bound(config, channels, powers, support)
-        weights = eta * _safe_div(bits, bound)
-
+    def step(v, powers, weights, rho, frozen, support):
+        nonlocal u
         s0 = None
         if u is not None:
             e_stale = np.clip(mse(channels, v, u), 1e-300, 1.0 - 1e-15)
             s0 = true_surrogate(e_stale, powers, weights)
 
-        u = mmse_receiver(channels, bf)
+        u = mmse_receiver(channels, BeamformerSet(v))
         e = np.clip(mse(channels, v, u), 1e-300, 1.0 - 1e-15)
         s1 = true_surrogate(e, powers, weights)
 
         phi = mse_weight(e, cycles, bits, deadlines, bw, kappa, nu, fmax)
 
-        problem = build_wmmse_step_socp(
+        report = solve(build_wmmse_step_socp(
             channels, phi, u, weights, config.rrh_power_limit,
             rate_floors=floors, bandwidths=bw, rho=rho, frozen_rates=frozen,
-            fronthaul_limits=config.fronthaul_limit, support=support)
-        report = solve(problem)
+            fronthaul_limits=config.fronthaul_limit, support=support))
         if not report.optimal:
-            ransol = RanSolution(bf, rates, (frozenset(),) * n, powers,
-                                 floors, report.status, it,
-                                 f"conic step failed: {report.message or report.status}")
-            return JointSolution(ransol, np.zeros(n), None, energy_trace, surrogate_trace)
+            return report, None
         v_cand = extract_beamformers(report.x, support, config.antennas_per_rrh)
         # The conic step minimizes the tangent model of the cloud-energy
         # utility, which under-estimates it where tau is convex in the MSE;
@@ -528,46 +543,20 @@ def joint_energy_minimization(config: SystemConfig, tasks: list[Task],
             config, channels, u, weights, v, v_cand, rho, frozen,
             true_surrogate, s1)
         surrogate_trace.append((s0, s1, s3))
+        return report, v
 
-        support = _cull_support(v, support, config.rrh_power_limit)
-        v = np.where(support[:, :, None], v, 0.0)
-        bf = BeamformerSet(v)
-        rates, powers = ran.rate(channels, bf, bw), ran.ue_power(bf)
-
-        _, cloud_e, tx_e = recover_cloud(rates, powers)
-        total = float(np.sum(cloud_e + eta * tx_e))
-        energy_trace.append(total)
-        if total < best_total and not _replay_misses(config, tasks, channels, RanSolution(
-                _clustered(bf, config.rrh_power_limit)[1], rates, (), powers, floors)):
-            best_total, best_state = total, (v.copy(), support.copy(), powers)
-        settled = energy_prev is not None and abs(
-            total - energy_prev) <= CONV_REL_TOL * max(energy_prev, 1e-30)
-        if settled and (fresh or not np.any(rho)):
-            status = "optimal"
-            break
-        fresh = settled or rho is None
-        if fresh:
-            rho = _fronthaul_rows(config, bf, rates, support)
-            frozen = rates.copy()
-        energy_prev = total
-
-    if best_state is not None:
-        # Under a binding fronthaul budget the loop can orbit the optimum;
-        # return the best visit that, clustered, passes the exit replay.
-        v, support, powers = best_state
-    bf, rates, powers, clusters = _refit_on_support(
-        config, channels, BeamformerSet(v), floors,
-        eta * _safe_div(bits, _cs_rate_bound(config, channels, powers, support)), support)
-    speeds, cloud_e, tx_e = recover_cloud(rates, powers)
-    energy = EnergyBreakdown.combine(cloud_e, tx_e, eta)
+    ransol, energy_trace, failed = _support_loop(
+        config, tasks, channels, floors, support, eta, step,
+        lambda rates, powers, _: recover_cloud(rates, powers)[1].total, hold_rho=True)
+    if failed:
+        return JointSolution(ransol, np.zeros(n), None, energy_trace, surrogate_trace)
+    speeds, energy = recover_cloud(ransol.rates, ransol.powers)
     # The replay's lateness takes the rates of the returned bf, not the refit's
     # own `rates`: equal when the refit is right, and independent of it.
     with np.errstate(divide="ignore"):
-        finish = cycles / speeds + np.divide(bits, ran.rate(channels, bf, bw),
-                                             where=bits > 0, out=np.zeros(n))
-    ransol = _replay_checked(config, tasks, channels, RanSolution(
-        bf, rates, clusters, powers, floors, status, it,
-        "" if status == "optimal" else _cap_message(energy_trace)), finish)
+        finish = cycles / speeds + np.divide(
+            bits, ran.rate(channels, ransol.beamformers, bw), where=bits > 0, out=np.zeros(n))
+    ransol = _replay_checked(config, tasks, channels, ransol, finish)
     return JointSolution(ransol, speeds, energy, energy_trace, surrogate_trace)
 
 

@@ -45,10 +45,10 @@ def joint_seed42(smallcell):
     return config, tasks, channels, joint_energy_minimization(config, tasks, channels)
 
 
-def joint_at_tenth_fronthaul(seed):
-    """The stock cell at fronthaul C/10 and F = 1500, solved jointly."""
+def joint_at_tenth_fronthaul(seed, cycles=1500.0):
+    """The stock cell at fronthaul C/10 and task size F, solved jointly."""
     config, tasks = default_config(fronthaul_limit=1e6)
-    tasks = [dataclasses.replace(t, cpu_cycles=1500.0) for t in tasks]
+    tasks = [dataclasses.replace(t, cpu_cycles=cycles) for t in tasks]
     channels = generate_channels(config, seed)
     return config, tasks, channels, joint_energy_minimization(config, tasks, channels)
 
@@ -108,13 +108,19 @@ class TestJointEnergyMinimization:
         assert sol.status == "optimal"
         assert np.all(sol.ran.rates[[1, 3]] == 0.0)
 
-    def test_deadline_precondition(self, smallcell):
+    @pytest.mark.parametrize("tasks, ue", [
+        ({"cpu_cycles": 2e5, "deadline": 0.1}, 0),
+        # UEs 0 and 1 still have time; UEs 2 and 3 spend the whole deadline
+        # in the cloud.
+        ([{}, {}, {"cpu_cycles": 2e5}, {"cpu_cycles": 2e5}, {}], 2),
+    ], ids=["all_late", "ues_2_3_late"])
+    def test_deadline_precondition(self, smallcell, tasks, ue):
         config, _ = smallcell
-        _, tasks = load_config({"tasks": {"cpu_cycles": 2e5, "deadline": 0.1}})
+        _, tasks = load_config({"tasks": tasks})
         channels = generate_channels(config, 3)
         with pytest.raises(InfeasibleError) as err:
             joint_energy_minimization(config, tasks, channels)
-        assert err.value.side == "deadline" and err.value.ue == 0
+        assert err.value.side == "deadline" and err.value.ue == ue
 
     def test_single_link_matches_rate_split_oracle(self):
         config, tasks, channels = single_link_setup()
@@ -256,6 +262,49 @@ class TestJointEnergyMinimization:
             assert sol.status == "max_iterations" and not sol.converged
         for message in (joint.ran.message, alone.message):
             assert "1-round cap" in message and "relative change" in message
+
+
+class TestRefreshCadence:
+    """Which rounds hand the conic step freshly computed fronthaul weights rho."""
+
+    @staticmethod
+    def fresh_rounds(monkeypatch, builder, run):
+        """(solution, whether rounds 2, 3, ... got a new rho) of `run()`."""
+        handed = []
+        real = getattr(algorithms, builder)
+
+        def recorded(*args, **kwargs):
+            handed.append(kwargs["rho"])
+            return real(*args, **kwargs)
+        monkeypatch.setattr(algorithms, builder, recorded)
+        sol = run()
+        rounds = handed[:sol.iterations]   # the exit refit builds after the loop
+        return sol, [new is not old for old, new in zip(rounds, rounds[1:])]
+
+    def test_power_minimization_refreshes_every_round(self, monkeypatch):
+        # Fronthaul 3e5, T = 20 ms, F = 1500, seed 44: the separate:0.5
+        # power minimization takes 8 rounds; holding rho until a round
+        # settles takes it to 14.
+        config, tasks = load_config({"system": {"fronthaul_limit": 3e5},
+                                     "tasks": {"cpu_cycles": 1500.0, "deadline": 2e-2}})
+        channels = generate_channels(config, 44)
+        budgets = [0.5 * t.deadline for t in tasks]
+        sol, fresh = self.fresh_rounds(monkeypatch, "build_power_min_socp", lambda: (
+            ran_power_minimization(config, tasks, channels, budgets)))
+        assert sol.status == "optimal" and sol.iterations > 2
+        assert all(fresh)
+
+    def test_joint_refreshes_only_after_a_settled_round(self, monkeypatch):
+        # C/10, F = 1000, seed 45 (12 rounds): refreshed every round, the
+        # joint orbits at a binding fronthaul instead of settling.
+        sol, fresh = self.fresh_rounds(monkeypatch, "build_wmmse_step_socp",
+                                       lambda: joint_at_tenth_fronthaul(45, 1000.0)[-1])
+        trace = sol.energy_trace
+        settled = [abs(b - a) <= algorithms.CONV_REL_TOL * max(a, 1e-30)
+                   for a, b in zip(trace, trace[1:])]
+        assert sol.iterations > 2 and not all(fresh)
+        # Round k + 1 gets fresh weights after round 1 and after a settled round k.
+        assert fresh == [True] + settled[:len(fresh) - 1]
 
 
 class TestSeparateBaseline:

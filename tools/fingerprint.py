@@ -6,8 +6,8 @@ Usage, from the root of a checkout:
     python3 tools/fingerprint.py OUT.json [--tree DIR]
     python3 tools/fingerprint.py --compare OLD.json NEW.json
 
-The first form runs ``joint`` and ``separate:0.5`` on 65 points of
-``scenarios/smallcell.json`` (130 runs) with one BLAS thread:
+The first form runs ``joint`` and ``separate:0.5`` on 69 points of
+``scenarios/smallcell.json`` (138 runs) with one BLAS thread:
 
 - stock cell at F in {1000, 1500, 2000}, seeds 42-44
 - 8 RRHs x 2 antennas x 8 UEs, fronthaul 1e9, at F = 1000, seeds 42-43
@@ -16,6 +16,9 @@ The first form runs ``joint`` and ``separate:0.5`` on 65 points of
   largest problems, n = 640, whose KKT matrix is factored by stream)
 - fronthaul at C/10 (1e6) at F in {1000, 1500, 2000}, seeds 42-45
 - fronthaul at C/30 (1e7/30) and at C/100 (1e5) at F = 1500, seeds 42-45
+- fronthaul 3e5 with deadline T = 20 ms at F = 1500, seeds 42-45 (the only
+  cell whose separate runs take the power minimization past round 2; its
+  joint runs reach the round cap)
 - 2 RRHs x 1 antenna (more UEs than antennas) at F = 1500, seeds 42-51 and 58
 - RRH power at P/100 (1e-2) at F = 1500, seeds 42-51 and 60
 - 4 RRHs x 2 antennas x 10 UEs (more UEs than antennas) at F = 1500, seeds 42-43
@@ -38,9 +41,9 @@ two such files, the new file's probe spread among them, and exits 1 if
 there is one; for a run whose conic calls differ it names the largest
 change in one shared call's interior-point iterations (signed, new minus
 old), which shows whether the +-1 iteration contract held.  Energy changes
-of the C/10, C/30, C/100, 2 x 1 x 5 and P/100 runs are listed apart: there
-last-bit changes are amplified (a binding fronthaul, or round counts that
-hinge on last bits), so they can stem from rounding alone.
+of the C/10, C/30, C/100, 3e5 T=20ms, 2 x 1 x 5 and P/100 runs are listed
+apart: there last-bit changes are amplified (a binding fronthaul, or round
+counts that hinge on last bits), so they can stem from rounding alone.
 """
 
 from __future__ import annotations
@@ -64,6 +67,7 @@ CELLS = (
     ("C/10", {"fronthaul_limit": 1e6}, {}, (1000.0, 1500.0, 2000.0), (42, 43, 44, 45)),
     ("C/30", {"fronthaul_limit": 1e7 / 30}, {}, (1500.0,), (42, 43, 44, 45)),
     ("C/100", {"fronthaul_limit": 1e5}, {}, (1500.0,), (42, 43, 44, 45)),
+    ("3e5 T=20ms", {"fronthaul_limit": 3e5}, {"deadline": 2e-2}, (1500.0,), (42, 43, 44, 45)),
     ("2x1x5", {"num_rrh": 2, "antennas_per_rrh": 1}, {}, (1500.0,), (*range(42, 52), 58)),
     ("P/100", {"rrh_power_limit": 1e-2}, {}, (1500.0,), (*range(42, 52), 60)),
     ("4x2x10", {"num_ue": 10}, {}, (1500.0,), (42, 43)),
@@ -71,7 +75,7 @@ CELLS = (
     ("D=0 mix", {}, [{}, {"result_bits": 0.0}, {}, {"result_bits": 0.0}, {}],
      (1500.0,), (42, 43, 44, 45)),
 )
-AMPLIFYING_CELLS = ("C/10", "C/30", "C/100", "2x1x5", "P/100")
+AMPLIFYING_CELLS = ("C/10", "C/30", "C/100", "3e5 T=20ms", "2x1x5", "P/100")
 # The probe's source: (cell, F, seed, method) and the index of its conic call.
 PROBE_RUN, PROBE_CALL = ("2x1x5", 1500.0, 45, "joint"), 1
 PROBE_COPIES = 30
